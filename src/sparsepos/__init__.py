@@ -16,7 +16,6 @@ from .moments import (
     SymbolicMatrix,
     TruncationError,
     half_degree,
-    is_psd,
     localizing_matrix,
     min_eigenvalue,
     mixture_moments,

@@ -13,6 +13,11 @@ snapping floating factor entries to rationals (continued fractions,
 denominators up to 10^6), and measures the true coefficient residual against
 f - lambda.  The residual therefore accounts for both solver noise and the
 snapping itself.
+
+Cone coefficients are not snapped: each float is exact as a rational.  Their
+products g^a (1-g)^b come from the same depth-first walk that assembles the
+LP rows (:func:`relax.cone_products`), and the weighted sum is accumulated
+exactly as integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -20,13 +25,14 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
 from .moments import min_eigenvalue
-from .poly import BlockLayout, Exponent, Polynomial
+from .poly import BlockLayout, Exponent, Polynomial, common_denominator, integer_numerators
 from .problem import ProblemInstance
-from .relax import ConicProgram, LinearProgram
+from .relax import ConicProgram, LinearProgram, cone_products
 from .solver import OPTIMAL, SolveReport
 
 SNAP_DENOMINATOR = 10**6
@@ -197,20 +203,24 @@ def expand(cert, instance: ProblemInstance) -> Polynomial:
         return total
     if isinstance(cert, ConeCertificate):
         g_scaled, h_scaled = _scaled_constraints(instance, cert.scaling)
-        one = Polynomial.constant(layout, 1)
-        total = Polynomial.zero(layout)
+        # sum c * P accumulates as integers over the running common
+        # denominator ``den`` of every term so far.
+        sums: dict[Exponent, int] = {}
+        den = 1
         for constraints, coeffs in ((g_scaled, cert.xy_coeffs), (h_scaled, cert.yz_coeffs)):
-            for (alpha, beta), value in coeffs.items():
-                if value == 0.0:
-                    continue
-                product = Polynomial.constant(layout, Fraction(value))
-                for j, (a, bpow) in enumerate(zip(alpha, beta)):
-                    if a:
-                        product = product * constraints[j] ** a
-                    if bpow:
-                        product = product * (one - constraints[j]) ** bpow
-                total = total + product
-        return total
+            pairs = [pair for pair, value in coeffs.items() if value != 0.0]
+            for pair, product in cone_products(constraints, layout, pairs):
+                c = Fraction(coeffs[pair])
+                dp = common_denominator(product.terms)
+                d = dp * c.denominator
+                grown = lcm(den, d)
+                if grown != den:
+                    sums = {e: v * (grown // den) for e, v in sums.items()}
+                    den = grown
+                scale = c.numerator * (den // d)
+                for e, v in integer_numerators(product.terms, dp).items():
+                    sums[e] = sums.get(e, 0) + scale * v
+        return Polynomial(layout, {e: Fraction(v, den) for e, v in sums.items() if v})
     raise TypeError(f"cannot expand a {type(cert).__name__}")
 
 

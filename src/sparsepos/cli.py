@@ -402,7 +402,6 @@ def main(argv: list[str] | None = None) -> int:
         r_min=args.order,
         r_max=args.max_order if args.max_order is not None else args.order,
         tol=args.tol,
-        certificate_path=args.certificate,
     )
     try:
         if args.oracle_box is not None:

@@ -38,7 +38,6 @@ class RunConfig:
     r_min: int | None = None
     r_max: int | None = None
     tol: float = 1e-8
-    certificate_path: str | None = None
     oracle_box: list[tuple[float, float]] | None = None
     oracle_step: float | None = None
     krivine_bounds: list | None = None

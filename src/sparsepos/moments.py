@@ -171,11 +171,3 @@ def min_eigenvalue(mat: np.ndarray) -> float:
     if mat.size == 0:
         return 0.0
     return float(np.linalg.eigvalsh(0.5 * (mat + mat.T))[0])
-
-
-def is_psd(mat: np.ndarray, tol: float | None = None) -> bool:
-    """Eigenvalue test with a relative floor; solver output carries noise."""
-    if tol is None:
-        scale = float(np.max(np.abs(mat))) if mat.size else 0.0
-        tol = 1e-8 * (1.0 + scale)
-    return min_eigenvalue(mat) >= -tol

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -131,7 +133,7 @@ def grlex_key(exp: Exponent) -> tuple:
 
 
 def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(i + j for i, j in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def _bounded_compositions(slots: int, cap: int) -> Iterator[tuple[int, ...]]:
@@ -161,6 +163,29 @@ def monomial_basis(layout: BlockLayout, block: str, r: int) -> tuple[Exponent, .
         exps.append(tuple(full))
     exps.sort(key=grlex_key)
     return tuple(exps)
+
+
+#: Polynomial products take the integer-numerator path while the product of
+#: the operands' common denominators stays below this.
+INT_PRODUCT_LIMIT = 1 << 62
+
+
+def common_denominator(terms: Mapping[Exponent, Fraction], cap: int | None = None) -> int:
+    """Least common multiple of the coefficient denominators (1 when empty),
+    or 0 as soon as it reaches ``cap``."""
+    den = 1
+    for c in terms.values():
+        q = c.denominator
+        if den % q:
+            den = lcm(den, q)
+            if cap is not None and den >= cap:
+                return 0
+    return den
+
+
+def integer_numerators(terms: Mapping[Exponent, Fraction], den: int) -> dict[Exponent, int]:
+    """The coefficients times ``den``, a multiple of their common denominator."""
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
 
 
 def _coerce_coeff(value) -> Fraction:
@@ -298,6 +323,21 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
+        d1 = common_denominator(self.terms, INT_PRODUCT_LIMIT)
+        d2 = common_denominator(other.terms, INT_PRODUCT_LIMIT)
+        if d1 and d2 and d1 * d2 < INT_PRODUCT_LIMIT:
+            # Integer numerators over d1 * d2: one int multiply-add per term
+            # pair and one Fraction per output term.
+            n2 = integer_numerators(other.terms, d2).items()
+            sums: dict[Exponent, int] = {}
+            for e1, c1 in integer_numerators(self.terms, d1).items():
+                for e2, c2 in n2:
+                    exp = tuple(map(add, e1, e2))
+                    sums[exp] = sums.get(exp, 0) + c1 * c2
+            den = d1 * d2
+            return Polynomial(self.layout, {e: Fraction(v, den) for e, v in sums.items() if v})
+        # Large denominators (snapped SOS factors): their lcm would explode,
+        # so stay with Fraction arithmetic.
         out: dict[Exponent, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .moments import SymbolicMatrix, half_degree, localizing_matrix, moment_matrix
 from .poly import BlockLayout, Exponent, Polynomial, grlex_key
@@ -325,29 +325,58 @@ def _power_pairs(degs: Sequence[int], budget: int):
     return rec(0, budget)
 
 
+def _interleaved(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
+    """Powers of a pair in factor order: (a_1, b_1, a_2, b_2, ...)."""
+    return tuple(k for ab in zip(*pair) for k in ab)
+
+
+def cone_products(
+    constraints: Sequence[Polynomial],
+    layout: BlockLayout,
+    pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
+) -> Iterator[tuple[tuple[tuple[int, ...], tuple[int, ...]], Polynomial]]:
+    """Yield ``((alpha, beta), prod_j g_j^a_j (1 - g_j)^b_j)`` for each pair.
+
+    The pairs are walked depth-first, in lexicographic order of their
+    interleaved powers, so consecutive pairs share their leading factors: a
+    stack holds the partial product of every factor of the current prefix,
+    and each power of g_j and 1 - g_j is computed once.  Only O(depth)
+    partial products are alive at once.  A yielded polynomial may be shared
+    with other pairs and must not be mutated.
+    """
+    one = Polynomial.constant(layout, 1)
+    powers: dict[tuple[int, int], Polynomial] = {}
+    stack = [one]  # stack[t]: product of the first t factors of ``prefix``
+    prefix: tuple[int, ...] = ()
+    for pair in sorted(pairs, key=_interleaved):
+        factors = _interleaved(pair)
+        shared = 0
+        for old, new in zip(prefix, factors):
+            if old != new:
+                break
+            shared += 1
+        del stack[shared + 1 :]
+        for t in range(shared, len(factors)):
+            k = factors[t]
+            if k:
+                if (t, k) not in powers:
+                    g = constraints[t // 2]
+                    powers[t, k] = (one - g if t % 2 else g) ** k
+                stack.append(stack[-1] * powers[t, k])
+            else:
+                stack.append(stack[-1])
+        prefix = factors
+        yield pair, stack[-1]
+
+
 def _cone_rows(
     family: str, constraints: Sequence[Polynomial], layout: BlockLayout, r: int
 ) -> list[tuple[RowKey, dict[Exponent, Fraction]]]:
     degs = [g.degree for g in constraints]
-    one = Polynomial.constant(layout, 1)
-    pow_cache: dict[tuple[int, bool, int], Polynomial] = {}
-
-    def power(j: int, complement: bool, k: int) -> Polynomial:
-        key = (j, complement, k)
-        if key not in pow_cache:
-            base = (one - constraints[j]) if complement else constraints[j]
-            pow_cache[key] = base**k
-        return pow_cache[key]
-
-    rows = []
-    for alpha, beta in _power_pairs(degs, 2 * r):
-        product = one
-        for j, (a, b) in enumerate(zip(alpha, beta)):
-            if a:
-                product = product * power(j, False, a)
-            if b:
-                product = product * power(j, True, b)
-        rows.append(((family, alpha, beta), dict(product.terms)))
+    rows = [
+        ((family, alpha, beta), product.terms)
+        for (alpha, beta), product in cone_products(constraints, layout, _power_pairs(degs, 2 * r))
+    ]
     rows.sort(key=lambda row: (sum(row[0][1]) + sum(row[0][2]), row[0][1], row[0][2]))
     return rows
 

@@ -1,3 +1,6 @@
+import itertools
+import json
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -271,3 +274,94 @@ class TestTwoFamilyCone:
         assert any(v > 1e-6 for v in cert.yz_coeffs.values())
         result = verify(cert, inst)
         assert result.passed and result.coupling_free
+
+
+def _box_instance():
+    """[-1,1]^3 through g = (1+v)/2 alone: the cone rows g^a (1-g)^b also
+    bring in 1 - g = (1-v)/2.  y is bounded on both sides."""
+    layout = BlockLayout(1, 1, 1)
+    x, y, z = (Polynomial.variable(layout, n) for n in "xyz")
+    half = Fraction(1, 2)
+    return ProblemInstance(
+        layout,
+        x * y + y * z + x - z,
+        ((1 + x).scale(half), (1 + y).scale(half)),
+        ((1 + z).scale(half), (1 - y).scale(half)),
+    )
+
+
+def _reference_product(constraints, alpha, beta, layout):
+    one = Polynomial.constant(layout, 1)
+    product = one
+    for c, a, b in zip(constraints, alpha, beta):
+        product = product * c**a * (one - c) ** b
+    return product
+
+
+def _reference_rows(family, constraints, layout, r):
+    degs = [c.degree for c in constraints]
+    rows = []
+    for powers in itertools.product(range(2 * r + 1), repeat=2 * len(constraints)):
+        alpha, beta = powers[0::2], powers[1::2]
+        if sum((a + b) * d for a, b, d in zip(alpha, beta, degs)) <= 2 * r:
+            product = _reference_product(constraints, alpha, beta, layout)
+            rows.append(((family, alpha, beta), product.terms))
+    rows.sort(key=lambda row: (sum(row[0][1]) + sum(row[0][2]), row[0][1], row[0][2]))
+    return rows
+
+
+def _reference_expansion(cert, instance):
+    """sum Fraction(c) * prod g^a (1-g)^b, one term at a time."""
+    layout = instance.layout
+    polys = list(instance.g_constraints) + list(instance.h_constraints)
+    scaled = [p.scale(1 / Fraction(s)) for p, s in zip(polys, cert.scaling)]
+    ng = len(instance.g_constraints)
+    total = Polynomial.zero(layout)
+    for constraints, coeffs in ((scaled[:ng], cert.xy_coeffs), (scaled[ng:], cert.yz_coeffs)):
+        for (alpha, beta), value in coeffs.items():
+            product = _reference_product(constraints, alpha, beta, layout)
+            total = total + product.scale(Fraction(value))
+    return total
+
+
+class TestConeProducts:
+    R = 3
+
+    @pytest.fixture(scope="class")
+    def solved(self):
+        inst = _box_instance()
+        normed = normalize_krivine(inst, [1, 1, 1, 1])
+        prog = assemble_krivine(normed, self.R)
+        report = solve_lp(prog)
+        assert report.status == "optimal"
+        return inst, normed, prog, extract_cone(report, prog)
+
+    def test_rows_match_reference_enumeration(self, solved):
+        _, normed, prog, _ = solved
+        layout = normed.layout
+        expected = _reference_rows("xy", normed.g_constraints, layout, self.R)
+        expected += _reference_rows("yz", normed.h_constraints, layout, self.R)
+        assert [key for key, _ in prog.rows] == [key for key, _ in expected]
+        assert list(prog.rows) == expected
+
+    def test_expansion_matches_reference(self, solved):
+        inst, _, _, cert = solved
+        expansion = expand(cert, inst)
+        assert expansion.terms == _reference_expansion(cert, inst).terms
+        assert verify(cert, inst).passed
+
+    def test_edited_json_matches_reference(self, solved):
+        inst, _, _, cert = solved
+        data = json.loads(certificate_to_json(cert))
+        random.Random(5).shuffle(data["terms"])
+        nonzero = next(t for t in data["terms"] if float(t["coeff"]) > 1e-3)
+        nonzero["coeff"] = "0"
+        # Degree 7 > 2r: the row enumeration never produces this key.
+        data["terms"].append({"family": "yz", "subset": [[4, 0], [0, 3]], "coeff": "0.125"})
+        edited = certificate_from_json(json.dumps(data), inst)
+        assert ((4, 0), (0, 3)) in edited.yz_coeffs
+        assert 0.0 in edited.xy_coeffs.values() or 0.0 in edited.yz_coeffs.values()
+        assert list(edited.xy_coeffs) != sorted(edited.xy_coeffs)
+        expansion = expand(edited, inst)
+        assert expansion.terms == _reference_expansion(edited, inst).terms
+        assert expansion != expand(cert, inst)

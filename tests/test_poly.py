@@ -36,10 +36,19 @@ def exponents(layout=LAYOUT, max_deg=3):
     ).map(tuple)
 
 
-def polynomials(layout=LAYOUT):
-    return st.dictionaries(exponents(layout), fractions(), max_size=4).map(
+def polynomials(layout=LAYOUT, coefficients=None):
+    if coefficients is None:
+        coefficients = fractions()
+    return st.dictionaries(exponents(layout), coefficients, max_size=4).map(
         lambda terms: Polynomial.from_terms(layout, terms)
     )
+
+
+# Small denominators keep a product on the integer-numerator path; large
+# ones, as in snapped SOS factors, push it onto the Fraction path.  Drawing
+# each operand from either gives small x small, large x large and mixed pairs.
+BIG = 10**12
+MIXED_POLYNOMIALS = st.one_of(polynomials(), polynomials(coefficients=fractions(BIG, BIG)))
 
 
 class TestArithmetic:
@@ -87,8 +96,8 @@ class TestEvaluate:
             X.evaluate((1, 2))
 
 
-@settings(max_examples=60)
-@given(polynomials(), polynomials())
+@settings(max_examples=100)
+@given(MIXED_POLYNOMIALS, MIXED_POLYNOMIALS)
 def test_product_matches_pointwise_product(a, b):
     rng = random.Random(17)
     prod = a * b
@@ -99,8 +108,8 @@ def test_product_matches_pointwise_product(a, b):
         assert prod.evaluate(point) == a.evaluate(point) * b.evaluate(point)
 
 
-@settings(max_examples=60)
-@given(polynomials(), polynomials(), polynomials())
+@settings(max_examples=100)
+@given(MIXED_POLYNOMIALS, MIXED_POLYNOMIALS, MIXED_POLYNOMIALS)
 def test_ring_laws(a, b, c):
     assert a + b == b + a
     assert a * b == b * a

@@ -14,11 +14,17 @@ representation (the bound certificate).  Search directions use Nesterov-Todd
 scaling with a Mehrotra predictor-corrector; elementwise-nonnegative rows
 ride along as diagonal blocks with the same formulas.
 
-Everything is dense float64 linear algebra; exactness is recovered
-downstream by certificate verification.  There is no randomized state, so
-repeated solves of one program are bit-identical.  Infeasibility detection
-is heuristic: a presolve catches constant-row contradictions, and divergence
-of the certificate value with small residuals is reported as infeasible.
+Each PSD block keeps only its nonzero constraint coefficients, as a sparse
+(M, k*k) matrix read straight off the symbolic moment and localizing
+matrices.  The Schur complement is built from those nonzeros (Fujisawa,
+Kojima and Nakata 1997, formula F1), so a k x k block that touches M_b
+moments costs M_b*k^3 per iteration instead of M^2*k^2.  The rest is dense
+float64 linear algebra; exactness is recovered downstream by certificate
+verification.  There is no randomized state, so repeated solves of one
+program are bit-identical.  Infeasibility detection is heuristic: a presolve
+catches constant-row contradictions, divergence of the certificate value
+with small residuals is reported as infeasible, and iterates that overflow
+end in numerical failure.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.sparse import csr_matrix
 
 from .moments import MomentVector
 from .relax import ConicProgram, LinearProgram
@@ -70,20 +77,49 @@ class SolveReport:
 
 @dataclass
 class _Cone:
-    kind: str  # "s" dense PSD block, "l" elementwise-nonnegative rows
+    kind: str  # "s" PSD block, "l" elementwise-nonnegative rows
     size: int
-    A: np.ndarray  # s: (M, k, k);  l: (M, k)
-    C: np.ndarray  # s: (k, k);     l: (k,)
+    # s: sparse (M, k*k), column p*k+q holds entry (p, q) of every A_i, both
+    #    triangles stored, no explicit zeros;  l: dense (M, k)
+    A: csr_matrix | np.ndarray
+    C: np.ndarray  # s: (k, k);  l: (k,)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
-        if self.kind == "s":
-            return self.A.reshape(self.A.shape[0], -1) @ X.ravel()
-        return self.A @ X
+        return self.A @ X.ravel()
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
         if self.kind == "s":
-            return np.tensordot(y, self.A, axes=1)
+            return (self.A.T @ y).reshape(self.size, self.size)
         return self.A.T @ y
+
+
+class _SparseSchur:
+    """Schur complement part H_ij = <A_i, W A_j W> of one PSD block.
+
+    Only the M_b moments the block touches get a row and column.  Y[t, p, j]
+    = (A_j W)[p, t] comes from the block's nonzeros at nnz*k cost; its zero
+    pattern never changes, so one buffer is rewritten in place.  A batched
+    product with W then gives every W A_j W in the (k*k, M_b) layout the
+    sparse A contracts directly, for M_b*k^3 + nnz*M_b in all.
+    """
+
+    def __init__(self, A: csr_matrix, k: int):
+        self.moments = np.flatnonzero(np.diff(A.indptr))
+        self.A = A[self.moments]
+        m = self.moments.size
+        coo = self.A.tocoo()
+        p, q = np.divmod(coo.col, k)
+        # One row per nonzero row p of some A_j: that row, over q.  Its
+        # product with W is column (p, j) of every Y[t].
+        self.cols, slot = np.unique(p * m + coo.row, return_inverse=True)
+        self.rows = csr_matrix((coo.data, (slot, q)), shape=(self.cols.size, k))
+        self.Y = np.zeros((k, k, m))
+
+    def __call__(self, W: np.ndarray) -> np.ndarray:
+        k, _, m = self.Y.shape
+        self.Y.reshape(k, k * m)[:, self.cols] = (self.rows @ W).T
+        WAW = np.matmul(W, self.Y)  # [t, r, j] = (W A_j W)[r, t]
+        return self.A @ WAW.reshape(k * k, m)
 
 
 @dataclass
@@ -143,8 +179,8 @@ class _Scaling:
     def __init__(self, cone: _Cone, X, S):
         if cone.kind == "s":
             self.Lx = np.linalg.cholesky(X)
-            Ls = np.linalg.cholesky(S)
-            _, lam, Vt = np.linalg.svd(Ls.T @ self.Lx)
+            self.Ls = np.linalg.cholesky(S)
+            _, lam, Vt = np.linalg.svd(self.Ls.T @ self.Lx)
             if np.min(lam) <= 0:
                 raise np.linalg.LinAlgError("lost positive definiteness")
             self.lam = lam
@@ -160,7 +196,7 @@ class _Scaling:
             self.Sinv = 1.0 / S
 
     def congruence(self, mat):
-        """W M W (symmetric scaling of a block or a stack of blocks)."""
+        """W M W, the symmetric scaling of one block."""
         return self.W @ mat @ self.W if hasattr(self, "W") else self.w2 * mat
 
     def corrector_rhs(self, sigma_mu: float, dX, dS):
@@ -185,7 +221,7 @@ def _presolve_infeasible(cones: list[_Cone], scale: float) -> bool:
             if np.any(cone.C[dead] < -tiny):
                 return True
         else:
-            if cone.A.size == 0 or np.max(np.abs(cone.A)) == 0:
+            if cone.A.nnz == 0:
                 if float(np.linalg.eigvalsh(_sym(cone.C))[0]) < -tiny:
                     return True
     return False
@@ -199,8 +235,10 @@ def _presolve_unbounded(cones: list[_Cone], b: np.ndarray) -> bool:
         return False
     touched = np.zeros(M, dtype=bool)
     for cone in cones:
-        flat = cone.A.reshape(M, -1)
-        touched |= np.max(np.abs(flat), axis=1) > 0
+        if cone.kind == "s":
+            touched |= np.diff(cone.A.indptr) > 0
+        else:
+            touched |= np.max(np.abs(cone.A), axis=1) > 0
     return bool(np.any((~touched) & (b != 0)))
 
 
@@ -211,7 +249,10 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
     norm_C = float(np.sqrt(sum(np.sum(c.C**2) for c in cones)))
     data_norm = max(
         [norm_b] + [float(np.max(np.abs(c.C), initial=0.0)) for c in cones]
-        + [float(np.max(np.abs(c.A), initial=0.0)) for c in cones]
+        + [
+            float(np.max(np.abs(c.A.data if c.kind == "s" else c.A), initial=0.0))
+            for c in cones
+        ]
     )
     init_scale = 1.0 + data_norm
 
@@ -239,6 +280,7 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
         Xz = [np.zeros((c.size, c.size)) if c.kind == "s" else np.zeros(c.size) for c in cones]
         return _RawResult(status, Xz, [c.C.copy() for c in cones], y, 0, 0.0, 0.0, 0.0, 0.0)
 
+    schur_parts = [_SparseSchur(c.A, c.size) if c.kind == "s" else None for c in cones]
     status = MAX_ITERATIONS
     iterations = 0
     rel_p = rel_d = np.inf
@@ -272,10 +314,13 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
             scal = [_Scaling(c, Xc, Sc) for c, Xc, Sc in zip(cones, X, S)]
 
             schur = np.zeros((M, M))
-            for c, sc in zip(cones, scal):
+            for c, sc, part in zip(cones, scal, schur_parts):
                 if c.kind == "s":
-                    T = sc.congruence(c.A)
-                    schur += c.A.reshape(M, -1) @ T.reshape(M, -1).T
+                    block = part(sc.W)
+                    if part.moments.size == M:
+                        schur += block
+                    else:
+                        schur[np.ix_(part.moments, part.moments)] += block
                 else:
                     schur += (c.A * sc.w2) @ c.A.T
             schur = _sym(schur)
@@ -292,20 +337,28 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
             else:
                 raise np.linalg.LinAlgError("Schur complement not positive definite")
 
+            def schur_solve(rhs):
+                # Diverging iterates overflow here first (infeasible input).
+                if not np.isfinite(rhs).all():
+                    raise np.linalg.LinAlgError("non-finite Newton right-hand side")
+                return cho_solve(fac, rhs)
+
             def newton(Rc):
                 rhs = rp.copy()
                 for c, sc, R, Rcc in zip(cones, scal, Rd, Rc):
                     rhs += c.apply(sc.congruence(R)) - c.apply(Rcc)
-                dy = cho_solve(fac, rhs)
+                dy = schur_solve(rhs)
                 # Refine against the unregularized system: recovers accuracy
                 # lost to jitter and to ill-conditioning near optimality.
                 for _ in range(2):
-                    dy = dy + cho_solve(fac, rhs - schur @ dy)
+                    dy = dy + schur_solve(rhs - schur @ dy)
                 dS = [R - c.apply_adjoint(dy) for c, R in zip(cones, Rd)]
                 dX = []
                 for c, sc, Rcc, dSc in zip(cones, scal, Rc, dS):
                     step = Rcc - sc.congruence(dSc)
                     dX.append(_sym(step) if c.kind == "s" else step)
+                if not all(np.isfinite(d).all() for d in [dy, *dX, *dS]):
+                    raise np.linalg.LinAlgError("non-finite Newton direction")
                 return dy, dX, dS
 
             # Predictor: pure Newton step toward complementarity zero.
@@ -319,9 +372,9 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
                 ),
             )
             ad = 1.0
-            for c, Sc, d in zip(cones, S, dS_a):
+            for c, sc, Sc, d in zip(cones, scal, S, dS_a):
                 if c.kind == "s":
-                    ad = min(ad, _max_step_s(np.linalg.cholesky(Sc), d))
+                    ad = min(ad, _max_step_s(sc.Ls, d))
                 else:
                     ad = min(ad, _max_step_l(Sc, d))
             mu_aff = max(
@@ -351,7 +404,7 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
         for c, sc, Sc, dXc, dSc in zip(cones, scal, S, dX, dS):
             if c.kind == "s":
                 ap = min(ap, _STEP_FRACTION * _max_step_s(sc.Lx, dXc))
-                ad = min(ad, _STEP_FRACTION * _max_step_s(np.linalg.cholesky(Sc), dSc))
+                ad = min(ad, _STEP_FRACTION * _max_step_s(sc.Ls, dSc))
             else:
                 ap = min(ap, _STEP_FRACTION * _max_step_l(sc.x, dXc))
                 ad = min(ad, _STEP_FRACTION * _max_step_l(Sc, dSc))
@@ -389,8 +442,8 @@ def _sdp_cones(program: ConicProgram):
     cones = []
     for _, sym in program.psd_blocks:
         k = sym.size
-        A = np.zeros((M, k, k))
         C = np.zeros((k, k))
+        moment, slot, value = [], [], []
         for i in range(k):
             for j in range(i, k):
                 for coeff, e in sym.entries[i][j]:
@@ -401,9 +454,15 @@ def _sdp_cones(program: ConicProgram):
                             C[j, i] += v
                     else:
                         q = pos[e]
-                        A[q, i, j] -= v
+                        moment.append(q)
+                        slot.append(i * k + j)
+                        value.append(-v)
                         if i != j:
-                            A[q, j, i] -= v
+                            moment.append(q)
+                            slot.append(j * k + i)
+                            value.append(-v)
+        A = csr_matrix((value, (moment, slot)), shape=(M, k * k))
+        A.eliminate_zeros()
         cones.append(_Cone("s", k, A, C))
     return cones, pos, M
 

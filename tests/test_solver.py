@@ -1,14 +1,20 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sparsepos import problems
+from sparsepos import cli, problems
+from sparsepos.moments import SymbolicMatrix
 from sparsepos.poly import BlockLayout, Polynomial
 from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
+    BlockLabel,
+    ConicProgram,
     LinearProgram,
+    assemble_dense,
     assemble_krivine,
+    assemble_sparse_putinar,
     assemble_sparse_schmudgen,
     normalize_krivine,
 )
@@ -16,6 +22,8 @@ from sparsepos.solver import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    _SparseSchur,
+    _sdp_cones,
     solve_lp,
     solve_sdp,
 )
@@ -195,3 +203,154 @@ class TestModuleVersusPreordering:
         report2 = solve_sdp(assemble_sparse_putinar(self._instance(), 2))
         assert report2.status == OPTIMAL
         assert abs(report2.primal_objective) <= 1e-6
+
+
+def _dense_constraints(program):
+    """The (M, k, k) tensors A_i = -F_i and constants C = F_0 of every PSD
+    block, expanded entry by entry from the symbolic matrices."""
+    zero = program.layout.zero_exponent
+    pos = {e: i - 1 for i, e in enumerate(program.variable_index) if i > 0}
+    M = len(pos)
+    out = []
+    for _, sym in program.psd_blocks:
+        k = sym.size
+        A = np.zeros((M, k, k))
+        C = np.zeros((k, k))
+        for i in range(k):
+            for j in range(k):
+                for coeff, e in sym.entries[min(i, j)][max(i, j)]:
+                    if e == zero:
+                        C[i, j] += float(coeff)
+                    else:
+                        A[pos[e], i, j] -= float(coeff)
+        out.append((A, C))
+    return out
+
+
+def _rel_err(got, want) -> float:
+    return float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
+
+
+class TestSparseConstraintData:
+    """The sparse cone data against the dense (M, k, k) formulas."""
+
+    # (order, block index): a 6x6 moment matrix, a 3x3 localizing matrix
+    # whose entries read three moments each, and a 1x1 localizing block.
+    BLOCKS = [(2, 0), (2, 1), (1, 1)]
+
+    @pytest.mark.parametrize("r,index", BLOCKS)
+    def test_block_matches_dense_reference(self, r, index):
+        program = assemble_sparse_schmudgen(problems.twoballs(), r)
+        cones, _, M = _sdp_cones(program)
+        cone = cones[index]
+        A, C = _dense_constraints(program)[index]
+        k = cone.size
+        sym = program.psd_blocks[index][1]
+        assert (k, cone.kind) == (sym.size, "s")
+        if r == 2 and index == 1:
+            assert max(len(e) for row in sym.entries for e in row) == 3
+        np.testing.assert_array_equal(cone.C, C)
+
+        rng = np.random.default_rng(7 * r + index)
+        X = rng.standard_normal((k, k))
+        X = X + X.T
+        y = rng.standard_normal(M)
+        G = rng.standard_normal((k, k))
+        W = G @ G.T + 0.1 * np.eye(k)
+
+        assert _rel_err(cone.apply(X), np.tensordot(A, X)) <= 1e-12
+        assert _rel_err(cone.apply_adjoint(y), np.tensordot(y, A, axes=1)) <= 1e-12
+
+        part = _SparseSchur(cone.A, k)
+        schur = np.zeros((M, M))
+        schur[np.ix_(part.moments, part.moments)] = part(W)
+        WAW = W @ A @ W
+        want = A.reshape(M, -1) @ WAW.reshape(M, -1).T
+        assert _rel_err(schur, want) <= 1e-12
+        # The buffer is rewritten in place: a second scaling point gives
+        # the second point's Schur complement, not a mixture.
+        W2 = W + np.eye(k)
+        schur[np.ix_(part.moments, part.moments)] = part(W2)
+        want2 = A.reshape(M, -1) @ (W2 @ A @ W2).reshape(M, -1).T
+        assert _rel_err(schur, want2) <= 1e-12
+
+    def test_untouched_moment_is_unbounded(self):
+        # Minimizing x while the only block reads 1 and x^2: x is a free ray.
+        zero = UNIVARIATE.zero_exponent
+        one = Fraction(1)
+        block = SymbolicMatrix(((0,), (1,)), ((((one, zero),), ()), ((), ((one, (2,)),))))
+        label = BlockLabel("xy", (), "x", Polynomial.constant(UNIVARIATE, 1))
+        prog = ConicProgram(UNIVARIATE, "test", 1, (zero, (1,), (2,)), {(1,): one}, ((label, block),))
+        report = solve_sdp(prog)
+        assert report.status == UNBOUNDED
+        assert report.iterations == 0
+
+    def test_constant_negative_block_is_infeasible(self):
+        # A second block that reads no moment and equals -1 contradicts PSD.
+        zero = UNIVARIATE.zero_exponent
+        one = Fraction(1)
+        label = BlockLabel("xy", (), "x", Polynomial.constant(UNIVARIATE, 1))
+        moment = SymbolicMatrix(((0,), (1,)), ((((one, zero),), ((one, (1,)),)), ((), ((one, (2,)),))))
+        constant = SymbolicMatrix(((0,),), ((((-one, zero),),),))
+        prog = ConicProgram(
+            UNIVARIATE, "test", 1, (zero, (1,), (2,)), {(1,): one},
+            ((label, moment), (label, constant)),
+        )
+        report = solve_sdp(prog)
+        assert report.status == INFEASIBLE
+        assert report.iterations == 0
+
+
+# Two ball constraints that do not meet (y in [2, 4] against y in [-1, 1]).
+DISJOINT = """vars x : X; y : Y; z : Z;
+minimize x*y + y*z + x + z;
+st g: 1 - x^2 - (y-3)^2 >= 0;
+st h: 1 - y^2 - z^2 >= 0;
+"""
+# A feasible set with no interior point: x = y = 0 and z in [-1, 1], min -1.
+NO_INTERIOR = """vars x : X; y : Y; z : Z;
+minimize x + z;
+st g: -x^2 - y^2 >= 0;
+st h: 1 - y^2 - z^2 >= 0;
+"""
+ASSEMBLERS = {
+    "schmudgen-sparse": assemble_sparse_schmudgen,
+    "putinar-sparse": assemble_sparse_putinar,
+    "dense": assemble_dense,
+}
+CORPUS_RUNGS = [
+    (variant, r)
+    for variant, orders in (("schmudgen-sparse", (1, 2, 3)), ("putinar-sparse", (1, 2, 3)), ("dense", (2, 3)))
+    for r in orders
+]
+
+
+class TestAdversarialCorpus:
+    """Inputs that drive the iterates to overflow or to a stall: every solve
+    ends with a status, never an exception, and an optimal status is a
+    sound bound."""
+
+    def _solve(self, text, variant, r):
+        program = ASSEMBLERS[variant](cli.parse_problem(text), r)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return solve_sdp(program)
+
+    @pytest.mark.parametrize("variant,r", CORPUS_RUNGS)
+    def test_disjoint_constraints_never_optimal(self, variant, r):
+        report = self._solve(DISJOINT, variant, r)
+        assert report.status != OPTIMAL
+
+    @pytest.mark.parametrize("variant,r", CORPUS_RUNGS)
+    def test_no_interior_bound_is_sound(self, variant, r):
+        report = self._solve(NO_INTERIOR, variant, r)
+        if report.status == OPTIMAL:
+            assert report.primal_objective <= -1.0 + 1e-6
+
+    def test_cli_reports_solver_failure(self, tmp_path, capsys):
+        path = tmp_path / "disjoint.txt"
+        path.write_text(DISJOINT)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert cli.main([str(path), "--order", "2"]) == 3
+        assert "numerical-failure" in capsys.readouterr().out

@@ -5,33 +5,36 @@ Solves the chosen relaxation, re-expands the dual Gram blocks in exact
 rational arithmetic, and reports the coefficient residual of the identity
 f - lambda = sum of certified nonnegative terms.
 
-Usage: python scripts/certificate_demo.py [instance] [--order R] [--out F]
+Usage: python scripts/certificate_demo.py [instance] [--variant V] [--order R] [--out F]
 """
 
 import argparse
+import sys
 
 from sparsepos import problems
 from sparsepos.certify import certificate_to_json, expand, extract_sos, verify
-from sparsepos.hierarchy import assemble_variant
-from sparsepos.relax import min_order
+from sparsepos.hierarchy import RunConfig, assemble_variant, prepare_instance
+from sparsepos.relax import RECIPES, CapacityError, OrderError, min_order
 from sparsepos.solver import solve_sdp
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("instance", nargs="?", default="twoballs",
                         choices=sorted(problems.REGISTRY))
-    parser.add_argument("--variant", default="schmudgen-sparse")
+    parser.add_argument("--variant", default="schmudgen-sparse", choices=list(RECIPES))
     parser.add_argument("--order", type=int, default=None)
     parser.add_argument("--out", default=None, help="write the certificate JSON here")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
-    instance = problems.get(args.instance)
-    if args.variant == "product" and not instance.product_mode:
-        instance = instance.with_product_mode(True)
+    instance = prepare_instance(problems.get(args.instance), RunConfig(variant=args.variant))
     r = args.order if args.order is not None else min_order(instance, args.variant)
 
-    program = assemble_variant(instance, args.variant, r)
+    try:
+        program = assemble_variant(instance, args.variant, r)
+    except (OrderError, CapacityError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = solve_sdp(program)
     print(f"solve: status={report.status} bound={report.primal_objective:.9g} "
           f"lambda={report.dual_objective:.9g} iterations={report.iterations}")

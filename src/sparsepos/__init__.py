@@ -32,6 +32,7 @@ from .relax import (
     ModeError,
     NormalizationError,
     OrderError,
+    assemble,
     assemble_dense,
     assemble_krivine,
     assemble_product,

@@ -32,7 +32,7 @@ import numpy as np
 from .moments import min_eigenvalue
 from .poly import BlockLayout, Exponent, Polynomial, common_denominator, integer_numerators
 from .problem import ProblemInstance
-from .relax import ConicProgram, LinearProgram, cone_products
+from .relax import ConicProgram, LinearProgram, cone_products, recipe_side
 from .solver import OPTIMAL, SolveReport
 
 SNAP_DENOMINATOR = 10**6
@@ -330,50 +330,38 @@ def certificate_to_json(cert) -> str:
 
 
 def certificate_from_json(text: str, instance: ProblemInstance):
-    """Rebuild a certificate against ``instance`` (weights are recomputed
-    from the stored subsets)."""
+    """Rebuild a certificate against ``instance``.
+
+    Each term's block and the constraints its weight multiplies come from
+    the relaxation side of its (mode, family) (see :func:`relax.recipe_side`);
+    weights are recomputed from the stored subsets.  An unknown kind, mode
+    or family raises ``ValueError``.
+    """
     data = json.loads(text)
     layout = instance.layout
     lam = float(data["lambda"])
-    if data["kind"] == "cone":
-        xy: dict = {}
-        yz: dict = {}
+    kind, mode = data["kind"], data["mode"]
+    if kind == "cone":
+        if mode != "krivine":
+            raise ValueError(f"unknown cone certificate mode {mode!r}")
+        coeffs: dict = {"xy": {}, "yz": {}}
         for t in data["terms"]:
+            if t["family"] not in coeffs:
+                raise ValueError(f"unknown cone certificate family {t['family']!r}")
             key = (tuple(t["subset"][0]), tuple(t["subset"][1]))
-            target = xy if t["family"] == "xy" else yz
-            target[key] = float(t["coeff"])
+            coeffs[t["family"]][key] = float(t["coeff"])
         scaling = tuple(Fraction(s) for s in data["scaling"])
-        return ConeCertificate(lam, xy, yz, scaling, int(data["order"]), layout)
+        order = int(data["order"])
+        return ConeCertificate(lam, coeffs["xy"], coeffs["yz"], scaling, order, layout)
+    if kind != "sos":
+        raise ValueError(f"unknown certificate kind {kind!r}")
 
-    combined = list(instance.g_constraints) + list(instance.h_constraints)
     terms = []
     for t in data["terms"]:
-        family = t["family"]
+        side = recipe_side(mode, t["family"])
         subset = tuple(t["subset"])
         basis = tuple(tuple(e) for e in t["basis"])
         gram = np.array([[float(v) for v in row] for row in t["gram"]])
-        one = Polynomial.constant(layout, 1)
-        if family == "sigma_xy":
-            weight = one
-        elif family == "dense":
-            weight = one
-            for j in subset:
-                weight = weight * combined[j]
-        elif family == "xy":
-            weight = one
-            for j in subset:
-                weight = weight * instance.g_constraints[j]
-        else:
-            weight = one
-            for k in subset:
-                weight = weight * instance.h_constraints[k]
-        # Smallest block carrying both the basis and the weight.
-        block = "xyz"
-        for candidate in ("x", "xy", "yz"):
-            if all(layout.in_block(e, candidate) for e in basis) and weight.is_supported_on(
-                candidate
-            ):
-                block = candidate
-                break
-        terms.append(SOSTerm(family, subset, block, weight, basis, gram))
-    return SOSCertificate(lam, tuple(terms), data["mode"], int(data["order"]), layout)
+        weight = side.weight(instance, subset)
+        terms.append(SOSTerm(t["family"], subset, side.block, weight, basis, gram))
+    return SOSCertificate(lam, tuple(terms), mode, int(data["order"]), layout)

@@ -18,7 +18,7 @@ from .oracle import OracleResult, grid_min
 from .problem import ProblemInstance
 from .solver import OPTIMAL, SolveReport, solve_lp, solve_sdp
 
-VARIANTS = ("schmudgen-sparse", "putinar-sparse", "dense", "product", "krivine")
+VARIANTS = relax.VARIANTS
 
 #: Flagging threshold for bound decreases along the hierarchy.
 MONOTONICITY_TOL = 1e-7
@@ -78,25 +78,16 @@ class HierarchyResult:
 
 
 def assemble_variant(instance: ProblemInstance, variant: str, r: int):
-    if variant == "schmudgen-sparse":
-        return relax.assemble_sparse_schmudgen(instance, r)
-    if variant == "putinar-sparse":
-        return relax.assemble_sparse_putinar(instance, r)
-    if variant == "dense":
-        return relax.assemble_dense(instance, r)
-    if variant == "product":
-        return relax.assemble_product(instance, r)
-    if variant == "krivine":
-        return relax.assemble_krivine(instance, r)
-    raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    return relax.assemble(instance, variant, r)
 
 
 def prepare_instance(instance: ProblemInstance, config: RunConfig) -> ProblemInstance:
     """Apply the mode/normalization prerequisites of the chosen variant."""
-    if config.variant == "product" and not instance.product_mode:
-        instance = instance.with_product_mode(True)
-    if config.variant != "product" and instance.product_mode:
-        instance = instance.with_product_mode(False)
+    product = config.variant == "product"
+    if instance.product_mode != product:
+        instance = instance.with_product_mode(product)
     if config.variant == "krivine" and instance.krivine_scaling is None:
         instance = relax.normalize_krivine(instance, config.krivine_bounds)
     return instance

@@ -86,13 +86,6 @@ class ProblemInstance:
         """Same data under the other regime; revalidates block membership."""
         return replace(self, product_mode=flag)
 
-    def constraint(self, family: str, index: int) -> Polynomial:
-        if family in ("xy", "x"):
-            return self.g_constraints[index]
-        if family == "yz":
-            return self.h_constraints[index]
-        raise ValueError(f"unknown constraint family {family!r}")
-
     def feasible(self, point, slack: float = 0.0) -> bool:
         """True when every constraint holds at ``point`` up to ``slack``."""
         return all(

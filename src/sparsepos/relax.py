@@ -1,21 +1,27 @@
 """Assembly of the relaxation hierarchy variants.
 
-Five assemblies share one recipe: pick a family of weighted moment-matrix
-blocks, collect the moment indices they reference, and minimize the linear
-pairing of the objective against those moments subject to every block being
-positive semidefinite (or, in the cone variant, subject to one scalar
-inequality per constraint product).  The variants differ in which weights and
-which variable blocks appear:
+Each sum-of-squares variant is a sum of cones, one per side, written as one
+row of :data:`RECIPES`: the program ``mode``, the product mode the instance
+needs (on, off or either) and the ordered sides.  A :class:`Side` names its
+block label family, the constraints it multiplies (g, h, both or none), the
+variable block its PSD blocks live on, and its weights: all subset products
+of those constraints, the nonempty ones, or the empty product plus the
+singletons.  Each weight w gets a localizing matrix on the side's block at
+order r - ceil(deg w / 2).
 
-  schmudgen-sparse  one block per subset product of the g family on (X,Y)
-                    and per subset product of the h family on (Y,Z)
-  putinar-sparse    only the empty set and singletons on each side
+  schmudgen-sparse  P(g) on (X,Y) + P(h) on (Y,Z): all subset products
+  putinar-sparse    Q(g) on (X,Y) + Q(h) on (Y,Z): empty set and singletons
   dense             subset products of both families together, over all
                     variables jointly (the unstructured baseline)
-  product           an unweighted (X,Y) moment block plus g-products on X
-                    alone and h-products on (Y,Z); needs product mode
-  krivine           scalar rows L_u(g^a (1-g)^b) >= 0 over degree-filtered
-                    power pairs; needs constraints normalized into [0, 1]
+  product           an unweighted (X,Y) moment block + nonempty g-products
+                    on X alone + P(h) on (Y,Z); needs product mode
+
+:func:`assemble` builds every program from its row, :func:`min_order` reads
+the smallest admissible order off the same row, and a certificate term gets
+its block and weight from the side of its (mode, family), see
+:func:`recipe_side`.  The fifth variant, krivine, is a cone LP with scalar
+rows L_u(g^a (1-g)^b) >= 0 over degree-filtered power pairs; it needs
+constraints normalized into [0, 1] and uses the schmudgen row's order.
 
 Sparse assemblies never reference a moment index with simultaneously
 positive X and Z degree, because every block lives on (X,Y) or (Y,Z);
@@ -28,12 +34,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
-from .moments import SymbolicMatrix, half_degree, localizing_matrix, moment_matrix
+from .moments import SymbolicMatrix, half_degree, localizing_matrix
 from .poly import BlockLayout, Exponent, Polynomial, grlex_key
 from .problem import ProblemInstance
-
-#: Hard cap on enumerated subset products (2^12).
-PRODUCT_CAP = 4096
 
 
 class OrderError(ValueError):
@@ -132,7 +135,7 @@ class LinearProgram:
 
 def enumerate_products(
     constraints: Sequence[Polynomial],
-    layout: BlockLayout | None = None,
+    layout: BlockLayout,
     limit: int = 12,
 ) -> list[tuple[tuple[int, ...], Polynomial, int]]:
     """All subset products of ``constraints`` with their half-degrees.
@@ -146,10 +149,6 @@ def enumerate_products(
             f"{len(constraints)} constraints would enumerate 2^{len(constraints)} "
             f"subset products; use the putinar variant instead"
         )
-    if layout is None:
-        if not constraints:
-            raise ValueError("layout required to build the empty product")
-        layout = constraints[0].layout
     products: dict[tuple[int, ...], Polynomial] = {(): Polynomial.constant(layout, 1)}
     for j, g in enumerate(constraints):
         for subset in list(products):
@@ -161,151 +160,181 @@ def enumerate_products(
     return out
 
 
-def _objective_halfdeg(instance: ProblemInstance) -> int:
-    return (instance.objective.degree + 1) // 2
+@dataclass(frozen=True)
+class Side:
+    """One cone of a relaxation: weighted PSD blocks on one variable block."""
+
+    family: str  # BlockLabel family: "xy" | "yz" | "sigma_xy" | "dense"
+    constraints: str  # families multiplied: "g", "h", "gh" or "" (none)
+    block: str  # "x" | "xy" | "yz" | "xyz"
+    weights: str  # "all" | "nonempty" | "singletons"
+
+    def constraint_list(self, instance: ProblemInstance) -> tuple[Polynomial, ...]:
+        """The constraints this side multiplies; subsets index into it."""
+        families = {"g": instance.g_constraints, "h": instance.h_constraints}
+        return tuple(p for c in self.constraints for p in families[c])
+
+    def products(
+        self, instance: ProblemInstance
+    ) -> list[tuple[tuple[int, ...], Polynomial, int]]:
+        """(subset, weight, half-degree) of every weight, in block order."""
+        constraints = self.constraint_list(instance)
+        if self.weights == "singletons":
+            # Never enumerates the subsets: this is the escape hatch at scale.
+            one = Polynomial.constant(instance.layout, 1)
+            return [((), one, 0)] + [
+                ((j,), g, half_degree(g)) for j, g in enumerate(constraints)
+            ]
+        products = enumerate_products(constraints, instance.layout)
+        return products[1:] if self.weights == "nonempty" else products
+
+    def min_order(self, instance: ProblemInstance) -> int:
+        """Largest half-degree among the weights, read off the degrees."""
+        degs = [g.degree for g in self.constraint_list(instance)]
+        if self.weights == "singletons":
+            return max(((d + 1) // 2 for d in degs), default=0)
+        return (sum(degs) + 1) // 2
+
+    def weight(self, instance: ProblemInstance, subset: Sequence[int]) -> Polynomial:
+        """The product of the constraints in ``subset``."""
+        constraints = self.constraint_list(instance)
+        weight = Polynomial.constant(instance.layout, 1)
+        for j in subset:
+            if not 0 <= j < len(constraints):
+                raise ValueError(f"subset index {j} outside the {len(constraints)} constraints")
+            weight = weight * constraints[j]
+        return weight
+
+
+@dataclass(frozen=True)
+class Recipe:
+    """A relaxation: program mode, required product mode, sides in block order."""
+
+    mode: str
+    product_mode: bool | None  # None accepts either
+    sides: tuple[Side, ...]
+
+
+RECIPES: dict[str, Recipe] = {
+    "schmudgen-sparse": Recipe("schmudgen", False, (
+        Side("xy", "g", "xy", "all"),
+        Side("yz", "h", "yz", "all"),
+    )),
+    "putinar-sparse": Recipe("putinar", False, (
+        Side("xy", "g", "xy", "singletons"),
+        Side("yz", "h", "yz", "singletons"),
+    )),
+    "dense": Recipe("dense", None, (
+        Side("dense", "gh", "xyz", "all"),
+    )),
+    # The empty g product would duplicate a submatrix of the unweighted
+    # (X,Y) block, so the X side starts at the nonempty products.
+    "product": Recipe("product", True, (
+        Side("sigma_xy", "", "xy", "all"),
+        Side("xy", "g", "x", "nonempty"),
+        Side("yz", "h", "yz", "all"),
+    )),
+}
+
+VARIANTS = (*RECIPES, "krivine")
+
+
+def recipe_side(mode: str, family: str) -> Side:
+    """The side that builds the ``family`` blocks of a ``mode`` program."""
+    for recipe in RECIPES.values():
+        if recipe.mode == mode:
+            for side in recipe.sides:
+                if side.family == family:
+                    return side
+            raise ValueError(f"no {family!r} family in {mode!r} relaxations")
+    raise ValueError(f"unknown relaxation mode {mode!r}")
 
 
 def min_order(instance: ProblemInstance, variant: str = "schmudgen-sparse") -> int:
     """Smallest admissible relaxation order for ``variant``.
 
     The order must cover half the objective degree and the half-degree of
-    every weight the variant uses: all subset products for the preordering
-    variants, singletons only for the quadratic-module variant.
+    every weight of the variant's recipe.  Krivine uses the schmudgen row:
+    its rows reach the degree of the full subset products.
     """
-    fdeg = _objective_halfdeg(instance)
-    g_degs = [g.degree for g in instance.g_constraints]
-    h_degs = [h.degree for h in instance.h_constraints]
-
-    def prod_half(degs: list[int]) -> int:
-        return (sum(degs) + 1) // 2
-
-    def single_half(degs: list[int]) -> int:
-        return max(((d + 1) // 2 for d in degs), default=0)
-
-    if variant in ("schmudgen-sparse", "product", "krivine"):
-        return max(fdeg, prod_half(g_degs), prod_half(h_degs))
-    if variant == "putinar-sparse":
-        return max(fdeg, single_half(g_degs), single_half(h_degs))
-    if variant == "dense":
-        return max(fdeg, prod_half(g_degs + h_degs))
-    raise ValueError(f"unknown variant {variant!r}")
+    recipe = RECIPES.get("schmudgen-sparse" if variant == "krivine" else variant)
+    if recipe is None:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    fdeg = (instance.objective.degree + 1) // 2
+    return max([fdeg] + [side.min_order(instance) for side in recipe.sides])
 
 
-def _variable_index(
-    layout: BlockLayout,
-    matrices: Iterable[SymbolicMatrix],
-    objective: Polynomial,
+def _moment_index(
+    instance: ProblemInstance, forms: Iterable[Iterable[Exponent]]
 ) -> tuple[Exponent, ...]:
-    exps: set[Exponent] = {layout.zero_exponent}
-    exps.update(objective.terms)
-    for matrix in matrices:
-        exps.update(matrix.referenced_exponents())
+    exps: set[Exponent] = {instance.layout.zero_exponent}
+    exps.update(instance.objective.terms)
+    for form in forms:
+        exps.update(form)
     return tuple(sorted(exps, key=grlex_key))
 
 
-def _sos_program(
-    instance: ProblemInstance,
-    r: int,
-    blocks: list[tuple[BlockLabel, SymbolicMatrix]],
-    mode: str,
-) -> ConicProgram:
-    index = _variable_index(instance.layout, (m for _, m in blocks), instance.objective)
+def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram | LinearProgram:
+    """Order-``r`` relaxation ``variant``: the cone LP for krivine, else one
+    localizing block per weight of every side of the variant's recipe."""
+    recipe = RECIPES.get(variant)
+    if variant == "krivine" and instance.krivine_scaling is None:
+        raise NormalizationError(
+            "cone assembly requires normalize_krivine to run first "
+            "(constraints must be scaled into [0, 1] on the feasible set)"
+        )
+    if recipe is not None and recipe.product_mode not in (None, instance.product_mode):
+        raise ModeError(
+            f"{variant} assembly requires product mode "
+            f"{'on' if recipe.product_mode else 'off'}; the product variant "
+            f"is the relaxation for product-mode instances"
+        )
+    r0 = min_order(instance, variant)
+    if r < r0:
+        raise OrderError(f"order {r} below the minimum admissible order {r0} for {variant}")
+    if recipe is None:
+        return _cone_program(instance, r)
+    blocks = [
+        (
+            BlockLabel(side.family, subset, side.block, weight),
+            localizing_matrix(weight, side.block, r - half),
+        )
+        for side in recipe.sides
+        for subset, weight, half in side.products(instance)
+    ]
     return ConicProgram(
         layout=instance.layout,
-        mode=mode,
+        mode=recipe.mode,
         order=r,
-        variable_index=index,
+        variable_index=_moment_index(instance, (m.referenced_exponents() for _, m in blocks)),
         objective=dict(instance.objective.terms),
         psd_blocks=tuple(blocks),
     )
 
 
-def _require_order(r: int, r0: int, what: str) -> None:
-    if r < r0:
-        raise OrderError(f"order {r} below the minimum admissible order {r0} for {what}")
-
-
 def assemble_sparse_schmudgen(instance: ProblemInstance, r: int) -> ConicProgram:
-    """Preordering relaxation with one (X,Y) block per subset product of the
-    g family and one (Y,Z) block per subset product of the h family."""
-    if instance.product_mode:
-        raise ModeError(
-            "instance is in product mode; use the product assembly or "
-            "switch the mode off for the generic sparse relaxation"
-        )
-    _require_order(r, min_order(instance, "schmudgen-sparse"), "schmudgen-sparse")
-    blocks: list[tuple[BlockLabel, SymbolicMatrix]] = []
-    for subset, weight, rg in enumerate_products(instance.g_constraints, instance.layout):
-        label = BlockLabel("xy", subset, "xy", weight)
-        blocks.append((label, localizing_matrix(weight, "xy", r - rg)))
-    for subset, weight, rh in enumerate_products(instance.h_constraints, instance.layout):
-        label = BlockLabel("yz", subset, "yz", weight)
-        blocks.append((label, localizing_matrix(weight, "yz", r - rh)))
-    return _sos_program(instance, r, blocks, "schmudgen")
+    """Preordering relaxation P(g) on (X,Y) plus P(h) on (Y,Z)."""
+    return assemble(instance, "schmudgen-sparse", r)
 
 
 def assemble_sparse_putinar(instance: ProblemInstance, r: int) -> ConicProgram:
-    """Quadratic-module relaxation: only the empty and singleton weights."""
-    _require_order(r, min_order(instance, "putinar-sparse"), "putinar-sparse")
-    blocks: list[tuple[BlockLabel, SymbolicMatrix]] = []
-    one = Polynomial.constant(instance.layout, 1)
-    g_block = "x" if instance.product_mode else "xy"
-    blocks.append(
-        (BlockLabel("xy", (), "xy", one), moment_matrix(instance.layout, "xy", r))
-    )
-    for j, g in enumerate(instance.g_constraints):
-        label = BlockLabel("xy", (j,), g_block, g)
-        blocks.append((label, localizing_matrix(g, g_block, r - half_degree(g))))
-    blocks.append(
-        (BlockLabel("yz", (), "yz", one), moment_matrix(instance.layout, "yz", r))
-    )
-    for k, h in enumerate(instance.h_constraints):
-        label = BlockLabel("yz", (k,), "yz", h)
-        blocks.append((label, localizing_matrix(h, "yz", r - half_degree(h))))
-    return _sos_program(instance, r, blocks, "putinar")
+    """Quadratic-module relaxation Q(g) on (X,Y) plus Q(h) on (Y,Z)."""
+    return assemble(instance, "putinar-sparse", r)
 
 
 def assemble_dense(instance: ProblemInstance, r: int) -> ConicProgram:
-    """Unstructured baseline: subset products of both families jointly,
-    localized over all variables, with every moment up to degree 2r free."""
-    _require_order(r, min_order(instance, "dense"), "dense")
-    combined = list(instance.g_constraints) + list(instance.h_constraints)
-    if 2 ** len(combined) > PRODUCT_CAP:
-        raise CapacityError(
-            f"dense preordering over {len(combined)} constraints exceeds "
-            f"the {PRODUCT_CAP}-product guard"
-        )
-    blocks: list[tuple[BlockLabel, SymbolicMatrix]] = []
-    for subset, weight, rc in enumerate_products(combined, instance.layout):
-        label = BlockLabel("dense", subset, "xyz", weight)
-        blocks.append((label, localizing_matrix(weight, "xyz", r - rc)))
-    return _sos_program(instance, r, blocks, "dense")
+    """Unstructured baseline: subset products of both families, jointly."""
+    return assemble(instance, "dense", r)
 
 
 def assemble_product(instance: ProblemInstance, r: int) -> ConicProgram:
-    """Cartesian-product relaxation: one unweighted (X,Y) moment block, g
-    products localized on X alone, h products on (Y,Z).
+    """Cartesian-product relaxation; needs an instance in product mode."""
+    return assemble(instance, "product", r)
 
-    The empty g product would duplicate a submatrix of the (X,Y) block, so
-    only nonempty subsets get an X-block; its multiplier is absorbed by the
-    unweighted block's sum-of-squares term.
-    """
-    if not instance.product_mode:
-        raise ModeError("product assembly requires an instance in product mode")
-    _require_order(r, min_order(instance, "product"), "product")
-    one = Polynomial.constant(instance.layout, 1)
-    blocks: list[tuple[BlockLabel, SymbolicMatrix]] = [
-        (BlockLabel("sigma_xy", (), "xy", one), moment_matrix(instance.layout, "xy", r))
-    ]
-    for subset, weight, rg in enumerate_products(instance.g_constraints, instance.layout):
-        if not subset:
-            continue
-        label = BlockLabel("xy", subset, "x", weight)
-        blocks.append((label, localizing_matrix(weight, "x", r - rg)))
-    for subset, weight, rh in enumerate_products(instance.h_constraints, instance.layout):
-        label = BlockLabel("yz", subset, "yz", weight)
-        blocks.append((label, localizing_matrix(weight, "yz", r - rh)))
-    return _sos_program(instance, r, blocks, "product")
+
+def assemble_krivine(instance: ProblemInstance, r: int) -> LinearProgram:
+    """Cone (LP) relaxation; needs a normalized instance."""
+    return assemble(instance, "krivine", r)
 
 
 def _power_pairs(degs: Sequence[int], budget: int):
@@ -381,30 +410,19 @@ def _cone_rows(
     return rows
 
 
-def assemble_krivine(instance: ProblemInstance, r: int) -> LinearProgram:
+def _cone_program(instance: ProblemInstance, r: int) -> LinearProgram:
     """Cone (LP) relaxation over products g^a (1-g)^b and h^a (1-h)^b.
 
     Requires a normalized instance (see :func:`normalize_krivine`): each
     constraint must satisfy 0 <= g <= 1 on the feasible set, otherwise the
     rows are not valid inequalities for moments of measures on it.
     """
-    if instance.krivine_scaling is None:
-        raise NormalizationError(
-            "cone assembly requires normalize_krivine to run first "
-            "(constraints must be scaled into [0, 1] on the feasible set)"
-        )
-    _require_order(r, min_order(instance, "krivine"), "krivine")
     rows = _cone_rows("xy", instance.g_constraints, instance.layout, r)
     rows += _cone_rows("yz", instance.h_constraints, instance.layout, r)
-    exps: set[Exponent] = {instance.layout.zero_exponent}
-    exps.update(instance.objective.terms)
-    for _, form in rows:
-        exps.update(form)
-    index = tuple(sorted(exps, key=grlex_key))
     return LinearProgram(
         layout=instance.layout,
         order=r,
-        variable_index=index,
+        variable_index=_moment_index(instance, (form for _, form in rows)),
         objective=dict(instance.objective.terms),
         rows=tuple(rows),
         scaling=instance.krivine_scaling,

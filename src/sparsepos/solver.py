@@ -296,7 +296,9 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
         dobj = float(b @ y)
         rel_p = float(np.linalg.norm(rp)) / (1.0 + norm_b)
         rel_d = float(np.sqrt(sum(np.sum(R * R) for R in Rd))) / (1.0 + norm_C)
-        rel_g = gap_xs / (1.0 + abs(pobj) + abs(dobj))
+        # <X,S> alone can be tiny while the objectives still disagree (a
+        # feasible set with no interior), so the objective gap counts too.
+        rel_g = max(gap_xs, abs(pobj - dobj)) / (1.0 + abs(pobj) + abs(dobj))
 
         if max(rel_p, rel_d, rel_g) <= tol:
             status = OPTIMAL

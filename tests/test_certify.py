@@ -246,6 +246,60 @@ class TestSerialization:
         assert isinstance(back, ConeCertificate)
         assert verify(back, inst).passed
 
+    def test_suite_round_trips_bit_identical(self, suite):
+        # Every SOS term comes back with the same family, subset, block,
+        # weight, basis and Gram matrix it was written with.
+        count = 0
+        for entry in suite.rows():
+            if entry.variant == "krivine" or entry.report.status != "optimal":
+                continue
+            cert = extract_sos(entry.report, entry.program)
+            inst = problems.get(entry.instance_name)
+            back = certificate_from_json(certificate_to_json(cert), inst)
+            assert (back.lam, back.mode, back.order) == (cert.lam, cert.mode, cert.order)
+            assert len(back.terms) == len(cert.terms)
+            for s, t in zip(cert.terms, back.terms):
+                assert (s.family, s.subset, s.block, s.weight, s.basis) == (
+                    t.family, t.subset, t.block, t.weight, t.basis
+                )
+                assert np.array_equal(s.gram, t.gram)
+            count += 1
+        assert count == 45  # every SOS solve of the suite
+
+    @pytest.mark.parametrize(
+        "field,value", [("family", "zz"), ("mode", "sideways"), ("kind", "zonal")]
+    )
+    def test_unknown_sos_names_rejected(self, field, value):
+        prog, report = _solved(problems.interval(), 1)
+        data = json.loads(certificate_to_json(extract_sos(report, prog)))
+        if field == "family":
+            data["terms"][0]["family"] = value
+        else:
+            data["mode"] = value
+        with pytest.raises(ValueError, match=value):
+            certificate_from_json(json.dumps(data), problems.interval())
+
+    @pytest.mark.parametrize("index", [-1, 1])
+    def test_subset_index_out_of_range_rejected(self, index):
+        # interval has one g constraint; -1 must not wrap around to it.
+        prog, report = _solved(problems.interval(), 1)
+        data = json.loads(certificate_to_json(extract_sos(report, prog)))
+        data["terms"][1]["subset"] = [index]
+        with pytest.raises(ValueError, match="subset index"):
+            certificate_from_json(json.dumps(data), problems.interval())
+
+    @pytest.mark.parametrize("field,value", [("family", "zz"), ("mode", "schmudgen")])
+    def test_unknown_cone_names_rejected(self, field, value):
+        inst = problems.interval_affine()
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
+        data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+        if field == "family":
+            data["terms"][0]["family"] = value
+        else:
+            data["mode"] = value
+        with pytest.raises(ValueError, match=value):
+            certificate_from_json(json.dumps(data), inst)
+
     def test_seventeen_digit_numbers(self):
         inst = problems.interval()
         prog, report = _solved(inst, 1)

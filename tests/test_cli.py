@@ -1,5 +1,7 @@
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
@@ -157,4 +159,30 @@ class TestMain:
         # twoballs has g touching y, invalid in product mode.
         code = main([problem_file, "--variant", "product", "--order", "1"])
         assert code == 2
+        assert "error" in capsys.readouterr().err
+
+
+def _load_script(name):
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestCertificateDemo:
+    def test_product_instance_under_schmudgen(self, tmp_path, capsys):
+        # The product instance is stored in product mode; the demo switches
+        # it off for the generic sparse relaxation.
+        demo = _load_script("certificate_demo")
+        out_path = tmp_path / "cert.json"
+        code = demo.main(["product", "--variant", "schmudgen-sparse", "--out", str(out_path)])
+        assert code == 0
+        assert "passed=True" in capsys.readouterr().out
+        cert = certificate_from_json(out_path.read_text(), problems.get("product"))
+        assert verify(cert, problems.get("product")).passed
+
+    def test_order_below_minimum_exits_2(self, capsys):
+        demo = _load_script("certificate_demo")
+        assert demo.main(["twoballs", "--variant", "dense", "--order", "1"]) == 2
         assert "error" in capsys.readouterr().err

@@ -124,6 +124,25 @@ class TestPutinarAssembly:
             prog = assemble_sparse_putinar(problems.twoballs(), r)
             assert prog.num_blocks == 4
 
+    def test_twoballs_block_names(self):
+        prog = assemble_sparse_putinar(problems.twoballs(), 2)
+        assert [lab.name() for lab, _ in prog.psd_blocks] == [
+            "1@xy", "g1@xy", "1@yz", "h1@yz",
+        ]
+        assert [m.size for _, m in prog.psd_blocks] == [6, 3, 6, 3]
+
+    def test_singletons_only(self):
+        x, y, z = _vars(LAYOUT)
+        inst = _instance(x, [1 - x**2, 1 - y**2], [1 - z**2])
+        prog = assemble_sparse_putinar(inst, 1)
+        assert [lab.name() for lab, _ in prog.psd_blocks] == [
+            "1@xy", "g1@xy", "g2@xy", "1@yz", "h1@yz",
+        ]
+
+    def test_product_mode_rejected(self):
+        with pytest.raises(ModeError):
+            assemble_sparse_putinar(problems.product_twoballs(), 1)
+
     def test_five_and_five_gives_twelve(self):
         layout = BlockLayout(5, 0, 5)
         xs = [Polynomial.variable(layout, n) for n in layout.names[:5]]
@@ -144,6 +163,12 @@ class TestDenseAssembly:
     def test_block_sizes_at_minimum_order(self):
         prog = assemble_dense(problems.twoballs(), 2)
         assert sorted(m.size for _, m in prog.psd_blocks) == [1, 4, 4, 10]
+
+    def test_twoballs_block_names(self):
+        prog = assemble_dense(problems.twoballs(), 2)
+        assert [lab.name() for lab, _ in prog.psd_blocks] == [
+            "1@xyz", "c1@xyz", "c2@xyz", "c1*c2@xyz",
+        ]
 
     def test_moment_count_is_full_binomial(self):
         import math

@@ -1,3 +1,4 @@
+import functools
 import warnings
 from fractions import Fraction
 
@@ -325,27 +326,37 @@ CORPUS_RUNGS = [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _corpus_report(text, variant, r):
+    program = ASSEMBLERS[variant](cli.parse_problem(text), r)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        return solve_sdp(program)
+
+
 class TestAdversarialCorpus:
     """Inputs that drive the iterates to overflow or to a stall: every solve
     ends with a status, never an exception, and an optimal status is a
-    sound bound."""
-
-    def _solve(self, text, variant, r):
-        program = ASSEMBLERS[variant](cli.parse_problem(text), r)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            return solve_sdp(program)
+    sound bound whose objectives agree to the tolerance."""
 
     @pytest.mark.parametrize("variant,r", CORPUS_RUNGS)
     def test_disjoint_constraints_never_optimal(self, variant, r):
-        report = self._solve(DISJOINT, variant, r)
+        report = _corpus_report(DISJOINT, variant, r)
         assert report.status != OPTIMAL
 
     @pytest.mark.parametrize("variant,r", CORPUS_RUNGS)
     def test_no_interior_bound_is_sound(self, variant, r):
-        report = self._solve(NO_INTERIOR, variant, r)
+        report = _corpus_report(NO_INTERIOR, variant, r)
         if report.status == OPTIMAL:
             assert report.primal_objective <= -1.0 + 1e-6
+
+    @pytest.mark.parametrize("text", [DISJOINT, NO_INTERIOR], ids=["disjoint", "no-interior"])
+    @pytest.mark.parametrize("variant,r", CORPUS_RUNGS)
+    def test_optimal_objectives_agree(self, text, variant, r):
+        report = _corpus_report(text, variant, r)
+        if report.status == OPTIMAL:
+            scale = 1.0 + abs(report.primal_objective) + abs(report.dual_objective)
+            assert report.residuals.gap <= 1e-8 * scale
 
     def test_cli_reports_solver_failure(self, tmp_path, capsys):
         path = tmp_path / "disjoint.txt"

@@ -81,14 +81,13 @@ class VerificationReport:
     passed: bool
 
 
-def extract_sos(
-    report: SolveReport, program: ConicProgram, clip: float | None = None
-) -> SOSCertificate:
+def extract_sos(report: SolveReport, program: ConicProgram) -> SOSCertificate:
     """Turn the dual Gram blocks of an optimal solve into a certificate.
 
-    Gram matrices are symmetrized; eigenvalues in [-clip, 0) are projected to
-    zero, anything below -clip aborts (the certificate would be unusable).
-    The default clip is 1e-7 * (1 + max |gram|) per block.
+    Each Gram matrix must match its block's basis.  It is symmetrized;
+    eigenvalues in [-clip, 0) are projected to zero, anything below -clip
+    aborts (the certificate would be unusable), with clip = 1e-7 * (1 +
+    max |gram|) per block.  Weight and basis come from the block's matrix.
     """
     if report.status != OPTIMAL:
         raise ExtractionError(f"cannot extract from a solve with status {report.status}")
@@ -101,9 +100,14 @@ def extract_sos(
                 f"report block {dual_label.name()} does not match program "
                 f"block {label.name()}"
             )
+        if gram.shape != (matrix.size, matrix.size):
+            raise ExtractionError(
+                f"dual block {label.name()} has shape {gram.shape} for a basis "
+                f"of {matrix.size} monomials"
+            )
         gram = 0.5 * (gram + gram.T)
         scale = float(np.max(np.abs(gram))) if gram.size else 0.0
-        threshold = clip if clip is not None else 1e-7 * (1.0 + scale)
+        threshold = 1e-7 * (1.0 + scale)
         eigvals, eigvecs = np.linalg.eigh(gram)
         if eigvals.size and eigvals[0] < -threshold:
             raise ExtractionError(
@@ -117,7 +121,7 @@ def extract_sos(
                 family=label.family,
                 subset=label.subset,
                 block=label.block,
-                weight=label.weight,
+                weight=matrix.weight,
                 basis=matrix.basis,
                 gram=gram,
             )
@@ -131,16 +135,15 @@ def extract_sos(
     )
 
 
-def extract_cone(
-    report: SolveReport, program: LinearProgram, clip: float = 1e-9
-) -> ConeCertificate:
-    """Turn LP row duals into nonnegative cone coefficients."""
+def extract_cone(report: SolveReport, program: LinearProgram) -> ConeCertificate:
+    """Turn LP row duals into nonnegative cone coefficients; a dual below
+    -1e-9 aborts, smaller negative ones are clipped to zero."""
     if report.status != OPTIMAL:
         raise ExtractionError(f"cannot extract from a solve with status {report.status}")
     xy: dict = {}
     yz: dict = {}
     for (family, alpha, beta), value in report.dual_blocks:
-        if value < -clip:
+        if value < -1e-9:
             raise ExtractionError(
                 f"row dual for {family} powers {alpha}/{beta} is {value:.3e} < 0"
             )
@@ -335,7 +338,8 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     Each term's block and the constraints its weight multiplies come from
     the relaxation side of its (mode, family) (see :func:`relax.recipe_side`);
     weights are recomputed from the stored subsets.  An unknown kind, mode
-    or family raises ``ValueError``.
+    or family, or a Gram matrix that is not len(basis) x len(basis), raises
+    ``ValueError``.
     """
     data = json.loads(text)
     layout = instance.layout
@@ -362,6 +366,11 @@ def certificate_from_json(text: str, instance: ProblemInstance):
         subset = tuple(t["subset"])
         basis = tuple(tuple(e) for e in t["basis"])
         gram = np.array([[float(v) for v in row] for row in t["gram"]])
+        if gram.shape != (len(basis), len(basis)):
+            raise ValueError(
+                f"{t['family']} term has a Gram matrix of shape {gram.shape} "
+                f"for {len(basis)} basis monomials"
+            )
         weight = side.weight(instance, subset)
         terms.append(SOSTerm(t["family"], subset, side.block, weight, basis, gram))
     return SOSCertificate(lam, tuple(terms), mode, int(data["order"]), layout)

@@ -7,10 +7,12 @@ block has rows and columns indexed by the degree-r monomial basis of that
 block, with entry (a, b) referring to the moment at a+b; the localizing
 matrix of a weight polynomial g shifts every entry by g's monomials.
 
-Matrices are built symbolically: every entry is a linear form in moment
-indices (lists of coefficient/exponent pairs).  The same object serves as
-constraint data for relaxation assembly and, instantiated on a concrete
-moment vector, as a numeric diagnostic.
+A symbolic matrix is just its basis and its weight w (the constant 1 for a
+moment matrix): entry (a, b) is L_u(w * m_{a+b}) = sum_e w_e u_{e+a+b}.  One
+derivation turns the pair into the upper triangle's (i, j, coefficient,
+moment index) terms, computed once per matrix; moment referencing, the
+solver's constraint data and numeric instantiation all read those terms,
+and the nested per-entry view ``entries`` is built from them too.
 
 Moment indices are global exponent vectors over all of X, Y, Z even for
 block-restricted matrices, so a pure-Y moment is shared between the (X,Y)
@@ -20,6 +22,7 @@ and (Y,Z) sides by construction rather than by explicit equality constraints.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -38,10 +41,6 @@ from .problem import BlockSupportError
 
 class TruncationError(KeyError):
     """A required moment index is missing from the moment vector."""
-
-
-#: Linear form in moment indices: ((coefficient, exponent), ...).
-LinearForm = tuple[tuple[Fraction, Exponent], ...]
 
 
 @dataclass
@@ -104,43 +103,53 @@ def mixture_moments(
 
 @dataclass(frozen=True)
 class SymbolicMatrix:
-    """Symmetric matrix of linear forms in moment indices."""
+    """Localizing matrix of ``weight`` on ``basis``: entry (a, b) is
+    L_u(weight * m_{a+b})."""
 
     basis: tuple[Exponent, ...]
-    entries: tuple[tuple[LinearForm, ...], ...]
+    weight: Polynomial
 
     @property
     def size(self) -> int:
         return len(self.basis)
 
-    def referenced_exponents(self) -> set[Exponent]:
-        out: set[Exponent] = set()
-        for i in range(self.size):
+    @cached_property
+    def terms(self) -> tuple[tuple[int, int, Fraction, Exponent], ...]:
+        """(i, j, coefficient, moment index) of the upper triangle, row by
+        row, weight monomials in graded-lex order within an entry."""
+        w = sorted(self.weight.terms.items(), key=lambda item: grlex_key(item[0]))
+        out = []
+        for i, a in enumerate(self.basis):
             for j in range(i, self.size):
-                out.update(e for _, e in self.entries[i][j])
-        return out
+                ab = exp_add(a, self.basis[j])
+                out.extend((i, j, coeff, exp_add(e, ab)) for e, coeff in w)
+        return tuple(out)
+
+    @cached_property
+    def entries(self) -> tuple:
+        """entries[i][j]: entry (i, j) as ((coefficient, moment index), ...)."""
+        k = self.size
+        upper = [[[] for _ in range(k)] for _ in range(k)]
+        for i, j, coeff, e in self.terms:
+            upper[i][j].append((coeff, e))
+        return tuple(
+            tuple(tuple(upper[min(i, j)][max(i, j)]) for j in range(k)) for i in range(k)
+        )
+
+    def referenced_exponents(self) -> set[Exponent]:
+        return {e for _, _, _, e in self.terms}
 
     def instantiate(self, u: MomentVector) -> np.ndarray:
         """Numeric matrix with moment values substituted (float64)."""
         mat = np.zeros((self.size, self.size))
-        for i in range(self.size):
-            for j in range(i, self.size):
-                val = 0.0
-                for coeff, exp in self.entries[i][j]:
-                    val += float(coeff) * float(u.get(exp))
-                mat[i, j] = val
-                mat[j, i] = val
-        return mat
+        for i, j, coeff, e in self.terms:
+            mat[i, j] += float(coeff) * float(u.get(e))
+        return mat + np.triu(mat, 1).T
 
 
 def moment_matrix(layout: BlockLayout, block: str, r: int) -> SymbolicMatrix:
     """Order-r moment matrix over ``block``: entry (a, b) reads u_{a+b}."""
-    basis = monomial_basis(layout, block, r)
-    one = Fraction(1)
-    entries = tuple(
-        tuple(((one, exp_add(a, b)),) for b in basis) for a in basis
-    )
-    return SymbolicMatrix(basis, entries)
+    return localizing_matrix(Polynomial.constant(layout, 1), block, r)
 
 
 def localizing_matrix(g: Polynomial, block: str, r: int) -> SymbolicMatrix:
@@ -149,17 +158,7 @@ def localizing_matrix(g: Polynomial, block: str, r: int) -> SymbolicMatrix:
         raise BlockSupportError(
             f"weight polynomial is not supported on the {block} block"
         )
-    layout = g.layout
-    basis = monomial_basis(layout, block, r)
-    g_terms = sorted(g.terms.items(), key=lambda item: grlex_key(item[0]))
-    rows = []
-    for a in basis:
-        row = []
-        for b in basis:
-            ab = exp_add(a, b)
-            row.append(tuple((coeff, exp_add(exp, ab)) for exp, coeff in g_terms))
-        rows.append(tuple(row))
-    return SymbolicMatrix(basis, tuple(rows))
+    return SymbolicMatrix(monomial_basis(g.layout, block, r), g)
 
 
 def half_degree(g: Polynomial) -> int:

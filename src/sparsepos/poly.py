@@ -391,17 +391,13 @@ class Polynomial:
         return out
 
 
-def check_sparsity(
-    f: Polynomial, layout: BlockLayout | None = None
-) -> tuple[Polynomial, Polynomial]:
+def check_sparsity(f: Polynomial) -> tuple[Polynomial, Polynomial]:
     """Split ``f`` into an (X,Y)-supported and a (Y,Z)-supported part.
 
     Monomials supported on Y alone go to the (X,Y) part; a monomial with
     positive degree on both an X and a Z variable raises :class:`CouplingError`.
     The two parts always sum back to ``f`` exactly.
     """
-    if layout is not None and layout != f.layout:
-        raise LayoutError("layout argument disagrees with the polynomial's layout")
     layout = f.layout
     xy: dict[Exponent, Fraction] = {}
     yz: dict[Exponent, Fraction] = {}

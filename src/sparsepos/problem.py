@@ -75,10 +75,6 @@ class ProblemInstance:
         # Raises CouplingError when the objective mixes X and Z.
         check_sparsity(self.objective)
 
-    @property
-    def nvars(self) -> int:
-        return self.layout.nvars
-
     def split_objective(self) -> tuple[Polynomial, Polynomial]:
         return check_sparsity(self.objective)
 

@@ -61,12 +61,12 @@ class BoundError(ValueError):
 
 @dataclass(frozen=True)
 class BlockLabel:
-    """Identifies one PSD block: constraint family, subset, variable block."""
+    """Identifies one PSD block: constraint family, subset, variable block.
+    The block's weight is its matrix's."""
 
     family: str  # "xy" | "yz" | "sigma_xy" | "dense"
     subset: tuple[int, ...]
     block: str  # "x" | "xy" | "yz" | "xyz"
-    weight: Polynomial
 
     def name(self) -> str:
         if self.family == "sigma_xy":
@@ -134,17 +134,15 @@ class LinearProgram:
 
 
 def enumerate_products(
-    constraints: Sequence[Polynomial],
-    layout: BlockLayout,
-    limit: int = 12,
+    constraints: Sequence[Polynomial], layout: BlockLayout
 ) -> list[tuple[tuple[int, ...], Polynomial, int]]:
     """All subset products of ``constraints`` with their half-degrees.
 
     The empty subset yields the constant 1 with half-degree 0.  Refuses more
-    than ``limit`` constraints (2^limit products); the quadratic-module
+    than 12 constraints (4096 products); the quadratic-module
     (putinar) variant is the escape hatch at that scale.
     """
-    if len(constraints) > limit:
+    if len(constraints) > 12:
         raise CapacityError(
             f"{len(constraints)} constraints would enumerate 2^{len(constraints)} "
             f"subset products; use the putinar variant instead"
@@ -296,7 +294,7 @@ def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram | 
         return _cone_program(instance, r)
     blocks = [
         (
-            BlockLabel(side.family, subset, side.block, weight),
+            BlockLabel(side.family, subset, side.block),
             localizing_matrix(weight, side.block, r - half),
         )
         for side in recipe.sides
@@ -430,9 +428,7 @@ def _cone_program(instance: ProblemInstance, r: int) -> LinearProgram:
 
 
 def normalize_krivine(
-    instance: ProblemInstance,
-    upper_bounds: Sequence | None = None,
-    auto_tol: float = 1e-8,
+    instance: ProblemInstance, upper_bounds: Sequence | None = None
 ) -> ProblemInstance:
     """Scale every constraint by an upper bound so that 0 <= g <= 1 holds on
     the feasible set, recording the divisors for certificate un-scaling.
@@ -446,7 +442,7 @@ def normalize_krivine(
         raise NormalizationError("instance is already normalized")
     total = len(instance.g_constraints) + len(instance.h_constraints)
     if upper_bounds is None:
-        upper_bounds = _auto_upper_bounds(instance, auto_tol)
+        upper_bounds = _auto_upper_bounds(instance)
     if len(upper_bounds) != total:
         raise BoundError(f"expected {total} upper bounds, got {len(upper_bounds)}")
     bounds = []
@@ -470,7 +466,7 @@ def normalize_krivine(
     )
 
 
-def _auto_upper_bounds(instance: ProblemInstance, tol: float) -> list[Fraction]:
+def _auto_upper_bounds(instance: ProblemInstance) -> list[Fraction]:
     # Maximizing g equals minimizing -g; a quadratic-module lower bound on
     # the latter therefore dominates sup g.  Imported lazily: the solver
     # consumes programs assembled here.
@@ -481,7 +477,7 @@ def _auto_upper_bounds(instance: ProblemInstance, tol: float) -> list[Fraction]:
     for poly in (*instance.g_constraints, *instance.h_constraints):
         sub = replace(base, objective=-poly, krivine_scaling=None)
         r = min_order(sub, "putinar-sparse") + 1
-        report = solve_sdp(assemble_sparse_putinar(sub, r), tol=tol)
+        report = solve_sdp(assemble_sparse_putinar(sub, r), tol=1e-8)
         if report.status != "optimal":
             raise BoundError(
                 f"automatic normalization failed: bound solve ended with "

@@ -15,7 +15,7 @@ scaling with a Mehrotra predictor-corrector; elementwise-nonnegative rows
 ride along as diagonal blocks with the same formulas.
 
 Each PSD block keeps only its nonzero constraint coefficients, as a sparse
-(M, k*k) matrix read straight off the symbolic moment and localizing
+(M, k*k) matrix read straight off the terms of the symbolic localizing
 matrices.  The Schur complement is built from those nonzeros (Fujisawa,
 Kojima and Nakata 1997, formula F1), so a k x k block that touches M_b
 moments costs M_b*k^3 per iteration instead of M^2*k^2.  The rest is dense
@@ -256,29 +256,25 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
     )
     init_scale = 1.0 + data_norm
 
+    def idle(status: str) -> _RawResult:
+        # No iteration runs: zero multipliers, S = C.
+        X = [np.zeros((c.size, c.size)) if c.kind == "s" else np.zeros(c.size) for c in cones]
+        S = [c.C.copy() for c in cones]
+        rel = 0.0 if status == OPTIMAL else np.inf
+        return _RawResult(status, X, S, np.zeros(M), 0, rel, rel, 0.0, 0.0)
+
     if _presolve_infeasible(cones, init_scale):
-        X = [np.zeros((c.size, c.size)) if c.kind == "s" else np.zeros(c.size) for c in cones]
-        S = [c.C.copy() for c in cones]
-        return _RawResult(INFEASIBLE, X, S, np.zeros(M), 0, np.inf, np.inf, 0.0, 0.0)
+        return idle(INFEASIBLE)
     if _presolve_unbounded(cones, b):
-        X = [np.zeros((c.size, c.size)) if c.kind == "s" else np.zeros(c.size) for c in cones]
-        S = [c.C.copy() for c in cones]
-        return _RawResult(UNBOUNDED, X, S, np.zeros(M), 0, np.inf, np.inf, 0.0, 0.0)
+        return idle(UNBOUNDED)
+    if M == 0:
+        # No free moments: every block is constant, and the presolve has
+        # already found each one PSD.
+        return idle(OPTIMAL)
 
     X = [init_scale * (np.eye(c.size) if c.kind == "s" else np.ones(c.size)) for c in cones]
     S = [init_scale * (np.eye(c.size) if c.kind == "s" else np.ones(c.size)) for c in cones]
     y = np.zeros(M)
-
-    if M == 0:
-        # No free moments: feasibility is a constant PSD check.
-        bad = any(
-            (float(np.linalg.eigvalsh(_sym(c.C))[0]) if c.kind == "s" else float(np.min(c.C)))
-            < -1e-12 * init_scale
-            for c in cones
-        )
-        status = INFEASIBLE if bad else OPTIMAL
-        Xz = [np.zeros((c.size, c.size)) if c.kind == "s" else np.zeros(c.size) for c in cones]
-        return _RawResult(status, Xz, [c.C.copy() for c in cones], y, 0, 0.0, 0.0, 0.0, 0.0)
 
     schur_parts = [_SparseSchur(c.A, c.size) if c.kind == "s" else None for c in cones]
     status = MAX_ITERATIONS
@@ -446,23 +442,21 @@ def _sdp_cones(program: ConicProgram):
         k = sym.size
         C = np.zeros((k, k))
         moment, slot, value = [], [], []
-        for i in range(k):
-            for j in range(i, k):
-                for coeff, e in sym.entries[i][j]:
-                    v = float(coeff)
-                    if e == zero:
-                        C[i, j] += v
-                        if i != j:
-                            C[j, i] += v
-                    else:
-                        q = pos[e]
-                        moment.append(q)
-                        slot.append(i * k + j)
-                        value.append(-v)
-                        if i != j:
-                            moment.append(q)
-                            slot.append(j * k + i)
-                            value.append(-v)
+        for i, j, coeff, e in sym.terms:
+            v = float(coeff)
+            if e == zero:
+                C[i, j] += v
+                if i != j:
+                    C[j, i] += v
+            else:
+                q = pos[e]
+                moment.append(q)
+                slot.append(i * k + j)
+                value.append(-v)
+                if i != j:
+                    moment.append(q)
+                    slot.append(j * k + i)
+                    value.append(-v)
         A = csr_matrix((value, (moment, slot)), shape=(M, k * k))
         A.eliminate_zeros()
         cones.append(_Cone("s", k, A, C))

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +82,24 @@ class TestExtractSos:
         report.dual_blocks[:] = tampered
         with pytest.raises(ExtractionError):
             extract_sos(report, prog)
+
+    def test_gram_must_match_basis(self):
+        # The r=2 and r=3 programs have the same block labels, but r=2
+        # Grams are 6x6 and the r=3 bases have 10 monomials.
+        inst = problems.twoballs()
+        _, report = _solved(inst, 2)
+        with pytest.raises(ExtractionError, match="basis"):
+            extract_sos(report, assemble_sparse_schmudgen(inst, 3))
+
+    def test_block_structure_must_match(self):
+        prog, report = _solved(problems.interval(), 1)
+        (first, g0), (second, g1), *rest = report.dual_blocks
+        swapped = replace(report, dual_blocks=[(second, g0), (first, g1), *rest])
+        with pytest.raises(ExtractionError, match="does not match"):
+            extract_sos(swapped, prog)
+        short = replace(report, dual_blocks=report.dual_blocks[:1])
+        with pytest.raises(ExtractionError, match="disagree"):
+            extract_sos(short, prog)
 
 
 class TestExpand:
@@ -277,6 +296,13 @@ class TestSerialization:
         else:
             data["mode"] = value
         with pytest.raises(ValueError, match=value):
+            certificate_from_json(json.dumps(data), problems.interval())
+
+    def test_gram_must_match_basis(self):
+        prog, report = _solved(problems.interval(), 1)
+        data = json.loads(certificate_to_json(extract_sos(report, prog)))
+        data["terms"][0]["basis"].pop()
+        with pytest.raises(ValueError, match="basis monomials"):
             certificate_from_json(json.dumps(data), problems.interval())
 
     @pytest.mark.parametrize("index", [-1, 1])

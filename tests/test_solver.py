@@ -276,12 +276,15 @@ class TestSparseConstraintData:
         assert _rel_err(schur, want2) <= 1e-12
 
     def test_untouched_moment_is_unbounded(self):
-        # Minimizing x while the only block reads 1 and x^2: x is a free ray.
+        # Minimizing x while the only block, on basis {1, x^2}, reads 1, x^2
+        # and x^4: x is a free ray.
         zero = UNIVARIATE.zero_exponent
         one = Fraction(1)
-        block = SymbolicMatrix(((0,), (1,)), ((((one, zero),), ()), ((), ((one, (2,)),))))
-        label = BlockLabel("xy", (), "x", Polynomial.constant(UNIVARIATE, 1))
-        prog = ConicProgram(UNIVARIATE, "test", 1, (zero, (1,), (2,)), {(1,): one}, ((label, block),))
+        block = SymbolicMatrix(((0,), (2,)), Polynomial.constant(UNIVARIATE, 1))
+        label = BlockLabel("xy", (), "x")
+        prog = ConicProgram(
+            UNIVARIATE, "test", 1, (zero, (1,), (2,), (4,)), {(1,): one}, ((label, block),)
+        )
         report = solve_sdp(prog)
         assert report.status == UNBOUNDED
         assert report.iterations == 0
@@ -290,9 +293,9 @@ class TestSparseConstraintData:
         # A second block that reads no moment and equals -1 contradicts PSD.
         zero = UNIVARIATE.zero_exponent
         one = Fraction(1)
-        label = BlockLabel("xy", (), "x", Polynomial.constant(UNIVARIATE, 1))
-        moment = SymbolicMatrix(((0,), (1,)), ((((one, zero),), ((one, (1,)),)), ((), ((one, (2,)),))))
-        constant = SymbolicMatrix(((0,),), ((((-one, zero),),),))
+        label = BlockLabel("xy", (), "x")
+        moment = SymbolicMatrix(((0,), (1,)), Polynomial.constant(UNIVARIATE, 1))
+        constant = SymbolicMatrix(((0,),), Polynomial.constant(UNIVARIATE, -1))
         prog = ConicProgram(
             UNIVARIATE, "test", 1, (zero, (1,), (2,)), {(1,): one},
             ((label, moment), (label, constant)),

@@ -3,7 +3,9 @@
 
 Solves the chosen relaxation, re-expands the dual Gram blocks in exact
 rational arithmetic, and reports the coefficient residual of the identity
-f - lambda = sum of certified nonnegative terms.
+f - lambda = sum of certified nonnegative terms.  Exits 3 when the solve is
+not optimal or the certificate does not verify; ``--out`` is written only for
+a certificate that verifies.
 
 Usage: python scripts/certificate_demo.py [instance] [--variant V] [--order R] [--out F]
 """
@@ -13,8 +15,8 @@ import sys
 
 from sparsepos import problems
 from sparsepos.certify import certificate_to_json, expand, extract_sos, verify
-from sparsepos.hierarchy import RunConfig, assemble_variant, prepare_instance
-from sparsepos.relax import RECIPES, CapacityError, OrderError, min_order
+from sparsepos.hierarchy import RunConfig, prepare_instance
+from sparsepos.relax import RECIPES, CapacityError, OrderError, assemble, min_order
 from sparsepos.solver import solve_sdp
 
 
@@ -31,7 +33,7 @@ def main(argv=None) -> int:
     r = args.order if args.order is not None else min_order(instance, args.variant)
 
     try:
-        program = assemble_variant(instance, args.variant, r)
+        program = assemble(instance, args.variant, r)
     except (OrderError, CapacityError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -55,6 +57,9 @@ def main(argv=None) -> int:
     print(f"identity check: f - lambda has {len(instance.objective.terms)} terms, "
           f"expansion reproduces them within the residual above "
           f"({len(identity.terms)} expanded terms)")
+    if not result.passed:
+        print("error: the certificate does not verify; nothing written", file=sys.stderr)
+        return 3
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

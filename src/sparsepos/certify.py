@@ -8,16 +8,15 @@ certificate asserts f - lambda = sum c_ab * g^a (1-g)^b + sum c_ab * h^a (1-h)^b
 with nonnegative scalars.  Both shapes keep the two variable sides separate,
 so sparse-mode certificates never produce a monomial coupling X with Z.
 
-Verification re-expands the certificate in exact rational arithmetic after
-snapping floating factor entries to rationals (continued fractions,
-denominators up to 10^6), and measures the true coefficient residual against
-f - lambda.  The residual therefore accounts for both solver noise and the
-snapping itself.
-
-Cone coefficients are not snapped: each float is exact as a rational.  Their
-products g^a (1-g)^b come from the same depth-first walk that assembles the
-LP rows (:func:`relax.cone_products`), and the weighted sum is accumulated
-exactly as integers over one common denominator.
+Verification expands the right-hand side exactly and measures the
+coefficient residual against f - lambda.  Every float is an exact dyadic
+rational, so nothing is rounded: an SOS term expands in Gram form,
+sum_ij G_ij * m_{a_i + a_j} * w, from the same Gram matrix that the PSD test
+reads (as in Peyrl and Parrilo, "Computing sum of squares decompositions
+with rational coefficients"), and a cone term expands as c * g^a (1-g)^b,
+with the products from the same depth-first walk that assembles the LP rows
+(:func:`relax.cone_products`).  Both kinds feed one sum of Python ints over a
+running common denominator.
 """
 
 from __future__ import annotations
@@ -25,17 +24,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isfinite, lcm
 
 import numpy as np
 
 from .moments import min_eigenvalue
-from .poly import BlockLayout, Exponent, Polynomial, common_denominator, integer_numerators
+from .poly import BlockLayout, Exponent, LayoutError, Polynomial, exp_add
+from .poly import common_denominator, integer_numerators
 from .problem import ProblemInstance
 from .relax import ConicProgram, LinearProgram, cone_products, recipe_side
 from .solver import OPTIMAL, SolveReport
-
-SNAP_DENOMINATOR = 10**6
 
 
 class ExtractionError(ValueError):
@@ -50,6 +48,21 @@ class SOSTerm:
     weight: Polynomial
     basis: tuple[Exponent, ...]
     gram: np.ndarray
+
+    def __post_init__(self) -> None:
+        # The Gram matrix is k x k and the basis fits the weight's layout.
+        k, layout = len(self.basis), self.weight.layout
+        if np.shape(self.gram) != (k, k):
+            raise ValueError(
+                f"{self.family} term has a Gram matrix of shape {np.shape(self.gram)} "
+                f"for {k} basis monomials"
+            )
+        for a in self.basis:
+            if not layout.is_exponent(a):
+                raise ValueError(
+                    f"{self.family} term has basis exponent {a!r}; expected a tuple "
+                    f"of {layout.nvars} nonnegative ints"
+                )
 
 
 @dataclass(frozen=True)
@@ -159,33 +172,36 @@ def extract_cone(report: SolveReport, program: LinearProgram) -> ConeCertificate
     )
 
 
-def _snap(value: float) -> Fraction:
-    return Fraction(value).limit_denominator(SNAP_DENOMINATOR)
-
-
-def _expand_sos_term(term: SOSTerm, layout: BlockLayout) -> Polynomial:
-    eigvals, eigvecs = np.linalg.eigh(0.5 * (term.gram + term.gram.T))
-    total = Polynomial.zero(layout)
-    for lam_i, column in zip(eigvals, eigvecs.T):
-        if lam_i == 0.0:
-            continue
-        sign = 1 if lam_i > 0 else -1
-        factor = np.sqrt(abs(lam_i)) * column
-        poly = Polynomial.from_terms(
-            layout,
-            {exp: _snap(float(entry)) for exp, entry in zip(term.basis, factor)},
-        )
-        total = total + (poly * poly).scale(sign)
-    return total * term.weight
-
-
-def _scaled_constraints(instance: ProblemInstance, scaling) -> tuple[list, list]:
-    polys = list(instance.g_constraints) + list(instance.h_constraints)
-    if len(scaling) != len(polys):
-        raise ValueError("scaling record does not match the instance's constraints")
-    scaled = [p.scale(Fraction(1, 1) / Fraction(s)) for p, s in zip(polys, scaling)]
-    ng = len(instance.g_constraints)
-    return scaled[:ng], scaled[ng:]
+def _pieces(cert, instance: ProblemInstance):
+    """The certificate's right-hand side as (c, numerators, den) pieces, each
+    the polynomial c * sum_e numerators[e] / den * m_e with c a Fraction."""
+    layout = instance.layout
+    if isinstance(cert, SOSCertificate):
+        for term in cert.terms:
+            # Each term checked its Gram shape and basis against its weight's
+            # layout when it was built.
+            if term.weight.layout != layout:
+                raise LayoutError(f"{term.family} term lives on another layout")
+            dw = common_denominator(term.weight.terms)
+            weight = integer_numerators(term.weight.terms, dw).items()
+            # v^T G v * w = sum over all k^2 entries of G_ij * m_{a_i + a_j} * w.
+            for a, row in zip(term.basis, np.asarray(term.gram, dtype=float).tolist()):
+                for b, g in zip(term.basis, row):
+                    if g:
+                        ab = exp_add(a, b)
+                        yield Fraction(g), [(exp_add(ab, e), v) for e, v in weight], dw
+    elif isinstance(cert, ConeCertificate):
+        polys, ng = instance.g_constraints + instance.h_constraints, len(instance.g_constraints)
+        if len(cert.scaling) != len(polys):
+            raise ValueError("scaling record does not match the instance's constraints")
+        scaled = [p.scale(1 / Fraction(s)) for p, s in zip(polys, cert.scaling)]
+        for constraints, coeffs in ((scaled[:ng], cert.xy_coeffs), (scaled[ng:], cert.yz_coeffs)):
+            pairs = [pair for pair, value in coeffs.items() if value != 0.0]
+            for pair, product in cone_products(constraints, layout, pairs):
+                dp = common_denominator(product.terms)
+                yield Fraction(coeffs[pair]), integer_numerators(product.terms, dp).items(), dp
+    else:
+        raise TypeError(f"cannot expand a {type(cert).__name__}")
 
 
 def expand(cert, instance: ProblemInstance) -> Polynomial:
@@ -196,35 +212,20 @@ def expand(cert, instance: ProblemInstance) -> Polynomial:
     constraints with the recorded normalization divisors re-applied, so the
     caller passes the unnormalized instance.
     """
-    layout = instance.layout
-    if isinstance(cert, SOSCertificate):
-        total = Polynomial.zero(layout)
-        for term in cert.terms:
-            if len(term.basis) and len(term.basis[0]) != layout.nvars:
-                raise ValueError("certificate basis does not match the instance layout")
-            total = total + _expand_sos_term(term, layout)
-        return total
-    if isinstance(cert, ConeCertificate):
-        g_scaled, h_scaled = _scaled_constraints(instance, cert.scaling)
-        # sum c * P accumulates as integers over the running common
-        # denominator ``den`` of every term so far.
-        sums: dict[Exponent, int] = {}
-        den = 1
-        for constraints, coeffs in ((g_scaled, cert.xy_coeffs), (h_scaled, cert.yz_coeffs)):
-            pairs = [pair for pair, value in coeffs.items() if value != 0.0]
-            for pair, product in cone_products(constraints, layout, pairs):
-                c = Fraction(coeffs[pair])
-                dp = common_denominator(product.terms)
-                d = dp * c.denominator
-                grown = lcm(den, d)
-                if grown != den:
-                    sums = {e: v * (grown // den) for e, v in sums.items()}
-                    den = grown
-                scale = c.numerator * (den // d)
-                for e, v in integer_numerators(product.terms, dp).items():
-                    sums[e] = sums.get(e, 0) + scale * v
-        return Polynomial(layout, {e: Fraction(v, den) for e, v in sums.items() if v})
-    raise TypeError(f"cannot expand a {type(cert).__name__}")
+    # sum c * P accumulates as integers over the running common denominator
+    # ``den`` of every piece so far.
+    sums: dict[Exponent, int] = {}
+    den = 1
+    for c, numerators, dp in _pieces(cert, instance):
+        d = dp * c.denominator
+        grown = lcm(den, d)
+        if grown != den:
+            sums = {e: v * (grown // den) for e, v in sums.items()}
+            den = grown
+        scale = c.numerator * (den // d)
+        for e, v in numerators:
+            sums[e] = sums.get(e, 0) + scale * v
+    return Polynomial(instance.layout, {e: Fraction(v, den) for e, v in sums.items() if v})
 
 
 def _coupling_free(cert, expansion: Polynomial, layout: BlockLayout) -> bool:
@@ -256,8 +257,9 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     """Check the representation identity, PSD/nonnegativity, and sparsity.
 
     The residual is the max-norm of the coefficients of
-    f - lambda - expand(cert), computed exactly; it passes when below
-    tol * (1 + max |coefficient of f|).  Dense-mode certificates may couple
+    f - lambda - expand(cert), computed exactly from the same Gram matrices
+    or cone coefficients that the PSD or nonnegativity test reads; it passes
+    when below tol * (1 + max |coefficient of f|).  Dense-mode certificates may couple
     X and Z legitimately, so the coupling flag is reported but only gates
     the overall pass for sparse modes.
     """
@@ -332,18 +334,27 @@ def certificate_to_json(cert) -> str:
     return json.dumps(head, indent=2)
 
 
+def _finite(value, field: str):
+    if not isfinite(float(value)):
+        raise ValueError(f"certificate {field} {value!r} is not finite")
+    return value
+
+
 def certificate_from_json(text: str, instance: ProblemInstance):
     """Rebuild a certificate against ``instance``.
 
     Each term's block and the constraints its weight multiplies come from
     the relaxation side of its (mode, family) (see :func:`relax.recipe_side`);
-    weights are recomputed from the stored subsets.  An unknown kind, mode
-    or family, or a Gram matrix that is not len(basis) x len(basis), raises
-    ``ValueError``.
+    weights are recomputed from the stored subsets.  ``ValueError``, naming
+    the field, is raised for an unknown kind, mode or family; a lambda, Gram
+    entry, cone coeff or scaling entry that is not finite; and a term that
+    :class:`SOSTerm` refuses (a basis exponent that is not a list of one
+    nonnegative int per variable, a Gram matrix that is not len(basis) x
+    len(basis)).
     """
     data = json.loads(text)
     layout = instance.layout
-    lam = float(data["lambda"])
+    lam = float(_finite(data["lambda"], "lambda"))
     kind, mode = data["kind"], data["mode"]
     if kind == "cone":
         if mode != "krivine":
@@ -353,8 +364,8 @@ def certificate_from_json(text: str, instance: ProblemInstance):
             if t["family"] not in coeffs:
                 raise ValueError(f"unknown cone certificate family {t['family']!r}")
             key = (tuple(t["subset"][0]), tuple(t["subset"][1]))
-            coeffs[t["family"]][key] = float(t["coeff"])
-        scaling = tuple(Fraction(s) for s in data["scaling"])
+            coeffs[t["family"]][key] = float(_finite(t["coeff"], "coeff"))
+        scaling = tuple(Fraction(_finite(s, "scaling")) for s in data["scaling"])
         order = int(data["order"])
         return ConeCertificate(lam, coeffs["xy"], coeffs["yz"], scaling, order, layout)
     if kind != "sos":
@@ -364,13 +375,9 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     for t in data["terms"]:
         side = recipe_side(mode, t["family"])
         subset = tuple(t["subset"])
-        basis = tuple(tuple(e) for e in t["basis"])
-        gram = np.array([[float(v) for v in row] for row in t["gram"]])
-        if gram.shape != (len(basis), len(basis)):
-            raise ValueError(
-                f"{t['family']} term has a Gram matrix of shape {gram.shape} "
-                f"for {len(basis)} basis monomials"
-            )
+        # SOSTerm refuses whatever is not a list of ints here.
+        basis = tuple(tuple(e) if isinstance(e, list) else e for e in t["basis"])
+        gram = np.array([[float(_finite(v, "gram entry")) for v in row] for row in t["gram"]])
         weight = side.weight(instance, subset)
         terms.append(SOSTerm(t["family"], subset, side.block, weight, basis, gram))
     return SOSCertificate(lam, tuple(terms), mode, int(data["order"]), layout)

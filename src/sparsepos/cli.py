@@ -14,7 +14,8 @@ Constraints are ``name: poly >= 0`` with block membership inferred from the
 variables they touch and validated.
 
 Exit codes: 0 all orders solved to optimality, 2 usage/config/parse errors,
-3 a solver failure on some order.
+3 a solver failure on some order, or a ``--certificate`` that does not verify
+against the parsed problem (no file is written then).
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import certificate_to_json
+from .certify import certificate_to_json, verify
 from .hierarchy import (
     EXIT_CONFIG,
+    EXIT_SOLVER,
     HierarchyResult,
     ConfigError,
     RunConfig,
@@ -370,7 +372,7 @@ def _build_arg_parser() -> argparse.ArgumentParser:
     parser.add_argument("--max-order", type=int, default=None, help="last relaxation order")
     parser.add_argument("--tol", type=float, default=1e-8, help="solver tolerance")
     parser.add_argument("--certificate", default=None, metavar="PATH",
-                        help="write the certificate of the best solved order as JSON")
+                        help="write the best solved order's certificate as JSON once it verifies")
     parser.add_argument("--oracle-box", default=None, metavar="LO:HI,...",
                         help="per-variable intervals for the grid reference minimum")
     parser.add_argument("--oracle-step", type=float, default=None)
@@ -419,6 +421,12 @@ def main(argv: list[str] | None = None) -> int:
     print(render_csv(result) if args.format == "csv" else render_text(result))
 
     if args.certificate and result.certificate is not None:
+        check = verify(result.certificate, instance)
+        if not check.passed:
+            print(f"error: certificate not written, it does not verify: residual "
+                  f"{check.residual:.3e}, psd_ok={check.psd_ok}, "
+                  f"coupling_free={check.coupling_free}", file=sys.stderr)
+            return EXIT_SOLVER
         with open(args.certificate, "w", encoding="utf-8") as handle:
             handle.write(certificate_to_json(result.certificate))
             handle.write("\n")

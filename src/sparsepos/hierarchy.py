@@ -77,12 +77,6 @@ class HierarchyResult:
         ]
 
 
-def assemble_variant(instance: ProblemInstance, variant: str, r: int):
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    return relax.assemble(instance, variant, r)
-
-
 def prepare_instance(instance: ProblemInstance, config: RunConfig) -> ProblemInstance:
     """Apply the mode/normalization prerequisites of the chosen variant."""
     product = config.variant == "product"
@@ -112,7 +106,7 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
     for r in range(r_min, r_max + 1):
         start = time.perf_counter()
         try:
-            program = assemble_variant(instance, config.variant, r)
+            program = relax.assemble(instance, config.variant, r)
         except (relax.OrderError, relax.CapacityError, relax.ModeError,
                 relax.NormalizationError) as exc:
             ms = 1000.0 * (time.perf_counter() - start)

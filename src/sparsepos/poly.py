@@ -86,6 +86,12 @@ class BlockLayout:
     def zero_exponent(self) -> Exponent:
         return (0,) * self.nvars
 
+    def is_exponent(self, exp) -> bool:
+        """True when ``exp`` is a tuple of one nonnegative int per variable."""
+        return isinstance(exp, tuple) and len(exp) == self.nvars and all(
+            type(e) is int and e >= 0 for e in exp
+        )
+
     def block_positions(self, block: str) -> tuple[int, ...]:
         """Variable positions belonging to ``block`` (one of BLOCKS)."""
         x = range(0, self.n)
@@ -165,21 +171,18 @@ def monomial_basis(layout: BlockLayout, block: str, r: int) -> tuple[Exponent, .
     return tuple(exps)
 
 
-#: Polynomial products take the integer-numerator path while the product of
-#: the operands' common denominators stays below this.
-INT_PRODUCT_LIMIT = 1 << 62
+def common_denominator(terms: Mapping[Exponent, Fraction]) -> int:
+    """Least common multiple of the coefficient denominators (1 when empty).
 
-
-def common_denominator(terms: Mapping[Exponent, Fraction], cap: int | None = None) -> int:
-    """Least common multiple of the coefficient denominators (1 when empty),
-    or 0 as soon as it reaches ``cap``."""
+    With :func:`integer_numerators` it turns a sum or product of exact
+    polynomials into Python-int arithmetic over one denominator; ints do not
+    overflow, so this is exact for any denominators.
+    """
     den = 1
     for c in terms.values():
         q = c.denominator
         if den % q:
             den = lcm(den, q)
-            if cap is not None and den >= cap:
-                return 0
     return den
 
 
@@ -218,7 +221,7 @@ class Polynomial:
         clean: dict[Exponent, Fraction] = {}
         for exp, coeff in terms.items():
             exp = tuple(exp)
-            if len(exp) != layout.nvars or any(e < 0 for e in exp):
+            if not layout.is_exponent(exp):
                 raise LayoutError(f"bad exponent vector {exp} for {layout.nvars} variables")
             c = _coerce_coeff(coeff)
             if c != 0:
@@ -323,31 +326,18 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        d1 = common_denominator(self.terms, INT_PRODUCT_LIMIT)
-        d2 = common_denominator(other.terms, INT_PRODUCT_LIMIT)
-        if d1 and d2 and d1 * d2 < INT_PRODUCT_LIMIT:
-            # Integer numerators over d1 * d2: one int multiply-add per term
-            # pair and one Fraction per output term.
-            n2 = integer_numerators(other.terms, d2).items()
-            sums: dict[Exponent, int] = {}
-            for e1, c1 in integer_numerators(self.terms, d1).items():
-                for e2, c2 in n2:
-                    exp = tuple(map(add, e1, e2))
-                    sums[exp] = sums.get(exp, 0) + c1 * c2
-            den = d1 * d2
-            return Polynomial(self.layout, {e: Fraction(v, den) for e, v in sums.items() if v})
-        # Large denominators (snapped SOS factors): their lcm would explode,
-        # so stay with Fraction arithmetic.
-        out: dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = exp_add(e1, e2)
-                acc = out.get(exp, Fraction(0)) + c1 * c2
-                if acc == 0:
-                    out.pop(exp, None)
-                else:
-                    out[exp] = acc
-        return Polynomial(self.layout, out)
+        # Integer numerators over d1 * d2: one int multiply-add per term pair
+        # and one Fraction per output term.
+        d1 = common_denominator(self.terms)
+        d2 = common_denominator(other.terms)
+        n2 = integer_numerators(other.terms, d2).items()
+        sums: dict[Exponent, int] = {}
+        for e1, c1 in integer_numerators(self.terms, d1).items():
+            for e2, c2 in n2:
+                exp = tuple(map(add, e1, e2))
+                sums[exp] = sums.get(exp, 0) + c1 * c2
+        den = d1 * d2
+        return Polynomial(self.layout, {e: Fraction(v, den) for e, v in sums.items() if v})
 
     __rmul__ = __mul__
 

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import pytest
 
 from sparsepos import problems, relax
-from sparsepos.hierarchy import assemble_variant
 from sparsepos.oracle import grid_min, lipschitz_margin
 from sparsepos.solver import solve_lp, solve_sdp
 
@@ -99,7 +98,7 @@ def suite() -> SuiteResults:
             instance = _prepared(name, variant)
             for r in range(r_min, r_max + 1):
                 t0 = time.perf_counter()
-                program = assemble_variant(instance, variant, r)
+                program = relax.assemble(instance, variant, r)
                 if variant == "krivine":
                     report = solve_lp(program, tol=SOLVE_TOL)
                 else:

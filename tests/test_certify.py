@@ -141,6 +141,71 @@ class TestExpand:
         )
         assert expand(cert, inst) == 1 - X1**2
 
+    def test_tiny_gram_entry_is_exact(self):
+        # The Gram entry itself is expanded, not a rounded square root of it.
+        term = SOSTerm("xy", (), "x", Polynomial.constant(UNIVARIATE, 1), ((0,),),
+                       np.array([[1e-7]]))
+        cert = SOSCertificate(0.0, (term,), "schmudgen", 1, UNIVARIATE)
+        inst = ProblemInstance(UNIVARIATE, X1, (1 - X1**2,), ())
+        assert expand(cert, inst) == Polynomial.constant(UNIVARIATE, Fraction(1e-7))
+
+    @pytest.mark.parametrize(
+        "basis,gram",
+        [
+            (((0, 0, 0), (1, 0, 0), (1, 0, 0, 0)), np.eye(3)),  # long, not first
+            (((0, 0, 0), (1, 0)), np.eye(2)),  # short
+            (((0, 0, 0), (0, -1, 0)), np.eye(2)),  # negative
+            (((0, 0, 0), (1, 0, 0)), np.eye(3)),  # Gram larger than the basis
+        ],
+    )
+    def test_malformed_term_rejected(self, basis, gram):
+        # The term refuses to be built, so no such term reaches expand.
+        layout = BlockLayout(1, 1, 1)
+        with pytest.raises(ValueError, match="basis"):
+            term = SOSTerm("xy", (), "xy", Polynomial.constant(layout, 1), basis, gram)
+            expand(SOSCertificate(0.0, (term,), "schmudgen", 1, layout), problems.twoballs())
+
+    def test_term_on_another_layout_rejected(self):
+        term = SOSTerm("xy", (), "x", Polynomial.constant(UNIVARIATE, 1), ((0,),), np.eye(1))
+        cert = SOSCertificate(0.0, (term,), "schmudgen", 1, UNIVARIATE)
+        with pytest.raises(ValueError, match="layout"):
+            expand(cert, problems.twoballs())
+
+    @staticmethod
+    def _assert_matches_float_reference(cert, instance, seed):
+        # sum_terms w(pt) * v(pt)^T G v(pt) in floats, relative to the same
+        # sum in absolute values.
+        expansion = expand(cert, instance)
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            pt = rng.uniform(-1, 1, instance.layout.nvars)
+            total = scale = 0.0
+            for term in cert.terms:
+                v = np.array([np.prod(pt ** np.array(a)) for a in term.basis])
+                w = float(term.weight.evaluate(pt))
+                total += w * (v @ term.gram @ v)
+                scale += abs(w) * (np.abs(v) @ np.abs(term.gram) @ np.abs(v))
+            assert abs(float(expansion.evaluate(pt)) - total) <= 1e-9 * scale
+
+    @pytest.mark.parametrize(
+        "name,variant", [("twoballs", "schmudgen-sparse"), ("fivevar", "dense")]
+    )
+    def test_solved_certificate_matches_float_reference(self, suite, name, variant):
+        entry = suite.entries[(name, variant, 2)]
+        cert = extract_sos(entry.report, entry.program)
+        self._assert_matches_float_reference(cert, problems.get(name), 29)
+
+    def test_nonsymmetric_gram_matches_float_reference(self):
+        inst = problems.twoballs()
+        layout = inst.layout
+        x, y = Polynomial.variable(layout, "x"), Polynomial.variable(layout, "y")
+        basis = ((0, 0, 0), (1, 0, 0), (0, 1, 0))
+        gram = np.random.default_rng(3).standard_normal((3, 3))
+        assert not np.allclose(gram, gram.T)
+        term = SOSTerm("xy", (0,), "xy", 1 - x**2 - y**2, basis, gram)
+        cert = SOSCertificate(0.0, (term,), "schmudgen", 1, layout)
+        self._assert_matches_float_reference(cert, inst, 31)
+
 
 class TestVerify:
     def test_valid_hand_certificate(self):
@@ -243,6 +308,12 @@ class TestCone:
         assert expand(cert, inst) == (4 - x**2).scale(Fraction(1, 4))
 
 
+@pytest.fixture(scope="module")
+def twoballs_r1_json():
+    prog, report = _solved(problems.twoballs(), 1)
+    return certificate_to_json(extract_sos(report, prog))
+
+
 class TestSerialization:
     def test_sos_round_trip(self):
         inst = problems.twoballs()
@@ -304,6 +375,44 @@ class TestSerialization:
         data["terms"][0]["basis"].pop()
         with pytest.raises(ValueError, match="basis monomials"):
             certificate_from_json(json.dumps(data), problems.interval())
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("gram", "nan"),
+            ("gram", "inf"),
+            ("lambda", "nan"),
+            ("basis", [1, 0]),
+            ("basis", [1, 0, 0, 0]),
+            ("basis", [0, -1, 0]),
+            ("basis", [1.5, 0, 0]),
+        ],
+        ids=["nan-gram", "inf-gram", "nan-lambda", "short", "long", "negative", "fraction"],
+    )
+    def test_malformed_values_rejected(self, twoballs_r1_json, field, value):
+        # Edits hit the last row of the first term, not its first entry.
+        data = json.loads(twoballs_r1_json)
+        term = data["terms"][0]
+        if field == "lambda":
+            data["lambda"] = value
+        elif field == "gram":
+            term["gram"][-1][1] = value
+        else:
+            term["basis"][-1] = value
+        with pytest.raises(ValueError, match=field):
+            certificate_from_json(json.dumps(data), problems.twoballs())
+
+    @pytest.mark.parametrize("field", ["coeff", "scaling"])
+    def test_non_finite_cone_values_rejected(self, field):
+        inst = problems.interval_affine()
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
+        data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+        if field == "coeff":
+            data["terms"][-1]["coeff"] = "nan"
+        else:
+            data["scaling"][0] = "inf"
+        with pytest.raises(ValueError, match=field):
+            certificate_from_json(json.dumps(data), inst)
 
     @pytest.mark.parametrize("index", [-1, 1])
     def test_subset_index_out_of_range_rejected(self, index):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from sparsepos import problems
-from sparsepos.certify import certificate_from_json, verify
+from sparsepos.certify import VerificationReport, certificate_from_json, verify
 from sparsepos.cli import ProblemFileError, main, parse_problem
 from sparsepos.poly import Polynomial
 
@@ -82,6 +82,10 @@ def _strip_ms(text: str) -> str:
     return "\n".join(out)
 
 
+FAILING = VerificationReport(residual=0.5, coupling_free=True, psd_ok=False, lam=0.0,
+                             passed=False)
+
+
 class TestMain:
     def test_text_run(self, problem_file, capsys):
         code = main([problem_file, "--order", "1", "--max-order", "2"])
@@ -142,6 +146,17 @@ class TestMain:
         cert = certificate_from_json(cert_path.read_text(), problems.twoballs())
         assert verify(cert, problems.twoballs()).passed
 
+    def test_unverified_certificate_not_written(self, problem_file, tmp_path, capsys,
+                                                monkeypatch):
+        monkeypatch.setattr("sparsepos.cli.verify", lambda cert, instance: FAILING)
+        cert_path = tmp_path / "cert.json"
+        code = main([problem_file, "--order", "1", "--certificate", str(cert_path)])
+        assert code == 3
+        assert not cert_path.exists()
+        err = capsys.readouterr().err
+        assert "residual 5.000e-01" in err
+        assert "psd_ok=False" in err and "coupling_free=True" in err
+
     def test_product_variant(self, tmp_path, capsys):
         path = tmp_path / "prod.sp"
         path.write_text(
@@ -186,3 +201,11 @@ class TestCertificateDemo:
         demo = _load_script("certificate_demo")
         assert demo.main(["twoballs", "--variant", "dense", "--order", "1"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unverified_certificate_not_written(self, tmp_path, capsys, monkeypatch):
+        demo = _load_script("certificate_demo")
+        monkeypatch.setattr(demo, "verify", lambda cert, instance: FAILING)
+        out_path = tmp_path / "cert.json"
+        assert demo.main(["interval", "--out", str(out_path)]) == 3
+        assert not out_path.exists()
+        assert "does not verify" in capsys.readouterr().err

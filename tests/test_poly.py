@@ -44,9 +44,10 @@ def polynomials(layout=LAYOUT, coefficients=None):
     )
 
 
-# Small denominators keep a product on the integer-numerator path; large
-# ones, as in snapped SOS factors, push it onto the Fraction path.  Drawing
-# each operand from either gives small x small, large x large and mixed pairs.
+# Products run on integer numerators over the operands' common
+# denominators.  Drawing each operand from small or 10^12 denominators gives
+# small x small, large x large and mixed pairs, whose common denominators
+# reach far past 64 bits.
 BIG = 10**12
 MIXED_POLYNOMIALS = st.one_of(polynomials(), polynomials(coefficients=fractions(BIG, BIG)))
 

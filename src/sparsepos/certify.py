@@ -340,6 +340,26 @@ def _finite(value, field: str):
     return value
 
 
+def _cone_key(subset, count: int):
+    """The (alpha, beta) powers of a cone term, refusing anything but two
+    lists of ``count`` nonnegative ints (``cone_products`` would zip a longer
+    list down to another key)."""
+    if not (
+        isinstance(subset, list)
+        and len(subset) == 2
+        and all(
+            isinstance(powers, list)
+            and len(powers) == count
+            and all(type(a) is int and a >= 0 for a in powers)
+            for powers in subset
+        )
+    ):
+        raise ValueError(
+            f"cone term subset {subset!r}; expected two lists of {count} nonnegative ints"
+        )
+    return tuple(subset[0]), tuple(subset[1])
+
+
 def certificate_from_json(text: str, instance: ProblemInstance):
     """Rebuild a certificate against ``instance``.
 
@@ -347,10 +367,11 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     the relaxation side of its (mode, family) (see :func:`relax.recipe_side`);
     weights are recomputed from the stored subsets.  ``ValueError``, naming
     the field, is raised for an unknown kind, mode or family; a lambda, Gram
-    entry, cone coeff or scaling entry that is not finite; and a term that
-    :class:`SOSTerm` refuses (a basis exponent that is not a list of one
-    nonnegative int per variable, a Gram matrix that is not len(basis) x
-    len(basis)).
+    entry, cone coeff or scaling entry that is not finite; a cone subset
+    that is not two lists of one nonnegative int per constraint of its
+    family; and a term that :class:`SOSTerm` refuses (a basis exponent that
+    is not a list of one nonnegative int per variable, a Gram matrix that is
+    not len(basis) x len(basis)).
     """
     data = json.loads(text)
     layout = instance.layout
@@ -360,10 +381,11 @@ def certificate_from_json(text: str, instance: ProblemInstance):
         if mode != "krivine":
             raise ValueError(f"unknown cone certificate mode {mode!r}")
         coeffs: dict = {"xy": {}, "yz": {}}
+        counts = {"xy": len(instance.g_constraints), "yz": len(instance.h_constraints)}
         for t in data["terms"]:
             if t["family"] not in coeffs:
                 raise ValueError(f"unknown cone certificate family {t['family']!r}")
-            key = (tuple(t["subset"][0]), tuple(t["subset"][1]))
+            key = _cone_key(t["subset"], counts[t["family"]])
             coeffs[t["family"]][key] = float(_finite(t["coeff"], "coeff"))
         scaling = tuple(Fraction(_finite(s, "scaling")) for s in data["scaling"])
         order = int(data["order"])

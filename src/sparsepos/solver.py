@@ -25,11 +25,26 @@ program are bit-identical.  Infeasibility detection is heuristic: a presolve
 catches constant-row contradictions, divergence of the certificate value
 with small residuals is reported as infeasible, and iterates that overflow
 end in numerical failure.
+
+numpy and scipy wheels each bundle their own OpenBLAS, with one thread pool
+each, and on a small machine the two pools fight over the same cores.  While
+an IPM runs, scipy's LAPACK (the Schur Cholesky factor and solves, the
+triangular solves of the step length) is therefore put on the calling thread,
+and numpy keeps its pool for the large products.  The scipy pool's previous
+thread count is restored when the last running solve ends, so the caller sees
+the same counts before and after.  The count is process-wide in OpenBLAS, so
+scipy LAPACK calls made by other threads during a solve also run on one
+thread.  Where the symbol is missing (another BLAS) or numpy and scipy share
+one library, nothing is changed.
 """
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -242,7 +257,69 @@ def _presolve_unbounded(cones: list[_Cone], b: np.ndarray) -> bool:
     return bool(np.any((~touched) & (b != 0)))
 
 
+def _address(fn) -> int:
+    return ctypes.cast(fn, ctypes.c_void_p).value
+
+
+@cache
+def _scipy_thread_setter():
+    """OpenBLAS's ``openblas_set_num_threads_local`` in scipy's LAPACK (it
+    sets the count and returns the previous one), or None when it is absent,
+    a library cannot be opened, or numpy resolves the same function (then
+    there is one pool already)."""
+    try:
+        from numpy.linalg import _umath_linalg
+        from scipy.linalg import _flapack
+
+        scipy_lib = ctypes.CDLL(_flapack.__file__)
+        numpy_lib = ctypes.CDLL(_umath_linalg.__file__)
+    except (ImportError, OSError):
+        return None
+    setter = getattr(scipy_lib, "openblas_set_num_threads_local", None)
+    twin = getattr(numpy_lib, "openblas_set_num_threads_local", None)
+    if setter is None or (twin is not None and _address(twin) == _address(setter)):
+        return None
+    setter.argtypes = [ctypes.c_int]
+    setter.restype = ctypes.c_int
+    return setter
+
+
+# Despite its name, the setter changes the count of the whole process on
+# pthreads builds of OpenBLAS, so overlapping solves in several threads
+# share one pin instead of each restoring what another one set.
+_pin_lock = threading.Lock()
+_pin_depth = 0
+_pin_saved = 0
+
+
+@contextmanager
+def _scipy_blas_on_one_thread():
+    """Run scipy's OpenBLAS on one thread for the body; concurrent solves
+    share one pin, and the last to leave restores the caller's count."""
+    global _pin_depth, _pin_saved
+    setter = _scipy_thread_setter()
+    if setter is None:
+        yield
+        return
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = setter(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                setter(_pin_saved)
+
+
 def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
+    with _scipy_blas_on_one_thread():
+        return _ipm_loop(cones, b, tol, max_iter)
+
+
+def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
     M = b.size
     nu = sum(c.size for c in cones)
     norm_b = float(np.linalg.norm(b))
@@ -328,7 +405,7 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
             base = 1e-14 * (1.0 + float(np.trace(schur)) / M)
             for attempt in range(4):
                 try:
-                    fac = cho_factor(schur + jitter * np.eye(M), lower=True)
+                    fac = cho_factor(schur + jitter * np.eye(M), lower=True, check_finite=False)
                     break
                 except np.linalg.LinAlgError:
                     jitter = base * (100.0**attempt + 1.0)
@@ -339,7 +416,7 @@ def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawRe
                 # Diverging iterates overflow here first (infeasible input).
                 if not np.isfinite(rhs).all():
                     raise np.linalg.LinAlgError("non-finite Newton right-hand side")
-                return cho_solve(fac, rhs)
+                return cho_solve(fac, rhs, check_finite=False)
 
             def newton(Rc):
                 rhs = rp.copy()

@@ -414,6 +414,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=field):
             certificate_from_json(json.dumps(data), inst)
 
+    @pytest.mark.parametrize(
+        "subset",
+        [[[1, 0], [0]], [[-1], [0]], [[1.5], [0]]],
+        ids=["wrong-length", "negative", "fraction"],
+    )
+    def test_malformed_cone_subset_rejected(self, subset):
+        # interval_affine has one g constraint, so an xy key is two 1-lists.
+        inst = problems.interval_affine()
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
+        data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+        term = data["terms"][0]
+        assert term["family"] == "xy"
+        term["subset"] = subset
+        with pytest.raises(ValueError, match="subset"):
+            certificate_from_json(json.dumps(data), inst)
+
     @pytest.mark.parametrize("index", [-1, 1])
     def test_subset_index_out_of_range_rejected(self, index):
         # interval has one g constraint; -1 must not wrap around to it.

@@ -1,11 +1,14 @@
+import ctypes
 import functools
+import sys
+import threading
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from sparsepos import cli, problems
+from sparsepos import cli, problems, solver
 from sparsepos.moments import SymbolicMatrix
 from sparsepos.poly import BlockLayout, Polynomial
 from sparsepos.problem import ProblemInstance
@@ -21,6 +24,7 @@ from sparsepos.relax import (
 )
 from sparsepos.solver import (
     INFEASIBLE,
+    NUMERICAL_FAILURE,
     OPTIMAL,
     UNBOUNDED,
     _SparseSchur,
@@ -368,3 +372,144 @@ class TestAdversarialCorpus:
             warnings.simplefilter("ignore", RuntimeWarning)
             assert cli.main([str(path), "--order", "2"]) == 3
         assert "numerical-failure" in capsys.readouterr().out
+
+
+def _thread_count_reader(module):
+    """OpenBLAS thread-count getter of the library behind ``module``, or None."""
+    lib = ctypes.CDLL(module.__file__)
+    for name in (
+        "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+        "openblas_get_num_threads64_", "openblas_get_num_threads",
+    ):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes = []
+            getter.restype = ctypes.c_int
+            return getter
+    return None
+
+
+@pytest.fixture
+def blas_threads():
+    """Reader of the (scipy, numpy) OpenBLAS thread counts, with scipy's set
+    to 2 for the test so that a pin left behind shows; skips unless scipy
+    and numpy each bundle an OpenBLAS."""
+    from numpy.linalg import _umath_linalg
+    from scipy.linalg import _flapack
+
+    setter = solver._scipy_thread_setter()
+    readers = _thread_count_reader(_flapack), _thread_count_reader(_umath_linalg)
+    if setter is None or None in readers:
+        pytest.skip("scipy and numpy do not each bundle an OpenBLAS")
+    caller = setter(2)
+    yield lambda: tuple(read() for read in readers)
+    setter(caller)
+
+
+class TestScipyBlasPin:
+    """While the IPM runs, scipy's OpenBLAS is on one thread and numpy's
+    pool is left alone; the caller's counts are the same afterwards."""
+
+    def test_one_scipy_thread_inside_ipm(self, blas_threads, monkeypatch):
+        before = blas_threads()
+        seen = []
+        factor = solver.cho_factor
+
+        def cho_factor(*args, **kwargs):
+            seen.append(blas_threads())
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "cho_factor", cho_factor)
+        report = solve_sdp(assemble_sparse_schmudgen(problems.twoballs(), 2))
+        assert report.status == OPTIMAL
+        assert before[0] == 2
+        assert seen and all(counts == (1, before[1]) for counts in seen)
+        assert blas_threads() == before
+
+    @pytest.mark.parametrize(
+        "instance,status",
+        [
+            (problems.twoballs(), OPTIMAL),
+            (cli.parse_problem(DISJOINT), NUMERICAL_FAILURE),
+        ],
+        ids=["optimal", "numerical-failure"],
+    )
+    def test_caller_counts_restored(self, blas_threads, instance, status):
+        before = blas_threads()
+        program = assemble_sparse_schmudgen(instance, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert solve_sdp(program).status == status
+        assert blas_threads() == before
+
+    def test_lp_restores_caller_counts(self, blas_threads):
+        before = blas_threads()
+        prog = assemble_krivine(normalize_krivine(problems.interval_affine(), [1]), 2)
+        assert solve_lp(prog).status == OPTIMAL
+        assert blas_threads() == before
+
+    def test_overlapping_solves_restore_caller_counts(self, blas_threads, monkeypatch):
+        # The count is process-wide.  Solve a starts first and ends while b
+        # is still running; the caller's count must come back after b.
+        before = blas_threads()
+        factor = solver.cho_factor
+        a_inside, b_inside, a_done = threading.Event(), threading.Event(), threading.Event()
+
+        def cho_factor(*args, **kwargs):
+            if threading.current_thread().name == "a":
+                a_inside.set()
+                assert b_inside.wait(60)
+            else:
+                b_inside.set()
+                assert a_done.wait(60)
+            return factor(*args, **kwargs)
+
+        def solve(done=None):
+            statuses.append(solve_sdp(assemble_sparse_schmudgen(problems.twoballs(), 2)).status)
+            if done is not None:
+                done.set()
+
+        monkeypatch.setattr(solver, "cho_factor", cho_factor)
+        statuses = []
+        a = threading.Thread(target=solve, args=(a_done,), name="a")
+        b = threading.Thread(target=solve, name="b")
+        a.start()
+        assert a_inside.wait(60)
+        b.start()
+        for thread in (a, b):
+            thread.join(60)
+            assert not thread.is_alive()
+        assert statuses == [OPTIMAL, OPTIMAL]
+        assert blas_threads() == before
+
+    def test_solves_on_many_threads_restore_caller_counts(self, blas_threads):
+        before = blas_threads()
+        program = assemble_sparse_schmudgen(problems.interval(), 1)
+        statuses = []
+
+        def solve():
+            for _ in range(5):
+                statuses.append(solve_sdp(program).status)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=solve) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(120)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert statuses == [OPTIMAL] * 20
+        assert blas_threads() == before
+
+    def test_without_the_symbol_the_solve_is_unchanged(self, monkeypatch):
+        program = assemble_sparse_schmudgen(problems.twoballs(), 2)
+        pinned = solve_sdp(program)
+        monkeypatch.setattr(solver, "_scipy_thread_setter", lambda: None)
+        plain = solve_sdp(program)
+        assert plain.status == pinned.status == OPTIMAL
+        scale = 1.0 + abs(pinned.primal_objective)
+        assert abs(plain.primal_objective - pinned.primal_objective) <= 1e-9 * scale

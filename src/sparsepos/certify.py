@@ -14,9 +14,12 @@ rational, so nothing is rounded: an SOS term expands in Gram form,
 sum_ij G_ij * m_{a_i + a_j} * w, from the same Gram matrix that the PSD test
 reads (as in Peyrl and Parrilo, "Computing sum of squares decompositions
 with rational coefficients"), and a cone term expands as c * g^a (1-g)^b,
-with the products from the same depth-first walk that assembles the LP rows
-(:func:`relax.cone_products`).  Both kinds feed one sum of Python ints over a
-running common denominator.
+with the products from the same integer walk that assembles the LP rows
+(:func:`relax.cone_products`): each product arrives as int numerators over
+one denominator and goes into the sum as it is.  The walk starts from the
+instance's constraints and the certificate's divisors, never from the
+program, and refuses a divisor that is not positive.  Both kinds feed one
+sum of Python ints over a running common denominator.
 """
 
 from __future__ import annotations
@@ -76,6 +79,15 @@ class SOSCertificate:
 
 @dataclass(frozen=True)
 class ConeCertificate:
+    """Cone coefficients per power pair of each family, over the constraints
+    divided by ``scaling`` (one divisor per constraint, g family first).
+
+    A divisor must be positive, which verification checks; that it also
+    dominates its constraint on the feasible set, so that 1 - g/s >= 0
+    there, is asserted by whoever chose it (see :func:`relax.normalize_krivine`)
+    and is not checked.
+    """
+
     lam: float
     xy_coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], float]
     yz_coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], float]
@@ -194,12 +206,11 @@ def _pieces(cert, instance: ProblemInstance):
         polys, ng = instance.g_constraints + instance.h_constraints, len(instance.g_constraints)
         if len(cert.scaling) != len(polys):
             raise ValueError("scaling record does not match the instance's constraints")
-        scaled = [p.scale(1 / Fraction(s)) for p, s in zip(polys, cert.scaling)]
+        scaled = [p.scale(1 / s) for p, s in zip(polys, _positive_scaling(cert.scaling))]
         for constraints, coeffs in ((scaled[:ng], cert.xy_coeffs), (scaled[ng:], cert.yz_coeffs)):
             pairs = [pair for pair, value in coeffs.items() if value != 0.0]
-            for pair, product in cone_products(constraints, layout, pairs):
-                dp = common_denominator(product.terms)
-                yield Fraction(coeffs[pair]), integer_numerators(product.terms, dp).items(), dp
+            for pair, numerators, dp in cone_products(constraints, layout, pairs):
+                yield Fraction(coeffs[pair]), numerators.items(), dp
     else:
         raise TypeError(f"cannot expand a {type(cert).__name__}")
 
@@ -226,6 +237,17 @@ def expand(cert, instance: ProblemInstance) -> Polynomial:
         for e, v in numerators:
             sums[e] = sums.get(e, 0) + scale * v
     return Polynomial(instance.layout, {e: Fraction(v, den) for e, v in sums.items() if v})
+
+
+def _positive_scaling(scaling) -> tuple[Fraction, ...]:
+    """The normalization divisors as Fractions, refusing any that is not
+    positive: s < 0 turns g >= 0 into g/s <= 0, so the identity would rest
+    on a constraint of the wrong sign, and s = 0 divides by zero."""
+    divisors = tuple(Fraction(s) for s in scaling)
+    for s in divisors:
+        if s <= 0:
+            raise ValueError(f"certificate scaling entry {s} is not positive")
+    return divisors
 
 
 def _coupling_free(cert, expansion: Polynomial, layout: BlockLayout) -> bool:
@@ -262,6 +284,11 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     when below tol * (1 + max |coefficient of f|).  Dense-mode certificates may couple
     X and Z legitimately, so the coupling flag is reported but only gates
     the overall pass for sparse modes.
+
+    A cone certificate whose ``scaling`` has the wrong length or an entry
+    that is not positive raises ``ValueError``.  A positive divisor below
+    its constraint's maximum on the feasible set stays the caller's
+    precondition: verification checks the identity, not the bound.
     """
     expansion = expand(cert, instance)
     diff = instance.objective - Polynomial.constant(instance.layout, Fraction(cert.lam))
@@ -367,7 +394,8 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     the relaxation side of its (mode, family) (see :func:`relax.recipe_side`);
     weights are recomputed from the stored subsets.  ``ValueError``, naming
     the field, is raised for an unknown kind, mode or family; a lambda, Gram
-    entry, cone coeff or scaling entry that is not finite; a cone subset
+    entry, cone coeff or scaling entry that is not finite; a scaling entry
+    that is not positive (as :func:`verify` would); a cone subset
     that is not two lists of one nonnegative int per constraint of its
     family; and a term that :class:`SOSTerm` refuses (a basis exponent that
     is not a list of one nonnegative int per variable, a Gram matrix that is
@@ -387,7 +415,7 @@ def certificate_from_json(text: str, instance: ProblemInstance):
                 raise ValueError(f"unknown cone certificate family {t['family']!r}")
             key = _cone_key(t["subset"], counts[t["family"]])
             coeffs[t["family"]][key] = float(_finite(t["coeff"], "coeff"))
-        scaling = tuple(Fraction(_finite(s, "scaling")) for s in data["scaling"])
+        scaling = _positive_scaling(_finite(s, "scaling") for s in data["scaling"])
         order = int(data["order"])
         return ConeCertificate(lam, coeffs["xy"], coeffs["yz"], scaling, order, layout)
     if kind != "sos":

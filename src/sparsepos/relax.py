@@ -35,7 +35,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .moments import SymbolicMatrix, half_degree, localizing_matrix
-from .poly import BlockLayout, Exponent, Polynomial, grlex_key
+from .poly import BlockLayout, Exponent, Polynomial, common_denominator, grlex_key
+from .poly import integer_numerators
 from .problem import ProblemInstance
 
 
@@ -357,53 +358,112 @@ def _interleaved(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ..
     return tuple(k for ab in zip(*pair) for k in ab)
 
 
+def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Product of two polynomials held as packed exponent -> int numerator;
+    cancelled terms stay in as zeros."""
+    sums: dict[int, int] = {}
+    get = sums.get
+    for p, u in a.items():
+        for q, v in b.items():
+            s = p + q
+            sums[s] = get(s, 0) + u * v
+    return sums
+
+
 def cone_products(
     constraints: Sequence[Polynomial],
     layout: BlockLayout,
     pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> Iterator[tuple[tuple[tuple[int, ...], tuple[int, ...]], Polynomial]]:
-    """Yield ``((alpha, beta), prod_j g_j^a_j (1 - g_j)^b_j)`` for each pair.
+) -> Iterator[tuple[tuple[tuple[int, ...], tuple[int, ...]], dict[Exponent, int], int]]:
+    """Yield ``((alpha, beta), numerators, den)`` for each pair, where
+    ``prod_j g_j^a_j (1 - g_j)^b_j`` is ``sum_e numerators[e] / den * m_e``
+    with int numerators, none of them zero, and one positive int ``den``.
 
     The pairs are walked depth-first, in lexicographic order of their
     interleaved powers, so consecutive pairs share their leading factors: a
     stack holds the partial product of every factor of the current prefix,
     and each power of g_j and 1 - g_j is computed once.  Only O(depth)
-    partial products are alive at once.  A yielded polynomial may be shared
-    with other pairs and must not be mutated.
+    partial products are alive at once.  Inside the walk a polynomial is a
+    map from packed exponents to int numerators over one denominator: an
+    exponent is one int with a digit per variable, in a radix above the
+    largest product degree among the pairs, so multiplying monomials adds
+    ints and no digit carries.  Each distinct exponent is unpacked into its
+    tuple once per walk, and yielded maps share those tuples.
     """
-    one = Polynomial.constant(layout, 1)
-    powers: dict[tuple[int, int], Polynomial] = {}
-    stack = [one]  # stack[t]: product of the first t factors of ``prefix``
+    walk = sorted((_interleaved(pair), pair) for pair in pairs)
+    degs = [g.degree for g in constraints]
+    top = max((sum(k * degs[t // 2] for t, k in enumerate(ks) if k) for ks, _ in walk), default=0)
+    width = top.bit_length()  # every exponent entry is at most top < 2**width
+    shifts = [width * i for i in range(layout.nvars)]
+    mask = (1 << width) - 1
+
+    def pack(g: Polynomial) -> tuple[dict[int, int], int]:
+        den = common_denominator(g.terms)
+        packed = {
+            sum(k << s for k, s in zip(e, shifts)): v
+            for e, v in integer_numerators(g.terms, den).items()
+        }
+        return packed, den
+
+    powers: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
+
+    def power(t: int, k: int) -> tuple[dict[int, int], int]:
+        """Factor t of the interleaved order, g_j at t = 2j and 1 - g_j at
+        t = 2j + 1, to the k >= 1; packed only once some pair raises it."""
+        if (t, k) not in powers:
+            if k == 1:
+                g, den = pack(constraints[t // 2])
+                if t % 2:
+                    g = {p: -v for p, v in g.items()}
+                    g[0] = g.get(0, 0) + den
+                powers[t, 1] = g, den
+            else:
+                (below, dk), (base, d) = power(t, k - 1), power(t, 1)
+                powers[t, k] = _times(below, base), dk * d
+        return powers[t, k]
+
+    exps: dict[int, Exponent] = {}
+    stack = [({0: 1}, 1)]  # stack[t]: product of the first t factors of ``prefix``
     prefix: tuple[int, ...] = ()
-    for pair in sorted(pairs, key=_interleaved):
-        factors = _interleaved(pair)
+    for ks, pair in walk:
         shared = 0
-        for old, new in zip(prefix, factors):
+        for old, new in zip(prefix, ks):
             if old != new:
                 break
             shared += 1
         del stack[shared + 1 :]
-        for t in range(shared, len(factors)):
-            k = factors[t]
-            if k:
-                if (t, k) not in powers:
-                    g = constraints[t // 2]
-                    powers[t, k] = (one - g if t % 2 else g) ** k
-                stack.append(stack[-1] * powers[t, k])
+        for t in range(shared, len(ks)):
+            if ks[t]:
+                partial, den = stack[-1]
+                factor, d = power(t, ks[t])
+                stack.append((_times(partial, factor), den * d))
             else:
                 stack.append(stack[-1])
-        prefix = factors
-        yield pair, stack[-1]
+        prefix = ks
+        product, den = stack[-1]
+        for p, v in product.items():
+            if v and p not in exps:
+                exps[p] = tuple((p >> s) & mask for s in shifts)
+        yield pair, {exps[p]: v for p, v in product.items() if v}, den
 
 
 def _cone_rows(
     family: str, constraints: Sequence[Polynomial], layout: BlockLayout, r: int
 ) -> list[tuple[RowKey, dict[Exponent, Fraction]]]:
     degs = [g.degree for g in constraints]
-    rows = [
-        ((family, alpha, beta), product.terms)
-        for (alpha, beta), product in cone_products(constraints, layout, _power_pairs(degs, 2 * r))
-    ]
+    # Rows repeat few distinct coefficients: one Fraction per (den, numerator).
+    fractions: dict[int, dict[int, Fraction]] = {}
+    rows = []
+    walk = cone_products(constraints, layout, _power_pairs(degs, 2 * r))
+    for (alpha, beta), numerators, den in walk:
+        over = fractions.setdefault(den, {})
+        form = {}
+        for e, v in numerators.items():
+            c = over.get(v)
+            if c is None:
+                c = over[v] = Fraction(v, den)
+            form[e] = c
+        rows.append(((family, alpha, beta), form))
     rows.sort(key=lambda row: (sum(row[0][1]) + sum(row[0][2]), row[0][1], row[0][2]))
     return rows
 

@@ -12,19 +12,23 @@ with A_i = -F_i, C = F0, b = -c, so the (D) variable y is the moment vector
 and the (P) variable X collects the Gram multiplier blocks of the dual
 representation (the bound certificate).  Search directions use Nesterov-Todd
 scaling with a Mehrotra predictor-corrector; elementwise-nonnegative rows
-ride along as diagonal blocks with the same formulas.
+ride along as diagonal blocks with the same formulas.  A cone LP has one
+such block per constraint family: every row is a product of g's alone or of
+h's alone, so each block reads only the moments of its own side (plus the
+shared Y-only ones), and its part of the Schur complement is a dense
+(M_b, R_b) by (R_b, M_b) product over those M_b moments.
 
-Each PSD block keeps only its nonzero constraint coefficients, as a sparse
+Each block keeps only its nonzero constraint coefficients, as a sparse
 (M, k*k) matrix read straight off the terms of the symbolic localizing
-matrices.  The Schur complement is built from those nonzeros (Fujisawa,
-Kojima and Nakata 1997, formula F1), so a k x k block that touches M_b
-moments costs M_b*k^3 per iteration instead of M^2*k^2.  The rest is dense
-float64 linear algebra; exactness is recovered downstream by certificate
-verification.  There is no randomized state, so repeated solves of one
-program are bit-identical.  Infeasibility detection is heuristic: a presolve
-catches constant-row contradictions, divergence of the certificate value
-with small residuals is reported as infeasible, and iterates that overflow
-end in numerical failure.
+matrices, or an (M, R_b) one off the LP rows.  The Schur complement is built
+from those nonzeros (Fujisawa, Kojima and Nakata 1997, formula F1), so a
+k x k block that touches M_b moments costs M_b*k^3 per iteration instead of
+M^2*k^2.  The rest is dense float64 linear algebra; exactness is recovered
+downstream by certificate verification.  There is no randomized state, so
+repeated solves of one program are bit-identical.  Infeasibility detection
+is heuristic: a presolve catches constant-row contradictions, divergence of
+the certificate value with small residuals is reported as infeasible, and
+iterates that overflow end in numerical failure.
 
 numpy and scipy wheels each bundle their own OpenBLAS, with one thread pool
 each, and on a small machine the two pools fight over the same cores.  While
@@ -94,9 +98,9 @@ class SolveReport:
 class _Cone:
     kind: str  # "s" PSD block, "l" elementwise-nonnegative rows
     size: int
-    # s: sparse (M, k*k), column p*k+q holds entry (p, q) of every A_i, both
-    #    triangles stored, no explicit zeros;  l: dense (M, k)
-    A: csr_matrix | np.ndarray
+    # Sparse, no explicit zeros.  s: (M, k*k), column p*k+q holds entry
+    # (p, q) of every A_i, both triangles stored;  l: (M, k), one column a row
+    A: csr_matrix
     C: np.ndarray  # s: (k, k);  l: (k,)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
@@ -135,6 +139,19 @@ class _SparseSchur:
         self.Y.reshape(k, k * m)[:, self.cols] = (self.rows @ W).T
         WAW = np.matmul(W, self.Y)  # [t, r, j] = (W A_j W)[r, t]
         return self.A @ WAW.reshape(k * k, m)
+
+
+class _DiagonalSchur:
+    """Schur complement part H_ij = sum_r A_ir w_r A_jr of one block of
+    nonnegative rows with scaling w, over the M_b moments its rows touch:
+    a dense (M_b, R_b) by (R_b, M_b) product."""
+
+    def __init__(self, A: csr_matrix):
+        self.moments = np.flatnonzero(np.diff(A.indptr))
+        self.A = A[self.moments].toarray()
+
+    def __call__(self, w: np.ndarray) -> np.ndarray:
+        return (self.A * w) @ self.A.T
 
 
 @dataclass
@@ -232,7 +249,7 @@ def _presolve_infeasible(cones: list[_Cone], scale: float) -> bool:
     tiny = 1e-12 * scale
     for cone in cones:
         if cone.kind == "l":
-            dead = np.max(np.abs(cone.A), axis=0) == 0 if cone.A.size else np.ones(cone.size, bool)
+            dead = np.bincount(cone.A.indices, minlength=cone.size) == 0
             if np.any(cone.C[dead] < -tiny):
                 return True
         else:
@@ -250,10 +267,7 @@ def _presolve_unbounded(cones: list[_Cone], b: np.ndarray) -> bool:
         return False
     touched = np.zeros(M, dtype=bool)
     for cone in cones:
-        if cone.kind == "s":
-            touched |= np.diff(cone.A.indptr) > 0
-        else:
-            touched |= np.max(np.abs(cone.A), axis=1) > 0
+        touched |= np.diff(cone.A.indptr) > 0
     return bool(np.any((~touched) & (b != 0)))
 
 
@@ -326,10 +340,7 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
     norm_C = float(np.sqrt(sum(np.sum(c.C**2) for c in cones)))
     data_norm = max(
         [norm_b] + [float(np.max(np.abs(c.C), initial=0.0)) for c in cones]
-        + [
-            float(np.max(np.abs(c.A.data if c.kind == "s" else c.A), initial=0.0))
-            for c in cones
-        ]
+        + [float(np.max(np.abs(c.A.data), initial=0.0)) for c in cones]
     )
     init_scale = 1.0 + data_norm
 
@@ -353,7 +364,9 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
     S = [init_scale * (np.eye(c.size) if c.kind == "s" else np.ones(c.size)) for c in cones]
     y = np.zeros(M)
 
-    schur_parts = [_SparseSchur(c.A, c.size) if c.kind == "s" else None for c in cones]
+    schur_parts = [
+        _SparseSchur(c.A, c.size) if c.kind == "s" else _DiagonalSchur(c.A) for c in cones
+    ]
     status = MAX_ITERATIONS
     iterations = 0
     rel_p = rel_d = np.inf
@@ -390,14 +403,11 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
 
             schur = np.zeros((M, M))
             for c, sc, part in zip(cones, scal, schur_parts):
-                if c.kind == "s":
-                    block = part(sc.W)
-                    if part.moments.size == M:
-                        schur += block
-                    else:
-                        schur[np.ix_(part.moments, part.moments)] += block
+                block = part(sc.W if c.kind == "s" else sc.w2)
+                if part.moments.size == M:
+                    schur += block
                 else:
-                    schur += (c.A * sc.w2) @ c.A.T
+                    schur[np.ix_(part.moments, part.moments)] += block
             schur = _sym(schur)
             if not np.isfinite(schur).all():
                 raise np.linalg.LinAlgError("non-finite Schur complement")
@@ -541,21 +551,37 @@ def _sdp_cones(program: ConicProgram):
 
 
 def _lp_cones(program: LinearProgram):
+    """One cone of nonnegative rows per constraint family, in order of first
+    appearance, and the positions in ``program.rows`` of each cone's rows."""
     layout = program.layout
     zero = layout.zero_exponent
     pos = _moment_positions(program.variable_index, layout)
     M = len(program.variable_index) - 1
-    R = len(program.rows)
-    A = np.zeros((M, R))
-    C = np.zeros(R)
-    for row, (_, form) in enumerate(program.rows):
-        for e, coeff in form.items():
-            v = float(coeff)
-            if e == zero:
-                C[row] += v
-            else:
-                A[pos[e], row] -= v
-    return [_Cone("l", R, A, C)], pos, M
+    families: dict[str, list[int]] = {}
+    for i, ((family, _, _), _) in enumerate(program.rows):
+        families.setdefault(family, []).append(i)
+    # Assembly shares one Fraction per distinct coefficient, so each object
+    # is converted once; the rows keep every keyed object alive meanwhile.
+    floats: dict[int, float] = {}
+    cones = []
+    for rows in families.values():
+        C = np.zeros(len(rows))
+        moment, column, value = [], [], []
+        for col, i in enumerate(rows):
+            for e, coeff in program.rows[i][1].items():
+                v = floats.get(id(coeff))
+                if v is None:
+                    v = floats[id(coeff)] = float(coeff)
+                if e == zero:
+                    C[col] += v
+                else:
+                    moment.append(pos[e])
+                    column.append(col)
+                    value.append(-v)
+        A = csr_matrix((value, (moment, column)), shape=(M, len(rows)))
+        A.eliminate_zeros()
+        cones.append(_Cone("l", len(rows), A, C))
+    return cones, pos, M, list(families.values())
 
 
 def _objective_vector(program, M: int, pos) -> tuple[np.ndarray, float]:
@@ -608,10 +634,12 @@ def solve_sdp(program: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> 
 def solve_lp(program: LinearProgram, tol: float = 1e-8, max_iter: int = 200) -> SolveReport:
     """Solve a cone relaxation; row multipliers come back as the duals."""
     _check_tol(tol)
-    cones, pos, M = _lp_cones(program)
+    cones, pos, M, families = _lp_cones(program)
     c, f0 = _objective_vector(program, M, pos)
     raw = _ipm(cones, -c, tol, max_iter)
-    multipliers = raw.X[0]
+    multipliers = np.empty(len(program.rows))
+    for rows, Xc in zip(families, raw.X):
+        multipliers[rows] = Xc
     dual_blocks = [
         (key, float(multipliers[i])) for i, (key, _) in enumerate(program.rows)
     ]

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsepos import problems
 from sparsepos.certify import (
@@ -25,6 +27,7 @@ from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
     assemble_krivine,
     assemble_sparse_schmudgen,
+    cone_products,
     normalize_krivine,
 )
 from sparsepos.solver import solve_lp, solve_sdp
@@ -282,6 +285,19 @@ class TestVerify:
             assert ev <= fv + 1e-6 * (1 + abs(fv))
 
 
+def _sign_flipped_cone(divisor):
+    inst = replace(problems.interval(), objective=X1**2)
+    cert = ConeCertificate(
+        lam=1.0,
+        xy_coeffs={((1,), (0,)): 1.0},
+        yz_coeffs={},
+        scaling=(Fraction(divisor),),
+        order=1,
+        layout=UNIVARIATE,
+    )
+    return inst, cert
+
+
 class TestCone:
     def test_extract_and_verify(self):
         inst = problems.interval_affine()
@@ -306,6 +322,16 @@ class TestCone:
             layout=layout,
         )
         assert expand(cert, inst) == (4 - x**2).scale(Fraction(1, 4))
+
+    @pytest.mark.parametrize("divisor", [-1, 0])
+    def test_nonpositive_scaling_refused(self, divisor):
+        # g = 1 - x^2 divided by -1 is x^2 - 1, and 1 * (x^2 - 1) = f - 1 for
+        # f = x^2: it would "prove" min x^2 >= 1 on [-1, 1], where it is 0.
+        inst, cert = _sign_flipped_cone(divisor)
+        with pytest.raises(ValueError, match="scaling"):
+            verify(cert, inst)
+        with pytest.raises(ValueError, match="scaling"):
+            certificate_from_json(certificate_to_json(cert), inst)
 
 
 @pytest.fixture(scope="module")
@@ -529,6 +555,28 @@ def _reference_expansion(cert, instance):
     return total
 
 
+WALK_LAYOUT = BlockLayout(1, 1, 1)
+_WALK_COEFFS = st.sampled_from(
+    [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(1, 3), Fraction(-5, 3)]
+)
+
+
+@st.composite
+def _cone_walks(draw):
+    """Up to two random constraints (denominators 2 and 3, degree up to 6)
+    and a constant one, with power pairs of total degree up to 72, far above
+    the 2r of any assembled row."""
+    exps = st.tuples(*[st.integers(0, 2)] * 3)
+    terms = st.dictionaries(exps, _WALK_COEFFS, min_size=1, max_size=3)
+    drawn = draw(st.lists(terms, min_size=1, max_size=2))
+    constraints = [Polynomial.from_terms(WALK_LAYOUT, t) for t in drawn]
+    constant = Polynomial.constant(WALK_LAYOUT, draw(_WALK_COEFFS))
+    constraints.insert(draw(st.integers(0, len(constraints))), constant)
+    powers = st.tuples(*[st.integers(0, 3)] * len(constraints))
+    pairs = draw(st.lists(st.tuples(powers, powers), min_size=1, max_size=6, unique=True))
+    return constraints, pairs
+
+
 class TestConeProducts:
     R = 3
 
@@ -540,6 +588,18 @@ class TestConeProducts:
         report = solve_lp(prog)
         assert report.status == "optimal"
         return inst, normed, prog, extract_cone(report, prog)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_cone_walks())
+    def test_walk_matches_reference_products(self, walk):
+        constraints, pairs = walk
+        seen = []
+        for pair, numerators, den in cone_products(constraints, WALK_LAYOUT, pairs):
+            assert den > 0 and all(numerators.values())
+            product = {e: Fraction(v, den) for e, v in numerators.items()}
+            assert product == _reference_product(constraints, *pair, WALK_LAYOUT).terms
+            seen.append(pair)
+        assert sorted(seen) == sorted(pairs)
 
     def test_rows_match_reference_enumeration(self, solved):
         _, normed, prog, _ = solved

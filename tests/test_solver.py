@@ -3,12 +3,14 @@ import functools
 import sys
 import threading
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sparsepos import cli, problems, solver
+from sparsepos.certify import extract_cone, verify
 from sparsepos.moments import SymbolicMatrix
 from sparsepos.poly import BlockLayout, Polynomial
 from sparsepos.problem import ProblemInstance
@@ -27,6 +29,8 @@ from sparsepos.solver import (
     NUMERICAL_FAILURE,
     OPTIMAL,
     UNBOUNDED,
+    _DiagonalSchur,
+    _lp_cones,
     _SparseSchur,
     _sdp_cones,
     solve_lp,
@@ -183,6 +187,73 @@ class TestLp:
         assert report.status == OPTIMAL
         assert all(v >= -1e-9 for _, v in report.dual_blocks)
         assert abs(report.primal_objective + 1) <= 1e-6
+
+
+def _two_family_box():
+    """[-1,1]^3 through (1+v)/2 on both sides, y shared: two LP cones."""
+    layout = BlockLayout(1, 1, 1)
+    x, y, z = (Polynomial.variable(layout, n) for n in "xyz")
+    half = Fraction(1, 2)
+    return ProblemInstance(
+        layout,
+        x * y + y * z + x - z,
+        ((1 + x).scale(half), (1 + y).scale(half)),
+        ((1 + z).scale(half), (1 - y).scale(half)),
+    )
+
+
+class TestLpFamilyCones:
+    """One LP cone per constraint family, each over the moments it touches."""
+
+    def test_duals_follow_program_rows(self):
+        inst = _two_family_box()
+        prog = assemble_krivine(normalize_krivine(inst, [1] * 4), 2)
+        # Interleave the families, so that cone order is not row order.
+        xy = [row for row in prog.rows if row[0][0] == "xy"]
+        yz = [row for row in prog.rows if row[0][0] == "yz"]
+        assert len(xy) == len(yz) > 1
+        rows = [row for pair in zip(yz, xy) for row in pair]
+        for program in (prog, replace(prog, rows=tuple(rows))):
+            report = solve_lp(program)
+            assert report.status == OPTIMAL
+            assert [key for key, _ in report.dual_blocks] == [key for key, _ in program.rows]
+            # The identity only holds with each multiplier on its own row.
+            assert verify(extract_cone(report, program), inst).passed
+
+    def test_schur_parts_match_dense_reference(self):
+        prog = assemble_krivine(normalize_krivine(_two_family_box(), [1] * 4), 2)
+        cones, _, M, families = _lp_cones(prog)
+        assert [c.kind for c in cones] == ["l", "l"]
+        assert [len(rows) for rows in families] == [c.size for c in cones]
+        zero = prog.layout.zero_exponent
+        pos = {e: i - 1 for i, e in enumerate(prog.variable_index) if i > 0}
+        A = np.zeros((M, len(prog.rows)))
+        for j, (_, form) in enumerate(prog.rows):
+            for e, coeff in form.items():
+                if e != zero:
+                    A[pos[e], j] = -float(coeff)
+        w = np.random.default_rng(3).uniform(0.5, 2.0, len(prog.rows))
+        schur = np.zeros((M, M))
+        for cone, rows in zip(cones, families):
+            np.testing.assert_array_equal(cone.A.toarray(), A[:, rows])
+            part = _DiagonalSchur(cone.A)
+            assert part.moments.size < M
+            schur[np.ix_(part.moments, part.moments)] += part(w[rows])
+        assert _rel_err(schur, (A * w) @ A.T) <= 1e-12
+
+    def test_unit_row_family_touches_no_moment(self):
+        # interval has no h constraint: its yz family is the unit row alone.
+        inst = replace(problems.interval(), objective=X1**2)
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 2)
+        assert [form for key, form in prog.rows if key[0] == "yz"] == [
+            {UNIVARIATE.zero_exponent: Fraction(1)}
+        ]
+        cones, _, _, _ = _lp_cones(prog)
+        assert cones[1].A.nnz == 0
+        report = solve_lp(prog)
+        assert report.status == OPTIMAL
+        assert abs(report.primal_objective) <= 1e-6
+        assert verify(extract_cone(report, prog), inst).passed
 
 
 class TestModuleVersusPreordering:

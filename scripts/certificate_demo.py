@@ -15,8 +15,7 @@ import sys
 
 from sparsepos import problems
 from sparsepos.certify import certificate_to_json, expand, extract_sos, verify
-from sparsepos.hierarchy import RunConfig, prepare_instance
-from sparsepos.relax import RECIPES, CapacityError, OrderError, assemble, min_order
+from sparsepos.relax import RECIPES, CapacityError, ModeError, OrderError, assemble, min_order
 from sparsepos.solver import solve_sdp
 
 
@@ -29,12 +28,12 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="write the certificate JSON here")
     args = parser.parse_args(argv)
 
-    instance = prepare_instance(problems.get(args.instance), RunConfig(variant=args.variant))
+    instance = problems.get(args.instance)
     r = args.order if args.order is not None else min_order(instance, args.variant)
 
     try:
         program = assemble(instance, args.variant, r)
-    except (OrderError, CapacityError) as exc:
+    except (OrderError, CapacityError, ModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = solve_sdp(program)

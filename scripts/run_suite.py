@@ -1,6 +1,9 @@
 #!/usr/bin/env python3
 """Bound tables for every built-in instance across the applicable variants.
 
+A variant whose minimum order exceeds ``--max-order`` is skipped with a
+line saying so.
+
 Usage: python scripts/run_suite.py [--max-order R] [--tol T]
 """
 
@@ -21,21 +24,25 @@ VARIANTS_BY_INSTANCE = {
 }
 
 
-def main() -> int:
+def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=int, default=3)
     parser.add_argument("--tol", type=float, default=1e-8)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     for name, variants in VARIANTS_BY_INSTANCE.items():
         instance = problems.get(name)
         box, step = problems.ORACLE_SETTINGS[name]
         print(f"\n=== {name} ===")
         for variant in variants:
+            r0 = min_order(instance, variant)
+            if r0 > args.max_order:
+                print(f"variant: {variant} skipped, minimum order {r0} exceeds --max-order")
+                continue
             k = len(instance.g_constraints) + len(instance.h_constraints)
             config = RunConfig(
                 variant=variant,
-                r_min=min_order(instance, variant),
+                r_min=r0,
                 r_max=args.max_order,
                 tol=args.tol,
                 oracle_box=box,

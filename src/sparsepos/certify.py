@@ -208,7 +208,8 @@ def _pieces(cert, instance: ProblemInstance):
             raise ValueError("scaling record does not match the instance's constraints")
         scaled = [p.scale(1 / s) for p, s in zip(polys, _positive_scaling(cert.scaling))]
         for constraints, coeffs in ((scaled[:ng], cert.xy_coeffs), (scaled[ng:], cert.yz_coeffs)):
-            pairs = [pair for pair, value in coeffs.items() if value != 0.0]
+            count = len(constraints)
+            pairs = [_cone_key(pair, count) for pair, value in coeffs.items() if value != 0.0]
             for pair, numerators, dp in cone_products(constraints, layout, pairs):
                 yield Fraction(coeffs[pair]), numerators.items(), dp
     else:
@@ -286,9 +287,11 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     the overall pass for sparse modes.
 
     A cone certificate whose ``scaling`` has the wrong length or an entry
-    that is not positive raises ``ValueError``.  A positive divisor below
-    its constraint's maximum on the feasible set stays the caller's
-    precondition: verification checks the identity, not the bound.
+    that is not positive, or with a coefficient key that is not two
+    sequences of one nonnegative int per constraint of its family, raises
+    ``ValueError``.  A positive divisor below its constraint's maximum on
+    the feasible set stays the caller's precondition: verification checks
+    the identity, not the bound.
     """
     expansion = expand(cert, instance)
     diff = instance.objective - Polynomial.constant(instance.layout, Fraction(cert.lam))
@@ -369,13 +372,14 @@ def _finite(value, field: str):
 
 def _cone_key(subset, count: int):
     """The (alpha, beta) powers of a cone term, refusing anything but two
-    lists of ``count`` nonnegative ints (``cone_products`` would zip a longer
-    list down to another key)."""
+    sequences of ``count`` nonnegative ints (``cone_products`` would zip a
+    longer one down to another key, and recurse without end on a negative or
+    fractional power)."""
     if not (
-        isinstance(subset, list)
+        isinstance(subset, (list, tuple))
         and len(subset) == 2
         and all(
-            isinstance(powers, list)
+            isinstance(powers, (list, tuple))
             and len(powers) == count
             and all(type(a) is int and a >= 0 for a in powers)
             for powers in subset
@@ -397,9 +401,10 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     entry, cone coeff or scaling entry that is not finite; a scaling entry
     that is not positive (as :func:`verify` would); a cone subset
     that is not two lists of one nonnegative int per constraint of its
-    family; and a term that :class:`SOSTerm` refuses (a basis exponent that
-    is not a list of one nonnegative int per variable, a Gram matrix that is
-    not len(basis) x len(basis)).
+    family; an SOS subset that is not a list of int indices into its side's
+    constraints; and a term that :class:`SOSTerm` refuses (a basis exponent
+    that is not a list of one nonnegative int per variable, a Gram matrix
+    that is not len(basis) x len(basis)).
     """
     data = json.loads(text)
     layout = instance.layout
@@ -424,10 +429,12 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     terms = []
     for t in data["terms"]:
         side = recipe_side(mode, t["family"])
-        subset = tuple(t["subset"])
+        subset = t["subset"]
+        if not isinstance(subset, list) or any(type(j) is not int for j in subset):
+            raise ValueError(f"term subset {subset!r}; expected a list of constraint indices")
         # SOSTerm refuses whatever is not a list of ints here.
         basis = tuple(tuple(e) if isinstance(e, list) else e for e in t["basis"])
         gram = np.array([[float(_finite(v, "gram entry")) for v in row] for row in t["gram"]])
-        weight = side.weight(instance, subset)
-        terms.append(SOSTerm(t["family"], subset, side.block, weight, basis, gram))
+        weight = side.weight(instance, subset)  # refuses an index out of range
+        terms.append(SOSTerm(t["family"], tuple(subset), side.block, weight, basis, gram))
     return SOSCertificate(lam, tuple(terms), mode, int(data["order"]), layout)

@@ -3,7 +3,9 @@
 One row per order carries the bound, solver status, duality gap, block
 statistics and wall time.  Rows that fail to assemble (order too low,
 capacity guards) or to solve are recorded and the remaining orders still
-run.  Bounds should be nondecreasing in the order; violations beyond
+run.  A variant that does not apply to the instance (product with a g
+that touches Y) raises ``relax.ModeError`` at the first order, before any
+row.  Bounds should be nondecreasing in the order; violations beyond
 tolerance are flagged on the row.
 """
 
@@ -77,20 +79,11 @@ class HierarchyResult:
         ]
 
 
-def prepare_instance(instance: ProblemInstance, config: RunConfig) -> ProblemInstance:
-    """Apply the mode/normalization prerequisites of the chosen variant."""
-    product = config.variant == "product"
-    if instance.product_mode != product:
-        instance = instance.with_product_mode(product)
-    if config.variant == "krivine" and instance.krivine_scaling is None:
-        instance = relax.normalize_krivine(instance, config.krivine_bounds)
-    return instance
-
-
 def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResult:
     if config.variant not in VARIANTS:
         raise ConfigError(f"unknown variant {config.variant!r}; expected one of {VARIANTS}")
-    instance = prepare_instance(instance, config)
+    if config.variant == "krivine" and instance.krivine_scaling is None:
+        instance = relax.normalize_krivine(instance, config.krivine_bounds)
 
     r0 = relax.min_order(instance, config.variant)
     r_min = config.r_min if config.r_min is not None else r0
@@ -107,8 +100,7 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
         start = time.perf_counter()
         try:
             program = relax.assemble(instance, config.variant, r)
-        except (relax.OrderError, relax.CapacityError, relax.ModeError,
-                relax.NormalizationError) as exc:
+        except (relax.OrderError, relax.CapacityError, relax.NormalizationError) as exc:
             ms = 1000.0 * (time.perf_counter() - start)
             result.rows.append(
                 RowResult(r, None, "order-error", None, 0, 0, ms, error=str(exc))

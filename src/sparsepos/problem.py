@@ -1,14 +1,15 @@
 """Problem instances: objective, two constraint families, block membership.
 
 An instance holds the minimization target f together with the g constraints
-(supported on the X,Y variables; on X alone in product mode) and the h
-constraints (supported on Y,Z).  Construction validates the block pattern so
-that everything downstream can rely on it.
+(supported on the X,Y variables) and the h constraints (supported on Y,Z).
+Construction validates the block pattern so that everything downstream can
+rely on it.  Whether the g's lie on X alone, the cartesian-product case, is
+read off their supports by the relaxation that needs it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import BlockLayout, LayoutError, Polynomial, check_sparsity
@@ -22,18 +23,15 @@ class BlockSupportError(ValueError):
 class ProblemInstance:
     """Minimize ``objective`` over the set where all constraints are >= 0.
 
-    ``product_mode`` selects the cartesian-product regime: every g constraint
-    must then involve X variables only, and the product relaxation variant
-    becomes available.  ``krivine_scaling`` is set by the normalization step
-    that prepares an instance for the cone (LP) hierarchy; it records the
-    divisor applied to each constraint, g family first.
+    ``krivine_scaling`` is set by the normalization step that prepares an
+    instance for the cone (LP) hierarchy; it records the divisor applied to
+    each constraint, g family first.
     """
 
     layout: BlockLayout
     objective: Polynomial
     g_constraints: tuple[Polynomial, ...]
     h_constraints: tuple[Polynomial, ...]
-    product_mode: bool = False
     g_names: tuple[str, ...] = ()
     h_names: tuple[str, ...] = ()
     krivine_scaling: tuple[Fraction, ...] | None = None
@@ -58,14 +56,11 @@ class ProblemInstance:
             if poly.layout != self.layout:
                 raise LayoutError("all polynomials must share the instance layout")
 
-        g_block = "x" if self.product_mode else "xy"
         for name, g in zip(self.g_names, self.g_constraints):
             if g.degree < 1:
                 raise BlockSupportError(f"constraint {name} is constant")
-            if not g.is_supported_on(g_block):
-                raise BlockSupportError(
-                    f"constraint {name} must be supported on the {g_block} block"
-                )
+            if not g.is_supported_on("xy"):
+                raise BlockSupportError(f"constraint {name} must be supported on the xy block")
         for name, h in zip(self.h_names, self.h_constraints):
             if h.degree < 1:
                 raise BlockSupportError(f"constraint {name} is constant")
@@ -77,10 +72,6 @@ class ProblemInstance:
 
     def split_objective(self) -> tuple[Polynomial, Polynomial]:
         return check_sparsity(self.objective)
-
-    def with_product_mode(self, flag: bool) -> "ProblemInstance":
-        """Same data under the other regime; revalidates block membership."""
-        return replace(self, product_mode=flag)
 
     def feasible(self, point, slack: float = 0.0) -> bool:
         """True when every constraint holds at ``point`` up to ``slack``."""

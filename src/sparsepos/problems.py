@@ -38,7 +38,7 @@ def product_twoballs() -> ProblemInstance:
     f = x + (x - y) ** 2 + (y - z) ** 2 + z
     g = 1 - x**2
     h = 1 - y**2 - z**2
-    return ProblemInstance(layout, f, (g,), (h,), product_mode=True)
+    return ProblemInstance(layout, f, (g,), (h,))
 
 
 def interval() -> ProblemInstance:

@@ -1,20 +1,21 @@
 """Assembly of the relaxation hierarchy variants.
 
 Each sum-of-squares variant is a sum of cones, one per side, written as one
-row of :data:`RECIPES`: the program ``mode``, the product mode the instance
-needs (on, off or either) and the ordered sides.  A :class:`Side` names its
-block label family, the constraints it multiplies (g, h, both or none), the
-variable block its PSD blocks live on, and its weights: all subset products
-of those constraints, the nonempty ones, or the empty product plus the
-singletons.  Each weight w gets a localizing matrix on the side's block at
-order r - ceil(deg w / 2).
+row of :data:`RECIPES`: the program ``mode`` and the ordered sides.  A
+:class:`Side` names its block label family, the constraints it multiplies
+(g, h, both or none), the variable block its PSD blocks live on, and its
+weights: all subset products of those constraints, the nonempty ones, or the
+empty product plus the singletons.  Each weight w gets a localizing matrix on
+the side's block at order r - ceil(deg w / 2), so every constraint a side
+multiplies must be supported on the side's block; :func:`assemble` checks
+this and raises :class:`ModeError` otherwise.
 
   schmudgen-sparse  P(g) on (X,Y) + P(h) on (Y,Z): all subset products
   putinar-sparse    Q(g) on (X,Y) + Q(h) on (Y,Z): empty set and singletons
   dense             subset products of both families together, over all
                     variables jointly (the unstructured baseline)
   product           an unweighted (X,Y) moment block + nonempty g-products
-                    on X alone + P(h) on (Y,Z); needs product mode
+                    on X alone + P(h) on (Y,Z); applies when every g is in X
 
 :func:`assemble` builds every program from its row, :func:`min_order` reads
 the smallest admissible order off the same row, and a certificate term gets
@@ -49,7 +50,7 @@ class CapacityError(ValueError):
 
 
 class ModeError(ValueError):
-    """Assembly variant does not match the instance's mode."""
+    """A constraint the variant multiplies on a block is not supported there."""
 
 
 class NormalizationError(ValueError):
@@ -127,7 +128,6 @@ class LinearProgram:
     objective: dict[Exponent, Fraction]
     rows: tuple[tuple[RowKey, dict[Exponent, Fraction]], ...]
     scaling: tuple[Fraction, ...]
-    mode: str = "krivine"
 
     @property
     def num_rows(self) -> int:
@@ -207,28 +207,27 @@ class Side:
 
 @dataclass(frozen=True)
 class Recipe:
-    """A relaxation: program mode, required product mode, sides in block order."""
+    """A relaxation: program mode and sides in block order."""
 
     mode: str
-    product_mode: bool | None  # None accepts either
     sides: tuple[Side, ...]
 
 
 RECIPES: dict[str, Recipe] = {
-    "schmudgen-sparse": Recipe("schmudgen", False, (
+    "schmudgen-sparse": Recipe("schmudgen", (
         Side("xy", "g", "xy", "all"),
         Side("yz", "h", "yz", "all"),
     )),
-    "putinar-sparse": Recipe("putinar", False, (
+    "putinar-sparse": Recipe("putinar", (
         Side("xy", "g", "xy", "singletons"),
         Side("yz", "h", "yz", "singletons"),
     )),
-    "dense": Recipe("dense", None, (
+    "dense": Recipe("dense", (
         Side("dense", "gh", "xyz", "all"),
     )),
     # The empty g product would duplicate a submatrix of the unweighted
     # (X,Y) block, so the X side starts at the nonempty products.
-    "product": Recipe("product", True, (
+    "product": Recipe("product", (
         Side("sigma_xy", "", "xy", "all"),
         Side("xy", "g", "x", "nonempty"),
         Side("yz", "h", "yz", "all"),
@@ -282,12 +281,13 @@ def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram | 
             "cone assembly requires normalize_krivine to run first "
             "(constraints must be scaled into [0, 1] on the feasible set)"
         )
-    if recipe is not None and recipe.product_mode not in (None, instance.product_mode):
-        raise ModeError(
-            f"{variant} assembly requires product mode "
-            f"{'on' if recipe.product_mode else 'off'}; the product variant "
-            f"is the relaxation for product-mode instances"
-        )
+    for side in recipe.sides if recipe else ():
+        # Only the product variant's X side can fail: g is validated on (X,Y).
+        if not all(c.is_supported_on(side.block) for c in side.constraint_list(instance)):
+            raise ModeError(
+                f"{variant} assembly needs every {side.constraints} constraint "
+                f"supported on the {side.block} block"
+            )
     r0 = min_order(instance, variant)
     if r < r0:
         raise OrderError(f"order {r} below the minimum admissible order {r0} for {variant}")
@@ -327,7 +327,7 @@ def assemble_dense(instance: ProblemInstance, r: int) -> ConicProgram:
 
 
 def assemble_product(instance: ProblemInstance, r: int) -> ConicProgram:
-    """Cartesian-product relaxation; needs an instance in product mode."""
+    """Cartesian-product relaxation; every g constraint must lie in X."""
     return assemble(instance, "product", r)
 
 
@@ -532,10 +532,9 @@ def _auto_upper_bounds(instance: ProblemInstance) -> list[Fraction]:
     # consumes programs assembled here.
     from .solver import solve_sdp
 
-    base = instance.with_product_mode(False)
     bounds: list[Fraction] = []
     for poly in (*instance.g_constraints, *instance.h_constraints):
-        sub = replace(base, objective=-poly, krivine_scaling=None)
+        sub = replace(instance, objective=-poly, krivine_scaling=None)
         r = min_order(sub, "putinar-sparse") + 1
         report = solve_sdp(assemble_sparse_putinar(sub, r), tol=1e-8)
         if report.status != "optimal":

@@ -199,6 +199,20 @@ def _max_step_l(x: np.ndarray, dx: np.ndarray) -> float:
     return float(np.min(x[neg] / -dx[neg]))
 
 
+def _max_steps(cones, scal, S, dX, dS) -> tuple[float, float]:
+    """Largest primal and dual steps along (dX, dS) that stay in every cone,
+    inf when no cone bounds them."""
+    ap = ad = np.inf
+    for c, sc, Sc, dXc, dSc in zip(cones, scal, S, dX, dS):
+        if c.kind == "s":
+            ap = min(ap, _max_step_s(sc.Lx, dXc))
+            ad = min(ad, _max_step_s(sc.Ls, dSc))
+        else:
+            ap = min(ap, _max_step_l(sc.x, dXc))
+            ad = min(ad, _max_step_l(Sc, dSc))
+    return ap, ad
+
+
 class _Scaling:
     """Nesterov-Todd scaling point data for one cone.
 
@@ -449,19 +463,7 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
             # Predictor: pure Newton step toward complementarity zero.
             Rc_aff = [-Xc for Xc in X]
             dy_a, dX_a, dS_a = newton(Rc_aff)
-            ap = min(
-                1.0,
-                min(
-                    _max_step_s(sc.Lx, d) if c.kind == "s" else _max_step_l(sc.x, d)
-                    for c, sc, d in zip(cones, scal, dX_a)
-                ),
-            )
-            ad = 1.0
-            for c, sc, Sc, d in zip(cones, scal, S, dS_a):
-                if c.kind == "s":
-                    ad = min(ad, _max_step_s(sc.Ls, d))
-                else:
-                    ad = min(ad, _max_step_l(Sc, d))
+            ap, ad = (min(1.0, a) for a in _max_steps(cones, scal, S, dX_a, dS_a))
             mu_aff = max(
                 0.0,
                 sum(
@@ -484,15 +486,7 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
             status = NUMERICAL_FAILURE
             break
 
-        ap = 1.0
-        ad = 1.0
-        for c, sc, Sc, dXc, dSc in zip(cones, scal, S, dX, dS):
-            if c.kind == "s":
-                ap = min(ap, _STEP_FRACTION * _max_step_s(sc.Lx, dXc))
-                ad = min(ad, _STEP_FRACTION * _max_step_s(sc.Ls, dSc))
-            else:
-                ap = min(ap, _STEP_FRACTION * _max_step_l(sc.x, dXc))
-                ad = min(ad, _STEP_FRACTION * _max_step_l(Sc, dSc))
+        ap, ad = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(cones, scal, S, dX, dS))
 
         if max(ap, ad) < 1e-10:
             stalls += 1

@@ -67,11 +67,6 @@ class SolveEntry:
 
 def _prepared(name: str, variant: str):
     instance = problems.get(name)
-    if variant == "product":
-        if not instance.product_mode:
-            instance = instance.with_product_mode(True)
-    elif instance.product_mode:
-        instance = instance.with_product_mode(False)
     if variant == "krivine":
         k = len(instance.g_constraints) + len(instance.h_constraints)
         instance = relax.normalize_krivine(instance, [1] * k)

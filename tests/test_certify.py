@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -333,6 +334,21 @@ class TestCone:
         with pytest.raises(ValueError, match="scaling"):
             certificate_from_json(certificate_to_json(cert), inst)
 
+    @pytest.mark.parametrize(
+        "pair",
+        [((-1,), (0,)), ((1.5,), (0,)), ((1, 5), (0, 0)), ((1,), (0, 0))],
+        ids=["negative", "fraction", "long", "wrong-length"],
+    )
+    def test_malformed_power_pair_refused(self, pair):
+        # interval_affine has one g constraint, so a key is two 1-tuples; a
+        # hand-built certificate skips the JSON reader's check.
+        inst = problems.interval_affine()
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 2)
+        cert = extract_cone(solve_lp(prog), prog)
+        cert.xy_coeffs[pair] = 0.5
+        with pytest.raises(ValueError, match=re.escape(repr(pair))):
+            verify(cert, inst)
+
 
 @pytest.fixture(scope="module")
 def twoballs_r1_json():
@@ -456,13 +472,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match="subset"):
             certificate_from_json(json.dumps(data), inst)
 
-    @pytest.mark.parametrize("index", [-1, 1])
-    def test_subset_index_out_of_range_rejected(self, index):
-        # interval has one g constraint; -1 must not wrap around to it.
+    @pytest.mark.parametrize(
+        "subset,match",
+        [
+            pytest.param([-1], "subset index", id="-1"),
+            pytest.param([1], "subset index", id="1"),
+            pytest.param([0.5], "term subset", id="fraction"),
+            pytest.param([True], "term subset", id="bool"),
+            pytest.param(["0"], "term subset", id="string"),
+            pytest.param(5, "term subset", id="not-a-list"),
+        ],
+    )
+    def test_subset_index_out_of_range_rejected(self, subset, match):
+        # interval has one g constraint; -1 must not wrap around to it, and
+        # only a list of ints indexes it.
         prog, report = _solved(problems.interval(), 1)
         data = json.loads(certificate_to_json(extract_sos(report, prog)))
-        data["terms"][1]["subset"] = [index]
-        with pytest.raises(ValueError, match="subset index"):
+        data["terms"][1]["subset"] = subset
+        with pytest.raises(ValueError, match=match):
             certificate_from_json(json.dumps(data), problems.interval())
 
     @pytest.mark.parametrize("field,value", [("family", "zz"), ("mode", "schmudgen")])

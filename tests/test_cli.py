@@ -171,7 +171,7 @@ class TestMain:
         assert "optimal" in out
 
     def test_product_variant_rejects_mixed_g(self, problem_file, capsys):
-        # twoballs has g touching y, invalid in product mode.
+        # twoballs has g touching y, which the product variant's X side refuses.
         code = main([problem_file, "--variant", "product", "--order", "1"])
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -187,8 +187,8 @@ def _load_script(name):
 
 class TestCertificateDemo:
     def test_product_instance_under_schmudgen(self, tmp_path, capsys):
-        # The product instance is stored in product mode; the demo switches
-        # it off for the generic sparse relaxation.
+        # Its g lies on X alone, which the (X,Y) side of the generic sparse
+        # relaxation supports as it is.
         demo = _load_script("certificate_demo")
         out_path = tmp_path / "cert.json"
         code = demo.main(["product", "--variant", "schmudgen-sparse", "--out", str(out_path)])
@@ -202,6 +202,11 @@ class TestCertificateDemo:
         assert demo.main(["twoballs", "--variant", "dense", "--order", "1"]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_product_variant_on_mixed_g_exits_2(self, capsys):
+        demo = _load_script("certificate_demo")
+        assert demo.main(["twoballs", "--variant", "product"]) == 2
+        assert "x block" in capsys.readouterr().err
+
     def test_unverified_certificate_not_written(self, tmp_path, capsys, monkeypatch):
         demo = _load_script("certificate_demo")
         monkeypatch.setattr(demo, "verify", lambda cert, instance: FAILING)
@@ -209,3 +214,13 @@ class TestCertificateDemo:
         assert demo.main(["interval", "--out", str(out_path)]) == 3
         assert not out_path.exists()
         assert "does not verify" in capsys.readouterr().err
+
+
+class TestRunSuite:
+    def test_max_order_below_dense_minimum(self, capsys):
+        # Dense twoballs needs order 2, so order 1 skips it instead of failing.
+        suite = _load_script("run_suite")
+        assert suite.main(["--max-order", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "variant: dense skipped, minimum order 2 exceeds --max-order" in out
+        assert "variant: schmudgen-sparse\n" in out

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from sparsepos import problems
+from sparsepos.certify import extract_sos, verify
 from sparsepos.moments import moments_of_dirac, min_eigenvalue
 from sparsepos.poly import BlockLayout, Polynomial, monomial_basis
-from sparsepos.problem import BlockSupportError, ProblemInstance
+from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
     BoundError,
     CapacityError,
@@ -22,8 +23,16 @@ from sparsepos.relax import (
     min_order,
     normalize_krivine,
 )
+from sparsepos.solver import solve_sdp
 
 LAYOUT = BlockLayout(1, 1, 1)
+
+
+def _certified(assemble, instance, r):
+    """True when the order-r program solves optimal and its certificate verifies."""
+    prog = assemble(instance, r)
+    report = solve_sdp(prog)
+    return report.status == "optimal" and verify(extract_sos(report, prog), instance).passed
 
 
 def _instance(f, gs, hs, layout=LAYOUT, **kw):
@@ -109,9 +118,9 @@ class TestSchmudgenAssembly:
         with pytest.raises(OrderError):
             assemble_sparse_schmudgen(problems.twoballs(), 0)
 
-    def test_product_mode_rejected(self):
-        with pytest.raises(ModeError):
-            assemble_sparse_schmudgen(problems.product_twoballs(), 1)
+    def test_product_instance_certified(self):
+        # g on X alone is still supported on (X,Y).
+        assert _certified(assemble_sparse_schmudgen, problems.product_twoballs(), 1)
 
     def test_validate(self):
         prog = assemble_sparse_schmudgen(problems.twoballs(), 2)
@@ -139,9 +148,8 @@ class TestPutinarAssembly:
             "1@xy", "g1@xy", "g2@xy", "1@yz", "h1@yz",
         ]
 
-    def test_product_mode_rejected(self):
-        with pytest.raises(ModeError):
-            assemble_sparse_putinar(problems.product_twoballs(), 1)
+    def test_product_instance_certified(self):
+        assert _certified(assemble_sparse_putinar, problems.product_twoballs(), 1)
 
     def test_five_and_five_gives_twelve(self):
         layout = BlockLayout(5, 0, 5)
@@ -189,14 +197,17 @@ class TestProductAssembly:
         ]
         assert prog.psd_blocks[1][0].block == "x"
 
-    def test_requires_product_mode(self):
-        with pytest.raises(ModeError):
-            assemble_product(problems.twoballs(), 1)
+    def test_requires_g_on_x(self):
+        # The support check runs before the order check.
+        for r in (0, 1):
+            with pytest.raises(ModeError):
+                assemble_product(problems.twoballs(), r)
 
-    def test_g_touching_y_rejected_at_validation(self):
+    def test_g_touching_y_rejected_at_assembly(self):
         x, y, z = _vars(LAYOUT)
-        with pytest.raises(BlockSupportError):
-            _instance(x + z, [1 - x**2 - y**2], [1 - y**2 - z**2], product_mode=True)
+        inst = _instance(x + z, [1 - x**2 - y**2], [1 - y**2 - z**2])
+        with pytest.raises(ModeError, match="product assembly .* on the x block"):
+            assemble_product(inst, 1)
 
 
 class TestKrivineAssembly:
@@ -309,7 +320,7 @@ class TestProgramInvariants:
                 value = sum(float(c) * float(u.get(e)) for e, c in prog.objective.items())
                 assert abs(value - float(inst.objective.evaluate(pt))) <= 1e-9
 
-    def test_feasibility_of_dirac_moments_product_mode(self):
+    def test_feasibility_of_dirac_moments_product(self):
         rng = np.random.default_rng(12)
         inst = problems.product_twoballs()
         prog = assemble_product(inst, 2)

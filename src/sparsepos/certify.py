@@ -194,6 +194,12 @@ def _pieces(cert, instance: ProblemInstance):
             # layout when it was built.
             if term.weight.layout != layout:
                 raise LayoutError(f"{term.family} term lives on another layout")
+            # Like the cone path, start from the instance's constraints.
+            if term.weight != recipe_side(cert.mode, term.family).weight(instance, term.subset):
+                raise ValueError(
+                    f"{term.family} term over subset {term.subset} has a weight that is "
+                    f"not the product of those constraints"
+                )
             dw = common_denominator(term.weight.terms)
             weight = integer_numerators(term.weight.terms, dw).items()
             # v^T G v * w = sum over all k^2 entries of G_ij * m_{a_i + a_j} * w.
@@ -286,6 +292,8 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     X and Z legitimately, so the coupling flag is reported but only gates
     the overall pass for sparse modes.
 
+    An SOS term whose weight is not the product of the instance's
+    constraints that its mode, family and subset name raises ``ValueError``.
     A cone certificate whose ``scaling`` has the wrong length or an entry
     that is not positive, or with a coefficient key that is not two
     sequences of one nonnegative int per constraint of its family, raises

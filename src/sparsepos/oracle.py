@@ -15,6 +15,7 @@ a gradient bound; :func:`lipschitz_margin` returns that documented margin.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, prod
 from typing import Sequence
 
 import numpy as np
@@ -44,11 +45,17 @@ class OracleResult:
     feasible_count: int
 
 
-def _axis(lo: float, hi: float, step: float) -> np.ndarray:
+def _axis_size(lo: float, hi: float, step: float) -> int:
+    """Points of the axis over [lo, hi] at ``step``, counted without
+    building it; an axis too long to count exceeds any guard."""
+    if not (isfinite(lo) and isfinite(hi)):
+        raise ValueError(f"interval [{lo}, {hi}] is not finite")
     if hi < lo:
         raise ValueError(f"empty interval [{lo}, {hi}]")
-    count = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, count)
+    spans = (hi - lo) / step
+    if not isfinite(spans):
+        raise GridCapacityError(f"the axis over [{lo}, {hi}] at step {step} is too long to count")
+    return int(round(spans)) + 1
 
 
 def _grid(axes: list[np.ndarray]) -> np.ndarray:
@@ -86,38 +93,35 @@ def grid_min(
     layout = instance.layout
     if len(box) != layout.nvars:
         raise ValueError(f"box needs {layout.nvars} intervals, got {len(box)}")
-    if step <= 0:
-        raise ValueError("step must be positive")
+    if not (isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
 
-    axes = [_axis(lo, hi, step) for lo, hi in box]
-    x_axes = axes[: layout.n]
-    y_axes = axes[layout.n : layout.n + layout.m]
-    z_axes = axes[layout.n + layout.m :]
-    nx = int(np.prod([a.size for a in x_axes])) if x_axes else 1
-    ny = int(np.prod([a.size for a in y_axes])) if y_axes else 1
-    nz = int(np.prod([a.size for a in z_axes])) if z_axes else 1
-    evaluations = ny * (nx + nz)
+    # The guard is checked on the counts, before any axis is allocated.
+    sizes = [_axis_size(lo, hi, step) for lo, hi in box]
+    n, m = layout.n, layout.m
+    evaluations = prod(sizes[n : n + m]) * (prod(sizes[:n]) + prod(sizes[n + m :]))
     if evaluations > guard:
         raise GridCapacityError(
             f"{evaluations} grid evaluations exceed the guard of {guard}"
         )
+    axes = [np.linspace(lo, hi, size) for (lo, hi), size in zip(box, sizes)]
 
     f_xy, f_yz = instance.split_objective()
-    x_grid = _grid(x_axes)
-    z_grid = _grid(z_axes)
+    x_grid = _grid(axes[:n])
+    z_grid = _grid(axes[n + m :])
 
     best = np.inf
     best_point: tuple[float, ...] | None = None
     feasible_count = 0
 
     x_cols = np.zeros((x_grid.shape[0], layout.nvars))
-    x_cols[:, : layout.n] = x_grid
+    x_cols[:, :n] = x_grid
     z_cols = np.zeros((z_grid.shape[0], layout.nvars))
-    z_cols[:, layout.n + layout.m :] = z_grid
+    z_cols[:, n + m :] = z_grid
 
-    for y_row in _grid(y_axes):
-        x_cols[:, layout.n : layout.n + layout.m] = y_row
-        z_cols[:, layout.n : layout.n + layout.m] = y_row
+    for y_row in _grid(axes[n : n + m]):
+        x_cols[:, n : n + m] = y_row
+        z_cols[:, n : n + m] = y_row
 
         feas_x = np.ones(x_grid.shape[0], dtype=bool)
         for g in instance.g_constraints:

@@ -507,7 +507,10 @@ def normalize_krivine(
         raise BoundError(f"expected {total} upper bounds, got {len(upper_bounds)}")
     bounds = []
     for b in upper_bounds:
-        frac = b if isinstance(b, Fraction) else Fraction(b)
+        try:
+            frac = b if isinstance(b, Fraction) else Fraction(b)
+        except (OverflowError, ValueError) as exc:  # inf, nan
+            raise BoundError(f"normalization bound must be a finite number, got {b}") from exc
         if frac <= 0:
             raise BoundError(f"normalization bound must be positive, got {b}")
         bounds.append(frac)

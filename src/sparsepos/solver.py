@@ -10,20 +10,21 @@ equivalent conic pair
 
 with A_i = -F_i, C = F0, b = -c, so the (D) variable y is the moment vector
 and the (P) variable X collects the Gram multiplier blocks of the dual
-representation (the bound certificate).  Search directions use Nesterov-Todd
-scaling with a Mehrotra predictor-corrector; elementwise-nonnegative rows
-ride along as diagonal blocks with the same formulas.  A cone LP has one
-such block per constraint family: every row is a product of g's alone or of
-h's alone, so each block reads only the moments of its own side (plus the
-shared Y-only ones), and its part of the Schur complement is a dense
-(M_b, R_b) by (R_b, M_b) product over those M_b moments.
+representation (the bound certificate), found by a Mehrotra
+predictor-corrector.
 
-Each block keeps only its nonzero constraint coefficients, as a sparse
-(M, k*k) matrix read straight off the terms of the symbolic localizing
-matrices, or an (M, R_b) one off the LP rows.  The Schur complement is built
-from those nonzeros (Fujisawa, Kojima and Nakata 1997, formula F1), so a
-k x k block that touches M_b moments costs M_b*k^3 per iteration instead of
-M^2*k^2.  The rest is dense float64 linear algebra; exactness is recovered
+Each block is one cone object that owns its data and its math; the loop
+calls them without knowing which kind it holds.  A ``_PsdCone`` is a k x k
+SDP block, a sparse (M, k*k) matrix read off the symbolic localizing
+matrix: Nesterov-Todd scaling, and a Schur part built from its nonzeros
+(Fujisawa, Kojima and Nakata 1997, formula F1), M_b*k^3 per iteration
+instead of M^2*k^2 for a block that touches M_b moments.  A ``_RowCone`` is
+one family of nonnegative LP rows, a sparse (M, R_b) matrix: x/s scaling,
+and a Schur part that is a dense (M_b, R_b) by (R_b, M_b) product.  Every LP
+row is a product of g's alone or of h's alone, so each family reads only
+the moments of its own side (plus the shared Y-only ones).  Either kind
+fills only the rows and columns of the M_b moments it touches.
+The rest is dense float64 linear algebra; exactness is recovered
 downstream by certificate verification.  There is no randomized state, so
 repeated solves of one program are bit-identical.  Infeasibility detection
 is heuristic: a presolve catches constant-row contradictions, divergence of
@@ -94,39 +95,50 @@ class SolveReport:
     residuals: Residuals
 
 
-@dataclass
 class _Cone:
-    kind: str  # "s" PSD block, "l" elementwise-nonnegative rows
-    size: int
-    # Sparse, no explicit zeros.  s: (M, k*k), column p*k+q holds entry
-    # (p, q) of every A_i, both triangles stored;  l: (M, k), one column a row
-    A: csr_matrix
-    C: np.ndarray  # s: (k, k);  l: (k,)
+    """One block of the conic pair: its constraint data and, in a subclass,
+    the interior-point math of its kind.
+
+    ``A`` is sparse with no explicit zeros, one row per free moment, and
+    ``moments`` lists the rows it touches: the block's part of the Schur
+    complement has a row and column for those alone.  ``scale(X, S)`` fixes
+    the scaling point that ``schur``, ``congruence``, ``corrector`` and
+    ``max_steps`` then read.
+    """
+
+    def __init__(self, A: csr_matrix, C: np.ndarray):
+        self.A = A
+        self.C = C
+        self.size = C.shape[0]
+        self.moments = np.flatnonzero(np.diff(A.indptr))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return self.A @ X.ravel()
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "s":
-            return (self.A.T @ y).reshape(self.size, self.size)
-        return self.A.T @ y
+        return (self.A.T @ y).reshape(self.C.shape)
 
 
-class _SparseSchur:
-    """Schur complement part H_ij = <A_i, W A_j W> of one PSD block.
+class _PsdCone(_Cone):
+    """A k x k PSD block; column p*k+q of ``A`` holds entry (p, q) of every
+    A_i, both triangles stored.
 
-    Only the M_b moments the block touches get a row and column.  Y[t, p, j]
-    = (A_j W)[p, t] comes from the block's nonzeros at nnz*k cost; its zero
-    pattern never changes, so one buffer is rewritten in place.  A batched
-    product with W then gives every W A_j W in the (k*k, M_b) layout the
-    sparse A contracts directly, for M_b*k^3 + nnz*M_b in all.
+    Nesterov-Todd scaling: R satisfies R^-1 X R^-T = R^T S R = diag(lam),
+    W = R R^T, and the scaled complementarity target is diagonal, which
+    makes the Mehrotra correction a Lyapunov-style division by lam_i + lam_j.
+
+    Schur part H_ij = <A_i, W A_j W>: Y[t, p, j] = (A_j W)[p, t] comes from
+    the block's nonzeros at nnz*k cost; its zero pattern never changes, so
+    one buffer is rewritten in place.  A batched product with W then gives
+    every W A_j W in the (k*k, M_b) layout the sparse A contracts directly,
+    for M_b*k^3 + nnz*M_b in all.
     """
 
-    def __init__(self, A: csr_matrix, k: int):
-        self.moments = np.flatnonzero(np.diff(A.indptr))
-        self.A = A[self.moments]
-        m = self.moments.size
-        coo = self.A.tocoo()
+    def __init__(self, A: csr_matrix, C: np.ndarray):
+        super().__init__(A, C)
+        k, m = self.size, self.moments.size
+        self.A_b = A[self.moments]
+        coo = self.A_b.tocoo()
         p, q = np.divmod(coo.col, k)
         # One row per nonzero row p of some A_j: that row, over q.  Its
         # product with W is column (p, j) of every Y[t].
@@ -134,24 +146,102 @@ class _SparseSchur:
         self.rows = csr_matrix((coo.data, (slot, q)), shape=(self.cols.size, k))
         self.Y = np.zeros((k, k, m))
 
-    def __call__(self, W: np.ndarray) -> np.ndarray:
+    def unit(self) -> np.ndarray:
+        return np.eye(self.size)
+
+    @staticmethod
+    def sym(mat: np.ndarray) -> np.ndarray:
+        return 0.5 * (mat + mat.T)
+
+    def constant_infeasible(self, tiny: float) -> bool:
+        # A block that reads no moment must already be PSD.
+        return self.A.nnz == 0 and float(np.linalg.eigvalsh(self.sym(self.C))[0]) < -tiny
+
+    def scale(self, X: np.ndarray, S: np.ndarray) -> None:
+        self.Lx = np.linalg.cholesky(X)
+        self.Ls = np.linalg.cholesky(S)
+        _, lam, Vt = np.linalg.svd(self.Ls.T @ self.Lx)
+        if np.min(lam) <= 0:
+            raise np.linalg.LinAlgError("lost positive definiteness")
+        self.lam = lam
+        self.R = self.Lx @ (Vt.T / np.sqrt(lam))
+        eye = np.eye(self.size)
+        self.Rinv = (Vt * np.sqrt(lam)[:, None]) @ solve_triangular(self.Lx, eye, lower=True)
+        self.W = self.R @ self.R.T
+
+    def schur(self) -> np.ndarray:
         k, _, m = self.Y.shape
-        self.Y.reshape(k, k * m)[:, self.cols] = (self.rows @ W).T
-        WAW = np.matmul(W, self.Y)  # [t, r, j] = (W A_j W)[r, t]
-        return self.A @ WAW.reshape(k * k, m)
+        self.Y.reshape(k, k * m)[:, self.cols] = (self.rows @ self.W).T
+        WAW = np.matmul(self.W, self.Y)  # [t, r, j] = (W A_j W)[r, t]
+        return self.A_b @ WAW.reshape(k * k, m)
+
+    def congruence(self, mat: np.ndarray) -> np.ndarray:
+        return self.W @ mat @ self.W
+
+    def corrector(self, sigma_mu: float, dX: np.ndarray, dS: np.ndarray) -> np.ndarray:
+        """Right-hand side of the centering-corrector complementarity
+        equation, mapped back to the unscaled space."""
+        dXt = self.Rinv @ dX @ self.Rinv.T
+        dSt = self.R.T @ dS @ self.R
+        rhs = -0.5 * (dXt @ dSt + dSt @ dXt)
+        idx = np.diag_indices(rhs.shape[0])
+        rhs[idx] += sigma_mu - self.lam**2
+        scaled = 2.0 * rhs / (self.lam[:, None] + self.lam[None, :])
+        return self.R @ scaled @ self.R.T
+
+    def max_steps(self, dX: np.ndarray, dS: np.ndarray) -> tuple[float, float]:
+        return self._step(self.Lx, dX), self._step(self.Ls, dS)
+
+    def _step(self, L: np.ndarray, D: np.ndarray) -> float:
+        # Largest a with L L^T + a D PSD, inf when none bounds it.
+        B = solve_triangular(L, D, lower=True)
+        B = solve_triangular(L, B.T, lower=True).T
+        lam_min = float(np.linalg.eigvalsh(self.sym(B))[0])
+        return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
 
 
-class _DiagonalSchur:
-    """Schur complement part H_ij = sum_r A_ir w_r A_jr of one block of
-    nonnegative rows with scaling w, over the M_b moments its rows touch:
-    a dense (M_b, R_b) by (R_b, M_b) product."""
+class _RowCone(_Cone):
+    """Elementwise-nonnegative rows, column r of ``A`` holding row r.  The
+    scaling is w = x/s, and the Schur part H_ij = sum_r A_ir w_r A_jr is a
+    dense (M_b, R_b) by (R_b, M_b) product."""
 
-    def __init__(self, A: csr_matrix):
-        self.moments = np.flatnonzero(np.diff(A.indptr))
-        self.A = A[self.moments].toarray()
+    def __init__(self, A: csr_matrix, C: np.ndarray):
+        super().__init__(A, C)
+        self.A_b = A[self.moments].toarray()
 
-    def __call__(self, w: np.ndarray) -> np.ndarray:
-        return (self.A * w) @ self.A.T
+    def unit(self) -> np.ndarray:
+        return np.ones(self.size)
+
+    @staticmethod
+    def sym(vec: np.ndarray) -> np.ndarray:
+        return vec
+
+    def constant_infeasible(self, tiny: float) -> bool:
+        # Rows that read no moment must already be nonnegative.
+        dead = np.bincount(self.A.indices, minlength=self.size) == 0
+        return bool(np.any(self.C[dead] < -tiny))
+
+    def scale(self, x: np.ndarray, s: np.ndarray) -> None:
+        self.x, self.s = x, s
+        self.w = x / s
+        self.Sinv = 1.0 / s
+
+    def schur(self) -> np.ndarray:
+        return (self.A_b * self.w) @ self.A_b.T
+
+    def congruence(self, vec: np.ndarray) -> np.ndarray:
+        return self.w * vec
+
+    def corrector(self, sigma_mu: float, dx: np.ndarray, ds: np.ndarray) -> np.ndarray:
+        return sigma_mu * self.Sinv - self.x - dx * ds * self.Sinv
+
+    def max_steps(self, dx: np.ndarray, ds: np.ndarray) -> tuple[float, float]:
+        return self._step(self.x, dx), self._step(self.s, ds)
+
+    @staticmethod
+    def _step(v: np.ndarray, dv: np.ndarray) -> float:
+        neg = dv < 0
+        return float(np.min(v[neg] / -dv[neg])) if np.any(neg) else np.inf
 
 
 @dataclass
@@ -172,117 +262,23 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must lie in [1e-12, 1e-2], got {tol}")
 
 
-def _sym(mat: np.ndarray) -> np.ndarray:
-    return 0.5 * (mat + mat.T)
-
-
-def _inner(cone: _Cone, X, S) -> float:
-    if cone.kind == "s":
-        return float(np.tensordot(X, S))
-    return float(X @ S)
-
-
-def _max_step_s(L: np.ndarray, dX: np.ndarray) -> float:
-    # Largest a with X + a dX PSD, given X = L L^T.
-    B = solve_triangular(L, dX, lower=True)
-    B = solve_triangular(L, B.T, lower=True).T
-    lam_min = float(np.linalg.eigvalsh(_sym(B))[0])
-    if lam_min >= -1e-14:
-        return np.inf
-    return -1.0 / lam_min
-
-
-def _max_step_l(x: np.ndarray, dx: np.ndarray) -> float:
-    neg = dx < 0
-    if not np.any(neg):
-        return np.inf
-    return float(np.min(x[neg] / -dx[neg]))
-
-
-def _max_steps(cones, scal, S, dX, dS) -> tuple[float, float]:
+def _max_steps(cones: list[_Cone], dX, dS) -> tuple[float, float]:
     """Largest primal and dual steps along (dX, dS) that stay in every cone,
     inf when no cone bounds them."""
     ap = ad = np.inf
-    for c, sc, Sc, dXc, dSc in zip(cones, scal, S, dX, dS):
-        if c.kind == "s":
-            ap = min(ap, _max_step_s(sc.Lx, dXc))
-            ad = min(ad, _max_step_s(sc.Ls, dSc))
-        else:
-            ap = min(ap, _max_step_l(sc.x, dXc))
-            ad = min(ad, _max_step_l(Sc, dSc))
+    for c, dXc, dSc in zip(cones, dX, dS):
+        p, d = c.max_steps(dXc, dSc)
+        ap, ad = min(ap, p), min(ad, d)
     return ap, ad
-
-
-class _Scaling:
-    """Nesterov-Todd scaling point data for one cone.
-
-    For a PSD cone, R satisfies R^-1 X R^-T = R^T S R = diag(lam); the
-    scaling matrix is W = R R^T and the scaled complementarity target is
-    diagonal, which makes the Mehrotra correction a Lyapunov-style division
-    by lam_i + lam_j.
-    """
-
-    def __init__(self, cone: _Cone, X, S):
-        if cone.kind == "s":
-            self.Lx = np.linalg.cholesky(X)
-            self.Ls = np.linalg.cholesky(S)
-            _, lam, Vt = np.linalg.svd(self.Ls.T @ self.Lx)
-            if np.min(lam) <= 0:
-                raise np.linalg.LinAlgError("lost positive definiteness")
-            self.lam = lam
-            self.R = self.Lx @ (Vt.T / np.sqrt(lam))
-            eye = np.eye(cone.size)
-            self.Rinv = (Vt * np.sqrt(lam)[:, None]) @ solve_triangular(
-                self.Lx, eye, lower=True
-            )
-            self.W = self.R @ self.R.T
-        else:
-            self.x = X
-            self.w2 = X / S
-            self.Sinv = 1.0 / S
-
-    def congruence(self, mat):
-        """W M W, the symmetric scaling of one block."""
-        return self.W @ mat @ self.W if hasattr(self, "W") else self.w2 * mat
-
-    def corrector_rhs(self, sigma_mu: float, dX, dS):
-        """Right-hand side of the centering-corrector complementarity
-        equation, mapped back to the unscaled space."""
-        dXt = self.Rinv @ dX @ self.Rinv.T
-        dSt = self.R.T @ dS @ self.R
-        rhs = -0.5 * (dXt @ dSt + dSt @ dXt)
-        idx = np.diag_indices(rhs.shape[0])
-        rhs[idx] += sigma_mu - self.lam**2
-        scaled = 2.0 * rhs / (self.lam[:, None] + self.lam[None, :])
-        return self.R @ scaled @ self.R.T
-
-
-def _presolve_infeasible(cones: list[_Cone], scale: float) -> bool:
-    # Constant constraints (zero coefficient rows/blocks) must already be
-    # consistent; catches doctored contradictions exactly.
-    tiny = 1e-12 * scale
-    for cone in cones:
-        if cone.kind == "l":
-            dead = np.bincount(cone.A.indices, minlength=cone.size) == 0
-            if np.any(cone.C[dead] < -tiny):
-                return True
-        else:
-            if cone.A.nnz == 0:
-                if float(np.linalg.eigvalsh(_sym(cone.C))[0]) < -tiny:
-                    return True
-    return False
 
 
 def _presolve_unbounded(cones: list[_Cone], b: np.ndarray) -> bool:
     # A moment with nonzero objective weight that no block touches is a free
     # ray (e.g. odd moments under purely even constraint products).
-    M = b.size
-    if M == 0:
-        return False
-    touched = np.zeros(M, dtype=bool)
+    touched = np.zeros(b.size, dtype=bool)
     for cone in cones:
-        touched |= np.diff(cone.A.indptr) > 0
-    return bool(np.any((~touched) & (b != 0)))
+        touched[cone.moments] = True
+    return bool(np.any(~touched & (b != 0)))
 
 
 def _address(fn) -> int:
@@ -360,12 +356,14 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
 
     def idle(status: str) -> _RawResult:
         # No iteration runs: zero multipliers, S = C.
-        X = [np.zeros((c.size, c.size)) if c.kind == "s" else np.zeros(c.size) for c in cones]
+        X = [np.zeros_like(c.C) for c in cones]
         S = [c.C.copy() for c in cones]
         rel = 0.0 if status == OPTIMAL else np.inf
         return _RawResult(status, X, S, np.zeros(M), 0, rel, rel, 0.0, 0.0)
 
-    if _presolve_infeasible(cones, init_scale):
+    # Constant constraints must already be consistent; catches doctored
+    # contradictions exactly.
+    if any(c.constant_infeasible(1e-12 * init_scale) for c in cones):
         return idle(INFEASIBLE)
     if _presolve_unbounded(cones, b):
         return idle(UNBOUNDED)
@@ -374,13 +372,10 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
         # already found each one PSD.
         return idle(OPTIMAL)
 
-    X = [init_scale * (np.eye(c.size) if c.kind == "s" else np.ones(c.size)) for c in cones]
-    S = [init_scale * (np.eye(c.size) if c.kind == "s" else np.ones(c.size)) for c in cones]
+    X = [init_scale * c.unit() for c in cones]
+    S = [init_scale * c.unit() for c in cones]
     y = np.zeros(M)
 
-    schur_parts = [
-        _SparseSchur(c.A, c.size) if c.kind == "s" else _DiagonalSchur(c.A) for c in cones
-    ]
     status = MAX_ITERATIONS
     iterations = 0
     rel_p = rel_d = np.inf
@@ -390,9 +385,9 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
     for it in range(max_iter + 1):
         rp = b - sum(c.apply(Xc) for c, Xc in zip(cones, X))
         Rd = [c.C - Sc - c.apply_adjoint(y) for c, Sc in zip(cones, S)]
-        gap_xs = sum(_inner(c, Xc, Sc) for c, Xc, Sc in zip(cones, X, S))
+        gap_xs = sum(float(np.vdot(Xc, Sc)) for Xc, Sc in zip(X, S))
         mu = gap_xs / nu
-        pobj = sum(_inner(c, c.C, Xc) for c, Xc in zip(cones, X))
+        pobj = sum(float(np.vdot(c.C, Xc)) for c, Xc in zip(cones, X))
         dobj = float(b @ y)
         rel_p = float(np.linalg.norm(rp)) / (1.0 + norm_b)
         rel_d = float(np.sqrt(sum(np.sum(R * R) for R in Rd))) / (1.0 + norm_C)
@@ -413,16 +408,14 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
             break
 
         try:
-            scal = [_Scaling(c, Xc, Sc) for c, Xc, Sc in zip(cones, X, S)]
-
             schur = np.zeros((M, M))
-            for c, sc, part in zip(cones, scal, schur_parts):
-                block = part(sc.W if c.kind == "s" else sc.w2)
-                if part.moments.size == M:
-                    schur += block
+            for c, Xc, Sc in zip(cones, X, S):
+                c.scale(Xc, Sc)
+                if c.moments.size == M:
+                    schur += c.schur()
                 else:
-                    schur[np.ix_(part.moments, part.moments)] += block
-            schur = _sym(schur)
+                    schur[np.ix_(c.moments, c.moments)] += c.schur()
+            schur = 0.5 * (schur + schur.T)
             if not np.isfinite(schur).all():
                 raise np.linalg.LinAlgError("non-finite Schur complement")
             jitter = 0.0
@@ -444,18 +437,15 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
 
             def newton(Rc):
                 rhs = rp.copy()
-                for c, sc, R, Rcc in zip(cones, scal, Rd, Rc):
-                    rhs += c.apply(sc.congruence(R)) - c.apply(Rcc)
+                for c, R, Rcc in zip(cones, Rd, Rc):
+                    rhs += c.apply(c.congruence(R)) - c.apply(Rcc)
                 dy = schur_solve(rhs)
                 # Refine against the unregularized system: recovers accuracy
                 # lost to jitter and to ill-conditioning near optimality.
                 for _ in range(2):
                     dy = dy + schur_solve(rhs - schur @ dy)
                 dS = [R - c.apply_adjoint(dy) for c, R in zip(cones, Rd)]
-                dX = []
-                for c, sc, Rcc, dSc in zip(cones, scal, Rc, dS):
-                    step = Rcc - sc.congruence(dSc)
-                    dX.append(_sym(step) if c.kind == "s" else step)
+                dX = [c.sym(Rcc - c.congruence(dSc)) for c, Rcc, dSc in zip(cones, Rc, dS)]
                 if not all(np.isfinite(d).all() for d in [dy, *dX, *dS]):
                     raise np.linalg.LinAlgError("non-finite Newton direction")
                 return dy, dX, dS
@@ -463,30 +453,26 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
             # Predictor: pure Newton step toward complementarity zero.
             Rc_aff = [-Xc for Xc in X]
             dy_a, dX_a, dS_a = newton(Rc_aff)
-            ap, ad = (min(1.0, a) for a in _max_steps(cones, scal, S, dX_a, dS_a))
+            ap, ad = (min(1.0, a) for a in _max_steps(cones, dX_a, dS_a))
             mu_aff = max(
                 0.0,
                 sum(
-                    _inner(c, Xc + ap * dXc, Sc + ad * dSc)
-                    for c, Xc, Sc, dXc, dSc in zip(cones, X, S, dX_a, dS_a)
+                    float(np.vdot(Xc + ap * dXc, Sc + ad * dSc))
+                    for Xc, Sc, dXc, dSc in zip(X, S, dX_a, dS_a)
                 )
                 / nu,
             )
             sigma = min(0.999, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.1
 
             # Corrector with the second-order complementarity term.
-            Rc = []
-            for c, sc, Xc, dXc, dSc in zip(cones, scal, X, dX_a, dS_a):
-                if c.kind == "s":
-                    Rc.append(sc.corrector_rhs(sigma * mu, dXc, dSc))
-                else:
-                    Rc.append(sigma * mu * sc.Sinv - Xc - dXc * dSc * sc.Sinv)
-            dy, dX, dS = newton(Rc)
+            dy, dX, dS = newton(
+                [c.corrector(sigma * mu, dXc, dSc) for c, dXc, dSc in zip(cones, dX_a, dS_a)]
+            )
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
 
-        ap, ad = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(cones, scal, S, dX, dS))
+        ap, ad = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(cones, dX, dS))
 
         if max(ap, ad) < 1e-10:
             stalls += 1
@@ -496,11 +482,9 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
         else:
             stalls = 0
 
-        X = [Xc + ap * dXc for Xc, dXc in zip(X, dX)]
-        X = [_sym(Xc) if c.kind == "s" else Xc for c, Xc in zip(cones, X)]
+        X = [c.sym(Xc + ap * dXc) for c, Xc, dXc in zip(cones, X, dX)]
         y = y + ad * dy
-        S = [Sc + ad * dSc for Sc, dSc in zip(S, dS)]
-        S = [_sym(Sc) if c.kind == "s" else Sc for c, Sc in zip(cones, S)]
+        S = [c.sym(Sc + ad * dSc) for c, Sc, dSc in zip(cones, S, dS)]
         iterations = it + 1
 
     return _RawResult(status, X, S, y, iterations, rel_p, rel_d, pobj, dobj)
@@ -540,7 +524,7 @@ def _sdp_cones(program: ConicProgram):
                     value.append(-v)
         A = csr_matrix((value, (moment, slot)), shape=(M, k * k))
         A.eliminate_zeros()
-        cones.append(_Cone("s", k, A, C))
+        cones.append(_PsdCone(A, C))
     return cones, pos, M
 
 
@@ -574,7 +558,7 @@ def _lp_cones(program: LinearProgram):
                     value.append(-v)
         A = csr_matrix((value, (moment, column)), shape=(M, len(rows)))
         A.eliminate_zeros()
-        cones.append(_Cone("l", len(rows), A, C))
+        cones.append(_RowCone(A, C))
     return cones, pos, M, list(families.values())
 
 

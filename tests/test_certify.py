@@ -261,11 +261,34 @@ class TestVerify:
             basis=((0, 0, 0), (1, 0, 1)),
             gram=np.eye(2),
         )
-        cert = SOSCertificate(0.0, (term,), "schmudgen", 1, layout)
+        cert = SOSCertificate(0.0, (term,), "dense", 1, layout)
         inst = problems.twoballs()
         vr = verify(cert, inst)
         assert not vr.coupling_free
         assert not vr.passed
+
+    @pytest.mark.parametrize("mode", ["schmudgen", "dense"])
+    def test_forged_weight_refused(self, mode):
+        # 1^2 * (f - 100) is f - lambda at lambda = 100 with residual 0, but
+        # the weight is no product of constraints, and f dips below 100.
+        inst = problems.twoballs()
+        lam = 100
+        f_xy, f_yz = inst.split_objective()
+        one = (inst.layout.zero_exponent,)
+        shift = Polynomial.constant(inst.layout, lam)
+        if mode == "dense":
+            parts = [("dense", "xyz", inst.objective - shift)]
+        else:
+            parts = [("xy", "xy", f_xy - shift), ("yz", "yz", f_yz)]
+        terms = tuple(SOSTerm(fam, (), block, w, one, np.eye(1)) for fam, block, w in parts)
+        cert = SOSCertificate(float(lam), terms, mode, 1, inst.layout)
+        family = parts[0][0]
+        with pytest.raises(ValueError, match=rf"{family} term over subset \(\)"):
+            verify(cert, inst)
+        # The JSON round trip recomputes the weights, so the rebuilt
+        # certificate carries the true ones and fails on its residual.
+        vr = verify(certificate_from_json(certificate_to_json(cert), inst), inst)
+        assert not vr.passed and vr.residual >= 1
 
     def test_pointwise_soundness(self):
         # A certificate never exceeds f on the feasible set: each term is a

@@ -137,6 +137,16 @@ class TestMain:
         assert "oracle minimum" in out
         assert "slack at r=1" in out
 
+    @pytest.mark.parametrize("box,step", [
+        ("-inf:1,-1:1,-1:1", "0.05"),
+        ("nan:1,-1:1,-1:1", "0.05"),
+        ("-1:1,-1:1,-1:1", "1e-300"),
+    ], ids=["infinite-endpoint", "nan-endpoint", "tiny-step"])
+    def test_unusable_oracle_grid_exits_2(self, problem_file, capsys, box, step):
+        code = main([problem_file, "--order", "1", f"--oracle-box={box}", "--oracle-step", step])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_certificate_file(self, problem_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"
         code = main([problem_file, "--order", "2", "--certificate", str(cert_path)])

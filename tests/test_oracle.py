@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from sparsepos import problems
@@ -69,10 +70,22 @@ class TestGridMin:
         assert abs(res.minimum - best) <= 1e-12
         assert res.feasible_count == count
 
-    def test_capacity_guard(self):
+    def test_capacity_guard(self, monkeypatch):
         inst = problems.twoballs()
         with pytest.raises(GridCapacityError):
             grid_min(inst, [(-1, 1)] * 3, 0.005, guard=1000)
+        # The guard refuses from the point counts, before any axis exists:
+        # 1e-7 would build three 2e7-point axes, 1e-300 cannot be built at
+        # all, and 5e-324 overflows the count itself.
+        def linspace(*args, **kwargs):
+            raise AssertionError("axis allocated before the guard")
+
+        monkeypatch.setattr(np, "linspace", linspace)
+        for step in (1e-7, 1e-300, 5e-324):
+            with pytest.raises(GridCapacityError):
+                grid_min(inst, [(-1, 1)] * 3, step)
+        with pytest.raises(GridCapacityError):
+            grid_min(inst, [(-1e308, 1e308)] * 3, 1.0)
 
     def test_empty_feasible(self):
         inst = ProblemInstance(
@@ -86,3 +99,16 @@ class TestGridMin:
             grid_min(problems.twoballs(), [(-1, 1)], 0.1)
         with pytest.raises(ValueError):
             grid_min(problems.twoballs(), [(-1, 1)] * 3, -0.1)
+        # A non-finite endpoint or step is refused as such, not as a grid
+        # too large to build.
+        inf, nan = float("inf"), float("nan")
+        for box, step in [
+            ([(-inf, 1), (-1, 1), (-1, 1)], 0.1),
+            ([(-1, 1), (-1, inf), (-1, 1)], 0.1),
+            ([(-1, 1), (-1, 1), (nan, 1)], 0.1),
+            ([(-1, 1)] * 3, inf),
+            ([(-1, 1)] * 3, nan),
+        ]:
+            with pytest.raises(ValueError, match="finite") as err:
+                grid_min(problems.twoballs(), box, step)
+            assert not isinstance(err.value, GridCapacityError)

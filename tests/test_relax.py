@@ -262,6 +262,10 @@ class TestNormalize:
     def test_nonpositive_bound_rejected(self):
         with pytest.raises(BoundError):
             normalize_krivine(problems.interval(), [0])
+        # A bound that is no finite number is refused the same way.
+        for bad in (float("inf"), float("nan"), float("-inf")):
+            with pytest.raises(BoundError):
+                normalize_krivine(problems.twoballs(), [bad, 1])
 
     def test_double_normalization_rejected(self):
         inst = normalize_krivine(problems.interval(), [1])

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
 
 from sparsepos import cli, problems, solver
 from sparsepos.certify import extract_cone, verify
@@ -29,9 +30,9 @@ from sparsepos.solver import (
     NUMERICAL_FAILURE,
     OPTIMAL,
     UNBOUNDED,
-    _DiagonalSchur,
     _lp_cones,
-    _SparseSchur,
+    _PsdCone,
+    _RowCone,
     _sdp_cones,
     solve_lp,
     solve_sdp,
@@ -223,7 +224,7 @@ class TestLpFamilyCones:
     def test_schur_parts_match_dense_reference(self):
         prog = assemble_krivine(normalize_krivine(_two_family_box(), [1] * 4), 2)
         cones, _, M, families = _lp_cones(prog)
-        assert [c.kind for c in cones] == ["l", "l"]
+        assert [type(c) for c in cones] == [_RowCone, _RowCone]
         assert [len(rows) for rows in families] == [c.size for c in cones]
         zero = prog.layout.zero_exponent
         pos = {e: i - 1 for i, e in enumerate(prog.variable_index) if i > 0}
@@ -236,9 +237,10 @@ class TestLpFamilyCones:
         schur = np.zeros((M, M))
         for cone, rows in zip(cones, families):
             np.testing.assert_array_equal(cone.A.toarray(), A[:, rows])
-            part = _DiagonalSchur(cone.A)
-            assert part.moments.size < M
-            schur[np.ix_(part.moments, part.moments)] += part(w[rows])
+            # Scaling x = w, s = 1 puts the weights w on the rows.
+            cone.scale(w[rows], np.ones(cone.size))
+            assert cone.moments.size < M
+            schur[np.ix_(cone.moments, cone.moments)] += cone.schur()
         assert _rel_err(schur, (A * w) @ A.T) <= 1e-12
 
     def test_unit_row_family_touches_no_moment(self):
@@ -322,7 +324,7 @@ class TestSparseConstraintData:
         A, C = _dense_constraints(program)[index]
         k = cone.size
         sym = program.psd_blocks[index][1]
-        assert (k, cone.kind) == (sym.size, "s")
+        assert isinstance(cone, _PsdCone) and k == sym.size
         if r == 2 and index == 1:
             assert max(len(e) for row in sym.entries for e in row) == 3
         np.testing.assert_array_equal(cone.C, C)
@@ -332,21 +334,26 @@ class TestSparseConstraintData:
         X = X + X.T
         y = rng.standard_normal(M)
         G = rng.standard_normal((k, k))
-        W = G @ G.T + 0.1 * np.eye(k)
+        S = G @ G.T + 0.1 * np.eye(k)
 
         assert _rel_err(cone.apply(X), np.tensordot(A, X)) <= 1e-12
         assert _rel_err(cone.apply_adjoint(y), np.tensordot(y, A, axes=1)) <= 1e-12
 
-        part = _SparseSchur(cone.A, k)
+        # Nesterov-Todd scaling at X = I gives W = S^(-1/2).
+        cone.scale(np.eye(k), S)
+        W = cone.W
+        assert _rel_err(W @ S @ W, np.eye(k)) <= 1e-10
         schur = np.zeros((M, M))
-        schur[np.ix_(part.moments, part.moments)] = part(W)
+        schur[np.ix_(cone.moments, cone.moments)] = cone.schur()
         WAW = W @ A @ W
         want = A.reshape(M, -1) @ WAW.reshape(M, -1).T
         assert _rel_err(schur, want) <= 1e-12
         # The buffer is rewritten in place: a second scaling point gives
         # the second point's Schur complement, not a mixture.
-        W2 = W + np.eye(k)
-        schur[np.ix_(part.moments, part.moments)] = part(W2)
+        cone.scale(np.eye(k), S + np.eye(k))
+        W2 = cone.W
+        assert not np.allclose(W2, W)
+        schur[np.ix_(cone.moments, cone.moments)] = cone.schur()
         want2 = A.reshape(M, -1) @ (W2 @ A @ W2).reshape(M, -1).T
         assert _rel_err(schur, want2) <= 1e-12
 
@@ -378,6 +385,50 @@ class TestSparseConstraintData:
         report = solve_sdp(prog)
         assert report.status == INFEASIBLE
         assert report.iterations == 0
+
+
+class TestConeKindsAgree:
+    """A one-row LP cone and a 1x1 PSD block are the same cone, so the two
+    classes must agree on it: Nesterov-Todd on 1x1 gives W^2 = x/s, and its
+    corrector reduces to sigma*mu/s - x - dx*ds/s."""
+
+    X, S, SIGMA_MU = 2.5, 0.8, 0.3
+
+    def _pair(self):
+        # The row reads moments 0 and 2 of three.
+        A = csr_matrix(np.array([[0.7], [0.0], [-1.3]]))
+        row, psd = _RowCone(A, np.array([0.4])), _PsdCone(A, np.array([[0.4]]))
+        row.scale(np.array([self.X]), np.array([self.S]))
+        psd.scale(np.array([[self.X]]), np.array([[self.S]]))
+        return row, psd
+
+    def test_scaling_schur_and_congruence(self):
+        row, psd = self._pair()
+        assert abs(psd.W[0, 0] ** 2 - self.X / self.S) <= 1e-12
+        np.testing.assert_array_equal(row.moments, psd.moments)
+        np.testing.assert_allclose(psd.schur(), row.schur(), rtol=1e-12, atol=1e-12)
+        v = np.array([-1.1])
+        np.testing.assert_allclose(psd.congruence(v[:, None]).ravel(), row.congruence(v), rtol=1e-12)
+        y = np.array([0.2, -0.5, 0.9])
+        np.testing.assert_allclose(psd.apply_adjoint(y).ravel(), row.apply_adjoint(y), rtol=1e-12)
+
+    @pytest.mark.parametrize("dx,ds", [(-1.7, -0.9), (-0.4, -2.2)])
+    def test_corrector_and_steps(self, dx, ds):
+        row, psd = self._pair()
+        want = self.SIGMA_MU / self.S - self.X - dx * ds / self.S
+        got_row = row.corrector(self.SIGMA_MU, np.array([dx]), np.array([ds]))
+        got_psd = psd.corrector(self.SIGMA_MU, np.array([[dx]]), np.array([[ds]]))
+        np.testing.assert_allclose(got_row, [want], rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(got_psd.ravel(), [want], rtol=1e-12, atol=1e-12)
+        steps_row = row.max_steps(np.array([dx]), np.array([ds]))
+        steps_psd = psd.max_steps(np.array([[dx]]), np.array([[ds]]))
+        np.testing.assert_allclose(steps_psd, steps_row, rtol=1e-12)
+        np.testing.assert_allclose(steps_row, [self.X / -dx, self.S / -ds], rtol=1e-12)
+
+    def test_directions_into_the_cone_are_unbounded(self):
+        row, psd = self._pair()
+        assert row.max_steps(np.array([0.5]), np.array([1.5])) == (np.inf, np.inf)
+        assert psd.max_steps(np.array([[0.5]]), np.array([[1.5]])) == (np.inf, np.inf)
 
 
 # Two ball constraints that do not meet (y in [2, 4] against y in [-1, 1]).

@@ -40,6 +40,7 @@ def main(argv=None) -> int:
                 print(f"variant: {variant} skipped, minimum order {r0} exceeds --max-order")
                 continue
             k = len(instance.g_constraints) + len(instance.h_constraints)
+            bounds = [1] * k if variant == "krivine" else None
             config = RunConfig(
                 variant=variant,
                 r_min=r0,
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
                 tol=args.tol,
                 oracle_box=box,
                 oracle_step=step,
-                krivine_bounds=[1] * k,
+                krivine_bounds=bounds,
             )
             result = run_hierarchy(instance, config)
             print(render_text(result))

@@ -14,12 +14,11 @@ rational, so nothing is rounded: an SOS term expands in Gram form,
 sum_ij G_ij * m_{a_i + a_j} * w, from the same Gram matrix that the PSD test
 reads (as in Peyrl and Parrilo, "Computing sum of squares decompositions
 with rational coefficients"), and a cone term expands as c * g^a (1-g)^b,
-with the products from the same integer walk that assembles the LP rows
-(:func:`relax.cone_products`): each product arrives as int numerators over
-one denominator and goes into the sum as it is.  The walk starts from the
-instance's constraints and the certificate's divisors, never from the
-program, and refuses a divisor that is not positive.  Both kinds feed one
-sum of Python ints over a running common denominator.
+with the products from the same walk that assembles the LP rows
+(:func:`relax.cone_products`).  The walk starts from the instance's
+constraints and the certificate's divisors, never from the program, and
+refuses a divisor that is not positive.  Both kinds feed one
+:meth:`Polynomial.sum`, exact ints over a running common denominator.
 """
 
 from __future__ import annotations
@@ -27,13 +26,12 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isfinite, lcm
+from math import isfinite
 
 import numpy as np
 
 from .moments import min_eigenvalue
-from .poly import BlockLayout, Exponent, LayoutError, Polynomial, exp_add
-from .poly import common_denominator, integer_numerators
+from .poly import BlockLayout, Exponent, LayoutError, Polynomial
 from .problem import ProblemInstance
 from .relax import ConicProgram, LinearProgram, cone_products, recipe_side
 from .solver import OPTIMAL, SolveReport
@@ -185,8 +183,7 @@ def extract_cone(report: SolveReport, program: LinearProgram) -> ConeCertificate
 
 
 def _pieces(cert, instance: ProblemInstance):
-    """The certificate's right-hand side as (c, numerators, den) pieces, each
-    the polynomial c * sum_e numerators[e] / den * m_e with c a Fraction."""
+    """The certificate's right-hand side as :meth:`Polynomial.sum` pieces."""
     layout = instance.layout
     if isinstance(cert, SOSCertificate):
         for term in cert.terms:
@@ -195,19 +192,19 @@ def _pieces(cert, instance: ProblemInstance):
             if term.weight.layout != layout:
                 raise LayoutError(f"{term.family} term lives on another layout")
             # Like the cone path, start from the instance's constraints.
-            if term.weight != recipe_side(cert.mode, term.family).weight(instance, term.subset):
+            weight = term.weight
+            if weight != recipe_side(cert.mode, term.family).weight(instance, term.subset):
                 raise ValueError(
                     f"{term.family} term over subset {term.subset} has a weight that is "
                     f"not the product of those constraints"
                 )
-            dw = common_denominator(term.weight.terms)
-            weight = integer_numerators(term.weight.terms, dw).items()
-            # v^T G v * w = sum over all k^2 entries of G_ij * m_{a_i + a_j} * w.
-            for a, row in zip(term.basis, np.asarray(term.gram, dtype=float).tolist()):
-                for b, g in zip(term.basis, row):
-                    if g:
-                        ab = exp_add(a, b)
-                        yield Fraction(g), [(exp_add(ab, e), v) for e, v in weight], dw
+            basis = [Polynomial.monomial(layout, a) for a in term.basis]
+            # v^T G v * w = sum_i m_{a_i} * w * sum_j G_ij * m_{a_j}, over
+            # all k^2 entries of G.
+            for a, row in zip(basis, np.asarray(term.gram, dtype=float).tolist()):
+                pieces = ((Fraction(g), b.nums.items(), 1) for b, g in zip(basis, row) if g)
+                product = a * weight * Polynomial.sum(layout, pieces)
+                yield 1, product.nums.items(), product.den
     elif isinstance(cert, ConeCertificate):
         polys, ng = instance.g_constraints + instance.h_constraints, len(instance.g_constraints)
         if len(cert.scaling) != len(polys):
@@ -216,8 +213,8 @@ def _pieces(cert, instance: ProblemInstance):
         for constraints, coeffs in ((scaled[:ng], cert.xy_coeffs), (scaled[ng:], cert.yz_coeffs)):
             count = len(constraints)
             pairs = [_cone_key(pair, count) for pair, value in coeffs.items() if value != 0.0]
-            for pair, numerators, dp in cone_products(constraints, layout, pairs):
-                yield Fraction(coeffs[pair]), numerators.items(), dp
+            for pair, product in cone_products(constraints, layout, pairs):
+                yield Fraction(coeffs[pair]), product.nums.items(), product.den
     else:
         raise TypeError(f"cannot expand a {type(cert).__name__}")
 
@@ -230,20 +227,7 @@ def expand(cert, instance: ProblemInstance) -> Polynomial:
     constraints with the recorded normalization divisors re-applied, so the
     caller passes the unnormalized instance.
     """
-    # sum c * P accumulates as integers over the running common denominator
-    # ``den`` of every piece so far.
-    sums: dict[Exponent, int] = {}
-    den = 1
-    for c, numerators, dp in _pieces(cert, instance):
-        d = dp * c.denominator
-        grown = lcm(den, d)
-        if grown != den:
-            sums = {e: v * (grown // den) for e, v in sums.items()}
-            den = grown
-        scale = c.numerator * (den // d)
-        for e, v in numerators:
-            sums[e] = sums.get(e, 0) + scale * v
-    return Polynomial(instance.layout, {e: Fraction(v, den) for e, v in sums.items() if v})
+    return Polynomial.sum(instance.layout, _pieces(cert, instance))
 
 
 def _positive_scaling(scaling) -> tuple[Fraction, ...]:
@@ -258,27 +242,22 @@ def _positive_scaling(scaling) -> tuple[Fraction, ...]:
 
 
 def _coupling_free(cert, expansion: Polynomial, layout: BlockLayout) -> bool:
+    x, z = layout.outside("yz"), layout.outside("xy")
+
     def clean(poly: Polynomial) -> bool:
-        return not any(
-            layout.touches_x(e) and layout.touches_z(e) for e in poly.terms
-        )
+        return not any(p & x and p & z for p in poly.nums)
 
     if not clean(expansion):
         return False
     if isinstance(cert, SOSCertificate):
         for term in cert.terms:
-            block = term.block
-            if block == "xyz":
-                mixed = any(layout.touches_x(e) for e in term.basis) and any(
-                    layout.touches_z(e) for e in term.basis
-                )
+            basis = Polynomial.from_terms(layout, dict.fromkeys(term.basis, 1))
+            if term.block == "xyz":
+                mixed = not basis.is_supported_on("xy") and not basis.is_supported_on("yz")
                 if mixed or not clean(term.weight):
                     return False
-            else:
-                if not all(layout.in_block(e, block) for e in term.basis):
-                    return False
-                if not term.weight.is_supported_on(block):
-                    return False
+            elif not all(p.is_supported_on(term.block) for p in (basis, term.weight)):
+                return False
     return True
 
 

@@ -273,18 +273,16 @@ def parse_problem(text: str) -> ProblemInstance:
 
     g_list, g_names, h_list, h_names = [], [], [], []
     for name, poly, tok in constraints:
-        touches_x = any(layout.touches_x(e) for e in poly.terms)
-        touches_z = any(layout.touches_z(e) for e in poly.terms)
-        if touches_x and touches_z:
-            raise ProblemFileError(
-                f"constraint {name} mixes X and Z variables", tok.line, tok.col
-            )
-        if touches_z:
+        if poly.is_supported_on("xy"):
+            g_list.append(poly)
+            g_names.append(name)
+        elif poly.is_supported_on("yz"):
             h_list.append(poly)
             h_names.append(name)
         else:
-            g_list.append(poly)
-            g_names.append(name)
+            raise ProblemFileError(
+                f"constraint {name} mixes X and Z variables", tok.line, tok.col
+            )
 
     return ProblemInstance(
         layout,

@@ -1,12 +1,15 @@
 """Run a relaxation hierarchy over a range of orders and collect a report.
 
 One row per order carries the bound, solver status, duality gap, block
-statistics and wall time.  Rows that fail to assemble (order too low,
-capacity guards) or to solve are recorded and the remaining orders still
-run.  A variant that does not apply to the instance (product with a g
-that touches Y) raises ``relax.ModeError`` at the first order, before any
-row.  Bounds should be nondecreasing in the order; violations beyond
-tolerance are flagged on the row.
+statistics and wall time.  The bound is the certificate value lambda (the
+solve's ``dual_objective``), the side a certificate proves, not the moment
+side.  Rows that fail to assemble (order too low, capacity guards) or to
+solve are recorded and the remaining orders still run.  A variant that does
+not apply to the instance (product with a g that touches Y) raises
+``relax.ModeError`` at the first order, before any row; an unusable oracle
+grid, or krivine bounds for another variant, is refused before any solve.
+Bounds should be nondecreasing in the order; violations beyond tolerance
+are flagged on the row.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 
 from . import relax
 from .certify import extract_cone, extract_sos
-from .oracle import OracleResult, grid_min
+from .oracle import OracleResult, check_grid, grid_min
 from .problem import ProblemInstance
 from .solver import OPTIMAL, SolveReport, solve_lp, solve_sdp
 
@@ -82,6 +85,10 @@ class HierarchyResult:
 def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResult:
     if config.variant not in VARIANTS:
         raise ConfigError(f"unknown variant {config.variant!r}; expected one of {VARIANTS}")
+    if config.krivine_bounds is not None and config.variant != "krivine":
+        raise ConfigError("krivine bounds apply to the krivine variant only")
+    if config.oracle_box is not None and config.oracle_step is not None:
+        check_grid(instance, config.oracle_box, config.oracle_step)
     if config.variant == "krivine" and instance.krivine_scaling is None:
         instance = relax.normalize_krivine(instance, config.krivine_bounds)
 
@@ -118,7 +125,7 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
 
         row = RowResult(
             r=r,
-            bound=report.primal_objective if report.status == OPTIMAL else None,
+            bound=report.dual_objective if report.status == OPTIMAL else None,
             status=report.status,
             gap=report.residuals.gap,
             blocks=blocks,

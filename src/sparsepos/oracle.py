@@ -78,6 +78,25 @@ def _eval_on(poly: Polynomial, columns: np.ndarray) -> np.ndarray:
     return total
 
 
+def check_grid(instance: ProblemInstance, box, step: float, guard: int = EVALUATION_GUARD):
+    """The point count of each axis of the grid :func:`grid_min` would scan,
+    refusing an unusable grid (``ValueError``) or one whose evaluations
+    exceed ``guard`` (:class:`GridCapacityError`); allocates nothing."""
+    layout = instance.layout
+    if len(box) != layout.nvars:
+        raise ValueError(f"box needs {layout.nvars} intervals, got {len(box)}")
+    if not (isfinite(step) and step > 0):
+        raise ValueError(f"step must be positive and finite, got {step}")
+    sizes = [_axis_size(lo, hi, step) for lo, hi in box]
+    n, m = layout.n, layout.m
+    evaluations = prod(sizes[n : n + m]) * (prod(sizes[:n]) + prod(sizes[n + m :]))
+    if evaluations > guard:
+        raise GridCapacityError(
+            f"{evaluations} grid evaluations exceed the guard of {guard}"
+        )
+    return sizes
+
+
 def grid_min(
     instance: ProblemInstance,
     box: Sequence[tuple[float, float]],
@@ -91,19 +110,8 @@ def grid_min(
     O(step) margin of the true minimum; see :func:`lipschitz_margin`.
     """
     layout = instance.layout
-    if len(box) != layout.nvars:
-        raise ValueError(f"box needs {layout.nvars} intervals, got {len(box)}")
-    if not (isfinite(step) and step > 0):
-        raise ValueError(f"step must be positive and finite, got {step}")
-
-    # The guard is checked on the counts, before any axis is allocated.
-    sizes = [_axis_size(lo, hi, step) for lo, hi in box]
+    sizes = check_grid(instance, box, step, guard)
     n, m = layout.n, layout.m
-    evaluations = prod(sizes[n : n + m]) * (prod(sizes[:n]) + prod(sizes[n + m :]))
-    if evaluations > guard:
-        raise GridCapacityError(
-            f"{evaluations} grid evaluations exceed the guard of {guard}"
-        )
     axes = [np.linspace(lo, hi, size) for (lo, hi), size in zip(box, sizes)]
 
     f_xy, f_yz = instance.split_objective()

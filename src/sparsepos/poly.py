@@ -1,15 +1,21 @@
 """Exact multivariate polynomials over partitioned variable blocks.
 
-A polynomial is stored sparsely as a map from exponent vectors to
-``fractions.Fraction`` coefficients.  An exponent vector is a plain tuple of
-nonnegative ints, one per variable, with the X block first, then Y, then Z;
-:class:`BlockLayout` records the block sizes.  All arithmetic here is exact.
-Floats only appear where a caller converts explicitly (the solver boundary
-does).
+A polynomial is stored sparsely as int numerators over one positive
+denominator, keyed by packed exponents.  A packed exponent is one int with a
+``WIDTH``-bit digit per variable, the X block first, then Y, then Z
+(:class:`BlockLayout` records the block sizes), and the total degree as the
+top digit, so adding packed exponents multiplies monomials.  Packing and
+multiplying check the degree cap ``MAX_DEGREE`` (raising
+:class:`LayoutError`), so no digit ever carries.  All arithmetic here is
+exact; floats only appear where a caller converts explicitly (the solver
+boundary does).  Elsewhere exponents are tuples of nonnegative ints, one per
+variable: :attr:`Polynomial.terms` is a cached view from them to
+``fractions.Fraction`` coefficients, which printing, JSON, the oracle and
+the moment index read.
 
 Example (layout with one variable per block, so vars are ``x, y, z``)::
 
-    x**2 * y + 3   ->   {(2, 1, 0): Fraction(1), (0, 0, 0): Fraction(3)}
+    x**2 * y + 3   ->   terms {(2, 1, 0): Fraction(1), (0, 0, 0): Fraction(3)}
 
 The zero polynomial stores no terms and has degree 0 by convention.
 
@@ -23,18 +29,24 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from functools import cached_property
+from math import gcd, lcm
 from operator import add
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
 #: Valid variable-block selectors.
 BLOCKS = ("x", "xy", "yz", "xyz")
 
+#: Bits per digit of a packed exponent, and the largest total degree.
+WIDTH = 8
+MAX_DEGREE = (1 << WIDTH) - 1
+
 
 class LayoutError(ValueError):
-    """Invalid block layout, or mismatched layouts between operands."""
+    """Invalid block layout, mismatched layouts between operands, or a
+    degree above ``MAX_DEGREE``."""
 
 
 class CouplingError(ValueError):
@@ -86,11 +98,29 @@ class BlockLayout:
     def zero_exponent(self) -> Exponent:
         return (0,) * self.nvars
 
+    @property
+    def degree_shift(self) -> int:
+        """Bit position of the total-degree digit of a packed exponent."""
+        return WIDTH * self.nvars
+
     def is_exponent(self, exp) -> bool:
         """True when ``exp`` is a tuple of one nonnegative int per variable."""
         return isinstance(exp, tuple) and len(exp) == self.nvars and all(
             type(e) is int and e >= 0 for e in exp
         )
+
+    def pack(self, exp) -> int:
+        """The packed form of an exponent vector of degree <= MAX_DEGREE."""
+        exp = tuple(exp)
+        if not self.is_exponent(exp):
+            raise LayoutError(f"bad exponent vector {exp} for {self.nvars} variables")
+        degree = sum(exp)
+        if degree > MAX_DEGREE:
+            raise LayoutError(f"exponent {exp} has degree {degree} above {MAX_DEGREE}")
+        return sum(e << (WIDTH * i) for i, e in enumerate((*exp, degree)))
+
+    def unpack(self, packed: int) -> Exponent:
+        return tuple((packed >> (WIDTH * i)) & MAX_DEGREE for i in range(self.nvars))
 
     def block_positions(self, block: str) -> tuple[int, ...]:
         """Variable positions belonging to ``block`` (one of BLOCKS)."""
@@ -107,16 +137,11 @@ class BlockLayout:
             return tuple(range(self.nvars))
         raise LayoutError(f"unknown block {block!r}; expected one of {BLOCKS}")
 
-    def in_block(self, exp: Exponent, block: str) -> bool:
-        """True when ``exp`` is zero on every variable outside ``block``."""
-        inside = set(self.block_positions(block))
-        return all(e == 0 for i, e in enumerate(exp) if i not in inside)
-
-    def touches_x(self, exp: Exponent) -> bool:
-        return any(exp[i] > 0 for i in range(0, self.n))
-
-    def touches_z(self, exp: Exponent) -> bool:
-        return any(exp[i] > 0 for i in range(self.n + self.m, self.nvars))
+    def outside(self, block: str) -> int:
+        """Mask of the variable digits outside ``block``: a packed exponent
+        is supported on ``block`` when it has no bit in common with it."""
+        inside = self.block_positions(block)
+        return sum(MAX_DEGREE << (WIDTH * i) for i in range(self.nvars) if i not in inside)
 
     def monomial_str(self, exp: Exponent) -> str:
         parts = []
@@ -171,83 +196,81 @@ def monomial_basis(layout: BlockLayout, block: str, r: int) -> tuple[Exponent, .
     return tuple(exps)
 
 
-def common_denominator(terms: Mapping[Exponent, Fraction]) -> int:
-    """Least common multiple of the coefficient denominators (1 when empty).
-
-    With :func:`integer_numerators` it turns a sum or product of exact
-    polynomials into Python-int arithmetic over one denominator; ints do not
-    overflow, so this is exact for any denominators.
-    """
-    den = 1
-    for c in terms.values():
-        q = c.denominator
-        if den % q:
-            den = lcm(den, q)
-    return den
-
-
-def integer_numerators(terms: Mapping[Exponent, Fraction], den: int) -> dict[Exponent, int]:
-    """The coefficients times ``den``, a multiple of their common denominator."""
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}
-
-
 def _coerce_coeff(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, float):
-        return Fraction(value)
-    if isinstance(value, str):
+    if isinstance(value, (Fraction, int, float, str)):
         return Fraction(value)
     raise TypeError(f"cannot use {type(value).__name__} as an exact coefficient")
 
 
 @dataclass(frozen=True)
 class Polynomial:
-    """Sparse exact polynomial tied to a :class:`BlockLayout`.
+    """Sparse exact polynomial tied to a :class:`BlockLayout`:
+    ``sum_p nums[p] / den * m_p`` over packed exponents ``p``.
 
-    ``terms`` maps exponent vectors to nonzero Fraction coefficients.
-    Instances are immutable by convention; no operation mutates its inputs.
+    Construction drops zero numerators and divides out the common factor of
+    ``den`` (a positive int) and the numerators, so equal polynomials have
+    equal fields.  Instances are immutable by convention; no operation
+    mutates its inputs.  Use :meth:`from_terms` for tuple-keyed coefficients.
     """
 
     layout: BlockLayout
-    terms: dict[Exponent, Fraction]
+    nums: dict[int, int]
+    den: int
+
+    def __post_init__(self) -> None:
+        nums = self.nums
+        if 0 in nums.values():
+            nums = {p: v for p, v in nums.items() if v}
+        g = gcd(self.den, *nums.values())
+        if g != 1:
+            nums = {p: v // g for p, v in nums.items()}
+        object.__setattr__(self, "nums", nums)
+        object.__setattr__(self, "den", self.den // g)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def sum(cls, layout: BlockLayout, pieces: Iterable[tuple]) -> "Polynomial":
+        """The sum of pieces ``(c, items, den)``, each the polynomial
+        ``c * sum_p v / den * m_p`` over the ``(p, v)`` in ``items``, with
+        ``c`` an int or Fraction, packed ``p`` and int ``v``.
+
+        Everything accumulates as ints over the running common denominator
+        of the pieces so far; ints do not overflow, so this is exact.
+        """
+        sums: dict[int, int] = {}
+        den = 1
+        for c, items, d in pieces:
+            d *= c.denominator
+            grown = lcm(den, d)
+            if grown != den:
+                sums = {p: v * (grown // den) for p, v in sums.items()}
+                den = grown
+            scale = c.numerator * (den // d)
+            get = sums.get
+            for p, v in items:
+                sums[p] = get(p, 0) + scale * v
+        return cls(layout, sums, den)
+
+    @classmethod
     def from_terms(cls, layout: BlockLayout, terms: Mapping[Exponent, object]) -> "Polynomial":
-        clean: dict[Exponent, Fraction] = {}
-        for exp, coeff in terms.items():
-            exp = tuple(exp)
-            if not layout.is_exponent(exp):
-                raise LayoutError(f"bad exponent vector {exp} for {layout.nvars} variables")
-            c = _coerce_coeff(coeff)
-            if c != 0:
-                clean[exp] = clean.get(exp, Fraction(0)) + c
-        return cls(layout, {e: c for e, c in clean.items() if c != 0})
+        pieces = ((_coerce_coeff(c), ((layout.pack(e), 1),), 1) for e, c in terms.items())
+        return cls.sum(layout, pieces)
 
     @classmethod
     def zero(cls, layout: BlockLayout) -> "Polynomial":
-        return cls(layout, {})
+        return cls(layout, {}, 1)
 
     @classmethod
     def constant(cls, layout: BlockLayout, value) -> "Polynomial":
         c = _coerce_coeff(value)
-        if c == 0:
-            return cls(layout, {})
-        return cls(layout, {layout.zero_exponent: c})
+        return cls(layout, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, layout: BlockLayout, name: str) -> "Polynomial":
-        try:
-            idx = layout.names.index(name)
-        except ValueError:
+        if name not in layout.names:
             raise LayoutError(f"unknown variable {name!r}; layout has {layout.names}")
-        exp = [0] * layout.nvars
-        exp[idx] = 1
-        return cls(layout, {tuple(exp): Fraction(1)})
+        return cls(layout, {layout.pack(int(v == name) for v in layout.names): 1}, 1)
 
     @classmethod
     def monomial(cls, layout: BlockLayout, exp: Exponent, coeff=1) -> "Polynomial":
@@ -255,28 +278,31 @@ class Polynomial:
 
     # -- queries -----------------------------------------------------------
 
+    @cached_property
+    def terms(self) -> dict[Exponent, Fraction]:
+        """Exponent tuple -> nonzero Fraction coefficient; a read-only view."""
+        unpack, den = self.layout.unpack, self.den
+        return {unpack(p): Fraction(v, den) for p, v in self.nums.items()}
+
     @property
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree 0 by convention."""
-        if not self.terms:
-            return 0
-        return max(sum(e) for e in self.terms)
+        return max(self.nums) >> self.layout.degree_shift if self.nums else 0
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def coefficient(self, exp: Exponent) -> Fraction:
         return self.terms.get(tuple(exp), Fraction(0))
 
     def max_norm(self) -> Fraction:
         """Largest absolute coefficient (0 for the zero polynomial)."""
-        if not self.terms:
-            return Fraction(0)
-        return max(abs(c) for c in self.terms.values())
+        return Fraction(max(map(abs, self.nums.values()), default=0), self.den)
 
     def is_supported_on(self, block: str) -> bool:
-        return all(self.layout.in_block(e, block) for e in self.terms)
+        outside = self.layout.outside(block)
+        return not any(p & outside for p in self.nums)
 
     def evaluate(self, point: Sequence) -> object:
         """Evaluate at ``point``; exact when the inputs are ints/Fractions."""
@@ -304,19 +330,12 @@ class Polynomial:
 
     def __add__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = out.get(exp, Fraction(0)) + coeff
-            if acc == 0:
-                out.pop(exp, None)
-            else:
-                out[exp] = acc
-        return Polynomial(self.layout, out)
+        return Polynomial.sum(self.layout, ((1, p.nums.items(), p.den) for p in (self, other)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.layout, {e: -c for e, c in self.terms.items()})
+        return Polynomial(self.layout, {p: -v for p, v in self.nums.items()}, self.den)
 
     def __sub__(self, other) -> "Polynomial":
         return self + (-self._coerce(other))
@@ -326,26 +345,25 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         other = self._coerce(other)
-        # Integer numerators over d1 * d2: one int multiply-add per term pair
-        # and one Fraction per output term.
-        d1 = common_denominator(self.terms)
-        d2 = common_denominator(other.terms)
-        n2 = integer_numerators(other.terms, d2).items()
-        sums: dict[Exponent, int] = {}
-        for e1, c1 in integer_numerators(self.terms, d1).items():
-            for e2, c2 in n2:
-                exp = tuple(map(add, e1, e2))
-                sums[exp] = sums.get(exp, 0) + c1 * c2
-        den = d1 * d2
-        return Polynomial(self.layout, {e: Fraction(v, den) for e, v in sums.items() if v})
+        degree = self.degree + other.degree
+        if degree > MAX_DEGREE:
+            raise LayoutError(f"product of degree {degree} is above {MAX_DEGREE}")
+        # One int multiply-add per term pair; packed exponents add.
+        sums: dict[int, int] = {}
+        get = sums.get
+        n2 = other.nums.items()
+        for p, u in self.nums.items():
+            for q, v in n2:
+                s = p + q
+                sums[s] = get(s, 0) + u * v
+        return Polynomial(self.layout, sums, self.den * other.den)
 
     __rmul__ = __mul__
 
     def scale(self, factor) -> "Polynomial":
         c = _coerce_coeff(factor)
-        if c == 0:
-            return Polynomial(self.layout, {})
-        return Polynomial(self.layout, {e: v * c for e, v in self.terms.items()})
+        nums = {p: v * c.numerator for p, v in self.nums.items()}
+        return Polynomial(self.layout, nums, self.den * c.denominator)
 
     def __pow__(self, power: int) -> "Polynomial":
         if not isinstance(power, int) or power < 0:
@@ -389,14 +407,13 @@ def check_sparsity(f: Polynomial) -> tuple[Polynomial, Polynomial]:
     The two parts always sum back to ``f`` exactly.
     """
     layout = f.layout
-    xy: dict[Exponent, Fraction] = {}
-    yz: dict[Exponent, Fraction] = {}
-    for exp, coeff in f.terms.items():
-        tx, tz = layout.touches_x(exp), layout.touches_z(exp)
-        if tx and tz:
+    x, z = layout.outside("yz"), layout.outside("xy")
+    xy, yz = {}, {}
+    for p, v in f.nums.items():
+        if p & x and p & z:
+            exp = layout.unpack(p)
             raise CouplingError(
-                f"monomial {layout.monomial_str(exp)} couples X and Z variables",
-                exp,
+                f"monomial {layout.monomial_str(exp)} couples X and Z variables", exp
             )
-        (yz if tz else xy)[exp] = coeff
-    return Polynomial(layout, xy), Polynomial(layout, yz)
+        (yz if p & z else xy)[p] = v
+    return Polynomial(layout, xy, f.den), Polynomial(layout, yz, f.den)

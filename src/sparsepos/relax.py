@@ -33,11 +33,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .moments import SymbolicMatrix, half_degree, localizing_matrix
-from .poly import BlockLayout, Exponent, Polynomial, common_denominator, grlex_key
-from .poly import integer_numerators
+from .poly import BlockLayout, Exponent, Polynomial, grlex_key
 from .problem import ProblemInstance
 
 
@@ -358,72 +358,32 @@ def _interleaved(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ..
     return tuple(k for ab in zip(*pair) for k in ab)
 
 
-def _times(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Product of two polynomials held as packed exponent -> int numerator;
-    cancelled terms stay in as zeros."""
-    sums: dict[int, int] = {}
-    get = sums.get
-    for p, u in a.items():
-        for q, v in b.items():
-            s = p + q
-            sums[s] = get(s, 0) + u * v
-    return sums
-
-
 def cone_products(
     constraints: Sequence[Polynomial],
     layout: BlockLayout,
     pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> Iterator[tuple[tuple[tuple[int, ...], tuple[int, ...]], dict[Exponent, int], int]]:
-    """Yield ``((alpha, beta), numerators, den)`` for each pair, where
-    ``prod_j g_j^a_j (1 - g_j)^b_j`` is ``sum_e numerators[e] / den * m_e``
-    with int numerators, none of them zero, and one positive int ``den``.
+) -> Iterator[tuple[tuple[tuple[int, ...], tuple[int, ...]], Polynomial]]:
+    """Yield ``((alpha, beta), prod_j g_j^a_j (1 - g_j)^b_j)`` for each pair.
 
     The pairs are walked depth-first, in lexicographic order of their
     interleaved powers, so consecutive pairs share their leading factors: a
     stack holds the partial product of every factor of the current prefix,
     and each power of g_j and 1 - g_j is computed once.  Only O(depth)
-    partial products are alive at once.  Inside the walk a polynomial is a
-    map from packed exponents to int numerators over one denominator: an
-    exponent is one int with a digit per variable, in a radix above the
-    largest product degree among the pairs, so multiplying monomials adds
-    ints and no digit carries.  Each distinct exponent is unpacked into its
-    tuple once per walk, and yielded maps share those tuples.
+    partial products are alive at once.
     """
     walk = sorted((_interleaved(pair), pair) for pair in pairs)
-    degs = [g.degree for g in constraints]
-    top = max((sum(k * degs[t // 2] for t, k in enumerate(ks) if k) for ks, _ in walk), default=0)
-    width = top.bit_length()  # every exponent entry is at most top < 2**width
-    shifts = [width * i for i in range(layout.nvars)]
-    mask = (1 << width) - 1
+    one = Polynomial.constant(layout, 1)
 
-    def pack(g: Polynomial) -> tuple[dict[int, int], int]:
-        den = common_denominator(g.terms)
-        packed = {
-            sum(k << s for k, s in zip(e, shifts)): v
-            for e, v in integer_numerators(g.terms, den).items()
-        }
-        return packed, den
-
-    powers: dict[tuple[int, int], tuple[dict[int, int], int]] = {}
-
-    def power(t: int, k: int) -> tuple[dict[int, int], int]:
+    @cache
+    def power(t: int, k: int) -> Polynomial:
         """Factor t of the interleaved order, g_j at t = 2j and 1 - g_j at
-        t = 2j + 1, to the k >= 1; packed only once some pair raises it."""
-        if (t, k) not in powers:
-            if k == 1:
-                g, den = pack(constraints[t // 2])
-                if t % 2:
-                    g = {p: -v for p, v in g.items()}
-                    g[0] = g.get(0, 0) + den
-                powers[t, 1] = g, den
-            else:
-                (below, dk), (base, d) = power(t, k - 1), power(t, 1)
-                powers[t, k] = _times(below, base), dk * d
-        return powers[t, k]
+        t = 2j + 1, to the k >= 1."""
+        if k > 1:
+            return power(t, k - 1) * power(t, 1)
+        g = constraints[t // 2]
+        return one - g if t % 2 else g
 
-    exps: dict[int, Exponent] = {}
-    stack = [({0: 1}, 1)]  # stack[t]: product of the first t factors of ``prefix``
+    stack = [one]  # stack[t]: product of the first t factors of ``prefix``
     prefix: tuple[int, ...] = ()
     for ks, pair in walk:
         shared = 0
@@ -433,35 +393,32 @@ def cone_products(
             shared += 1
         del stack[shared + 1 :]
         for t in range(shared, len(ks)):
-            if ks[t]:
-                partial, den = stack[-1]
-                factor, d = power(t, ks[t])
-                stack.append((_times(partial, factor), den * d))
-            else:
-                stack.append(stack[-1])
+            stack.append(stack[-1] * power(t, ks[t]) if ks[t] else stack[-1])
         prefix = ks
-        product, den = stack[-1]
-        for p, v in product.items():
-            if v and p not in exps:
-                exps[p] = tuple((p >> s) & mask for s in shifts)
-        yield pair, {exps[p]: v for p, v in product.items() if v}, den
+        yield pair, stack[-1]
 
 
 def _cone_rows(
     family: str, constraints: Sequence[Polynomial], layout: BlockLayout, r: int
 ) -> list[tuple[RowKey, dict[Exponent, Fraction]]]:
     degs = [g.degree for g in constraints]
-    # Rows repeat few distinct coefficients: one Fraction per (den, numerator).
+    # Rows repeat few distinct coefficients and monomials: one Fraction per
+    # (den, numerator) and one exponent tuple per packed exponent.
     fractions: dict[int, dict[int, Fraction]] = {}
+    exps: dict[int, Exponent] = {}
     rows = []
     walk = cone_products(constraints, layout, _power_pairs(degs, 2 * r))
-    for (alpha, beta), numerators, den in walk:
+    for (alpha, beta), product in walk:
+        den = product.den
         over = fractions.setdefault(den, {})
         form = {}
-        for e, v in numerators.items():
+        for p, v in product.nums.items():
             c = over.get(v)
             if c is None:
                 c = over[v] = Fraction(v, den)
+            e = exps.get(p)
+            if e is None:
+                e = exps[p] = layout.unpack(p)
             form[e] = c
         rows.append(((family, alpha, beta), form))
     rows.sort(key=lambda row: (sum(row[0][1]) + sum(row[0][2]), row[0][1], row[0][2]))

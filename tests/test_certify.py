@@ -644,10 +644,9 @@ class TestConeProducts:
     def test_walk_matches_reference_products(self, walk):
         constraints, pairs = walk
         seen = []
-        for pair, numerators, den in cone_products(constraints, WALK_LAYOUT, pairs):
-            assert den > 0 and all(numerators.values())
-            product = {e: Fraction(v, den) for e, v in numerators.items()}
-            assert product == _reference_product(constraints, *pair, WALK_LAYOUT).terms
+        for pair, product in cone_products(constraints, WALK_LAYOUT, pairs):
+            assert product.den > 0 and all(product.nums.values())
+            assert product.terms == _reference_product(constraints, *pair, WALK_LAYOUT).terms
             seen.append(pair)
         assert sorted(seen) == sorted(pairs)
 

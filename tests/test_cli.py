@@ -82,6 +82,10 @@ def _strip_ms(text: str) -> str:
     return "\n".join(out)
 
 
+def _no_solve(*args, **kwargs):
+    raise AssertionError("no solve may run")
+
+
 FAILING = VerificationReport(residual=0.5, coupling_free=True, psd_ok=False, lam=0.0,
                              passed=False)
 
@@ -92,7 +96,7 @@ class TestMain:
         out = capsys.readouterr().out
         assert code == 0
         assert "optimal" in out
-        assert "-1.52034518" in out
+        assert "-1.52034519" in out
 
     def test_csv_format(self, problem_file, capsys):
         code = main([problem_file, "--format", "csv", "--order", "1"])
@@ -120,6 +124,16 @@ class TestMain:
                      "--krivine-bounds", "1,1", "--order", "1"])
         assert code == 3
 
+    def test_krivine_bounds_for_other_variant_exits_2(self, problem_file, capsys):
+        assert main([problem_file, "--order", "1", "--krivine-bounds", "1,1"]) == 2
+        assert "krivine" in capsys.readouterr().err
+
+    def test_degree_above_cap_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "high.sp"
+        path.write_text("vars x : X; minimize x^300; st g: 1 - x^2 >= 0;")
+        assert main([str(path)]) == 2
+        assert "error: " in capsys.readouterr().err
+
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.sp"
         path.write_text("vars x : X; minimize ;")
@@ -142,7 +156,10 @@ class TestMain:
         ("nan:1,-1:1,-1:1", "0.05"),
         ("-1:1,-1:1,-1:1", "1e-300"),
     ], ids=["infinite-endpoint", "nan-endpoint", "tiny-step"])
-    def test_unusable_oracle_grid_exits_2(self, problem_file, capsys, box, step):
+    def test_unusable_oracle_grid_exits_2(self, problem_file, capsys, monkeypatch, box, step):
+        # Refused before any solve.
+        for solve in ("solve_sdp", "solve_lp"):
+            monkeypatch.setattr(f"sparsepos.hierarchy.{solve}", _no_solve)
         code = main([problem_file, "--order", "1", f"--oracle-box={box}", "--oracle-step", step])
         assert code == 2
         assert "error" in capsys.readouterr().err

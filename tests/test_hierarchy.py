@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sparsepos import problems
@@ -44,7 +46,7 @@ class TestRunHierarchy:
     def test_constant_objective_rows(self):
         config = RunConfig(variant="putinar-sparse", r_min=1, r_max=3)
         result = run_hierarchy(problems.constant5(), config)
-        assert [row.bound for row in result.rows] == [5.0, 5.0, 5.0]
+        assert all(5.0 - 1e-7 <= row.bound <= 5.0 for row in result.rows)
 
     def test_default_order_is_minimum(self):
         result = run_hierarchy(problems.twoballs(), RunConfig())
@@ -88,4 +90,26 @@ class TestRunHierarchy:
         config = RunConfig(variant="krivine", r_min=1, r_max=2)
         result = run_hierarchy(problems.constant5(), config)
         assert result.exit_code == EXIT_OK
-        assert all(row.bound == 5.0 for row in result.rows)
+        assert all(5.0 - 1e-7 <= row.bound <= 5.0 for row in result.rows)
+
+    def test_bound_below_objective_at_first_moments(self):
+        # The first moments of each solve are an exactly feasible point, so f
+        # there is an upper bound on the minimum and the row's lower bound
+        # may not exceed it.
+        instance = problems.twoballs()
+        result = run_hierarchy(instance, RunConfig(r_min=1, r_max=3))
+        layout = instance.layout
+        for row in result.rows:
+            assert row.status == "optimal"
+            point = [
+                Fraction(row.report.moments.get(unit))
+                for unit in (tuple(int(i == j) for j in range(layout.nvars))
+                             for i in range(layout.nvars))
+            ]
+            assert all(c.evaluate(point) >= 0
+                       for c in (*instance.g_constraints, *instance.h_constraints))
+            assert Fraction(row.bound) <= instance.objective.evaluate(point)
+
+    def test_krivine_bounds_refused_for_other_variants(self):
+        with pytest.raises(ConfigError, match="krivine"):
+            run_hierarchy(problems.twoballs(), RunConfig(krivine_bounds=[1, 1]))

@@ -117,6 +117,30 @@ def test_ring_laws(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@settings(max_examples=100)
+@given(MIXED_POLYNOMIALS, MIXED_POLYNOMIALS, MIXED_POLYNOMIALS)
+def test_canonical_form(a, b, c):
+    left, right = (a * b) * c, a * (b * c)
+    assert (left.nums, left.den) == (right.nums, right.den)
+    for p in (a, left):
+        assert Polynomial.from_terms(LAYOUT, p.terms) == p
+
+
+class TestDegreeCap:
+    def test_cap_reached(self):
+        assert (X**255).degree == 255
+        assert (X**255).terms == {(255, 0, 0): 1}
+
+    @pytest.mark.parametrize("build", [
+        lambda: X**256,
+        lambda: X**200 * X**56,
+        lambda: Polynomial.from_terms(LAYOUT, {(256, 0, 0): 1}),
+    ], ids=["power", "product", "from-terms"])
+    def test_above_cap_refused(self, build):
+        with pytest.raises(LayoutError):
+            build()
+
+
 class TestCheckSparsity:
     def test_disjoint_supports(self):
         f = X**2 * Y + Y * Z

@@ -16,7 +16,7 @@ import sys
 from sparsepos import problems
 from sparsepos.certify import certificate_to_json, expand, extract_sos, verify
 from sparsepos.relax import RECIPES, CapacityError, ModeError, OrderError, assemble, min_order
-from sparsepos.solver import solve_sdp
+from sparsepos.solver import solve
 
 
 def main(argv=None) -> int:
@@ -36,7 +36,7 @@ def main(argv=None) -> int:
     except (OrderError, CapacityError, ModeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = solve_sdp(program)
+    report = solve(program)
     print(f"solve: status={report.status} bound={report.primal_objective:.9g} "
           f"lambda={report.dual_objective:.9g} iterations={report.iterations}")
     if report.status != "optimal":

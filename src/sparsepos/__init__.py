@@ -50,8 +50,7 @@ from .solver import (
     UNBOUNDED,
     Residuals,
     SolveReport,
-    solve_lp,
-    solve_sdp,
+    solve,
 )
 from .certify import (
     ConeCertificate,

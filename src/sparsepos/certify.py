@@ -299,8 +299,7 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
         )
 
     bound = tol * (1.0 + float(instance.objective.max_norm()))
-    dense = getattr(cert, "mode", "") == "dense"
-    passed = residual <= bound and psd_ok and (coupling or dense)
+    passed = residual <= bound and psd_ok and (coupling or cert.mode == "dense")
     return VerificationReport(
         residual=residual,
         coupling_free=coupling,
@@ -316,13 +315,16 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _layout_json(layout: BlockLayout) -> dict:
+    return {"n": layout.n, "m": layout.m, "p": layout.p, "names": list(layout.names)}
+
+
 def certificate_to_json(cert) -> str:
-    layout = cert.layout
     head = {
         "mode": cert.mode,
         "order": cert.order,
         "lambda": _fmt(cert.lam),
-        "layout": {"n": layout.n, "m": layout.m, "p": layout.p, "names": list(layout.names)},
+        "layout": _layout_json(cert.layout),
     }
     if isinstance(cert, SOSCertificate):
         head["kind"] = "sos"
@@ -389,12 +391,19 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     that is not positive (as :func:`verify` would); a cone subset
     that is not two lists of one nonnegative int per constraint of its
     family; an SOS subset that is not a list of int indices into its side's
-    constraints; and a term that :class:`SOSTerm` refuses (a basis exponent
+    constraints; a term that :class:`SOSTerm` refuses (a basis exponent
     that is not a list of one nonnegative int per variable, a Gram matrix
-    that is not len(basis) x len(basis)).
+    that is not len(basis) x len(basis)); a ``layout`` whose n, m, p or
+    names differ from the instance's; and an ``order`` that is not a
+    nonnegative int.
     """
     data = json.loads(text)
     layout = instance.layout
+    if data["layout"] != _layout_json(layout):
+        raise ValueError(f"certificate layout {data['layout']!r} is not the instance's")
+    order = data["order"]
+    if type(order) is not int or order < 0:
+        raise ValueError(f"certificate order {order!r}; expected a nonnegative int")
     lam = float(_finite(data["lambda"], "lambda"))
     kind, mode = data["kind"], data["mode"]
     if kind == "cone":
@@ -408,7 +417,6 @@ def certificate_from_json(text: str, instance: ProblemInstance):
             key = _cone_key(t["subset"], counts[t["family"]])
             coeffs[t["family"]][key] = float(_finite(t["coeff"], "coeff"))
         scaling = _positive_scaling(_finite(s, "scaling") for s in data["scaling"])
-        order = int(data["order"])
         return ConeCertificate(lam, coeffs["xy"], coeffs["yz"], scaling, order, layout)
     if kind != "sos":
         raise ValueError(f"unknown certificate kind {kind!r}")
@@ -424,4 +432,4 @@ def certificate_from_json(text: str, instance: ProblemInstance):
         gram = np.array([[float(_finite(v, "gram entry")) for v in row] for row in t["gram"]])
         weight = side.weight(instance, subset)  # refuses an index out of range
         terms.append(SOSTerm(t["family"], tuple(subset), side.block, weight, basis, gram))
-    return SOSCertificate(lam, tuple(terms), mode, int(data["order"]), layout)
+    return SOSCertificate(lam, tuple(terms), mode, order, layout)

@@ -21,7 +21,7 @@ from . import relax
 from .certify import extract_cone, extract_sos
 from .oracle import OracleResult, check_grid, grid_min
 from .problem import ProblemInstance
-from .solver import OPTIMAL, SolveReport, solve_lp, solve_sdp
+from .solver import OPTIMAL, SolveReport, solve
 
 VARIANTS = relax.VARIANTS
 
@@ -115,12 +115,10 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
             had_config_error = True
             continue
 
-        if config.variant == "krivine":
-            report = solve_lp(program, tol=config.tol)
-            blocks, max_block = program.num_rows, 1
-        else:
-            report = solve_sdp(program, tol=config.tol)
-            blocks, max_block = program.num_blocks, program.max_block_size
+        report = solve(program, tol=config.tol)
+        linear = isinstance(program, relax.LinearProgram)
+        blocks = program.num_rows if linear else program.num_blocks
+        max_block = 1 if linear else program.max_block_size
         ms = 1000.0 * (time.perf_counter() - start)
 
         row = RowResult(
@@ -146,10 +144,8 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
     # Certificate of the highest optimal order.
     for row in reversed(result.rows):
         if row.report is not None and row.report.status == OPTIMAL:
-            if config.variant == "krivine":
-                result.certificate = extract_cone(row.report, row.program)
-            else:
-                result.certificate = extract_sos(row.report, row.program)
+            extract = extract_cone if isinstance(row.program, relax.LinearProgram) else extract_sos
+            result.certificate = extract(row.report, row.program)
             break
 
     if config.oracle_box is not None and config.oracle_step is not None:

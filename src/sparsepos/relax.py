@@ -37,7 +37,7 @@ from functools import cache
 from typing import Iterable, Iterator, Sequence
 
 from .moments import SymbolicMatrix, half_degree, localizing_matrix
-from .poly import BlockLayout, Exponent, Polynomial, grlex_key
+from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial, grlex_key
 from .problem import ProblemInstance
 
 
@@ -369,9 +369,14 @@ def cone_products(
     interleaved powers, so consecutive pairs share their leading factors: a
     stack holds the partial product of every factor of the current prefix,
     and each power of g_j and 1 - g_j is computed once.  Only O(depth)
-    partial products are alive at once.
+    partial products are alive at once.  A pair of degree above
+    ``MAX_DEGREE`` raises ``LayoutError`` before any product is formed.
     """
     walk = sorted((_interleaved(pair), pair) for pair in pairs)
+    degs = [g.degree for g in constraints for _ in "ab"]  # of each factor
+    for ks, pair in walk:
+        if (degree := sum(k * d for k, d in zip(ks, degs))) > MAX_DEGREE:
+            raise LayoutError(f"cone product {pair} has degree {degree} above {MAX_DEGREE}")
     one = Polynomial.constant(layout, 1)
 
     @cache
@@ -490,19 +495,19 @@ def _auto_upper_bounds(instance: ProblemInstance) -> list[Fraction]:
     # Maximizing g equals minimizing -g; a quadratic-module lower bound on
     # the latter therefore dominates sup g.  Imported lazily: the solver
     # consumes programs assembled here.
-    from .solver import solve_sdp
+    from .solver import solve
 
     bounds: list[Fraction] = []
     for poly in (*instance.g_constraints, *instance.h_constraints):
         sub = replace(instance, objective=-poly, krivine_scaling=None)
         r = min_order(sub, "putinar-sparse") + 1
-        report = solve_sdp(assemble_sparse_putinar(sub, r), tol=1e-8)
+        report = solve(assemble_sparse_putinar(sub, r), tol=1e-8)
         if report.status != "optimal":
             raise BoundError(
                 f"automatic normalization failed: bound solve ended with "
                 f"status {report.status}"
             )
-        upper = -report.primal_objective
+        upper = -report.dual_objective  # lambda, the certified side
         upper += 1e-8 * (1.0 + abs(upper))  # cushion for solver tolerance
         bounds.append(Fraction(upper).limit_denominator(10**9))
     return bounds

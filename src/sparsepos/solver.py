@@ -13,18 +13,22 @@ and the (P) variable X collects the Gram multiplier blocks of the dual
 representation (the bound certificate), found by a Mehrotra
 predictor-corrector.
 
-Each block is one cone object that owns its data and its math; the loop
-calls them without knowing which kind it holds.  A ``_PsdCone`` is a k x k
-SDP block, a sparse (M, k*k) matrix read off the symbolic localizing
-matrix: Nesterov-Todd scaling, and a Schur part built from its nonzeros
-(Fujisawa, Kojima and Nakata 1997, formula F1), M_b*k^3 per iteration
-instead of M^2*k^2 for a block that touches M_b moments.  A ``_RowCone`` is
-one family of nonnegative LP rows, a sparse (M, R_b) matrix: x/s scaling,
-and a Schur part that is a dense (M_b, R_b) by (R_b, M_b) product.  Every LP
-row is a product of g's alone or of h's alone, so each family reads only
-the moments of its own side (plus the shared Y-only ones).  Either kind
-fills only the rows and columns of the M_b moments it touches.
-The rest is dense float64 linear algebra; exactness is recovered
+``solve`` is the one entry point for both program kinds, and ``_cones``
+the one builder: it places the moments once and makes each PSD block or LP
+constraint family one cone object, labelled with its multipliers
+(``solve_sdp`` and ``solve_lp`` are aliases, kept for the benchmark and the
+acceptance tests, which import those names).  Each cone owns its data and
+its math; the loop calls them without knowing which kind it holds.  A
+``_PsdCone`` is a k x k SDP block, a sparse (M, k*k) matrix read off the
+symbolic localizing matrix: Nesterov-Todd scaling, and a Schur part built
+from its nonzeros (Fujisawa, Kojima and Nakata 1997, formula F1), M_b*k^3
+per iteration instead of M^2*k^2 for a block that touches M_b moments.  A
+``_RowCone`` is one family of nonnegative LP rows, a sparse (M, R_b) matrix:
+x/s scaling, and a Schur part that is a dense (M_b, R_b) by (R_b, M_b)
+product.  Every LP row is a product of g's alone or of h's alone, so each
+family reads only the moments of its own side (plus the shared Y-only
+ones).  Either kind fills only the rows and columns of the M_b moments it
+touches.  The rest is dense float64 linear algebra; exactness is recovered
 downstream by certificate verification.  There is no randomized state, so
 repeated solves of one program are bit-identical.  Infeasibility detection
 is heuristic: a presolve catches constant-row contradictions, divergence of
@@ -248,18 +252,11 @@ class _RowCone(_Cone):
 class _RawResult:
     status: str
     X: list
-    S: list
     y: np.ndarray
     iterations: int
     rel_p: float
     rel_d: float
     pobj: float
-    dobj: float
-
-
-def _check_tol(tol: float) -> None:
-    if not 1e-12 <= tol <= 1e-2:
-        raise ValueError(f"tolerance must lie in [1e-12, 1e-2], got {tol}")
 
 
 def _max_steps(cones: list[_Cone], dX, dS) -> tuple[float, float]:
@@ -338,11 +335,6 @@ def _scipy_blas_on_one_thread():
                 setter(_pin_saved)
 
 
-def _ipm(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
-    with _scipy_blas_on_one_thread():
-        return _ipm_loop(cones, b, tol, max_iter)
-
-
 def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
     M = b.size
     nu = sum(c.size for c in cones)
@@ -355,11 +347,10 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
     init_scale = 1.0 + data_norm
 
     def idle(status: str) -> _RawResult:
-        # No iteration runs: zero multipliers, S = C.
+        # No iteration runs: zero multipliers.
         X = [np.zeros_like(c.C) for c in cones]
-        S = [c.C.copy() for c in cones]
         rel = 0.0 if status == OPTIMAL else np.inf
-        return _RawResult(status, X, S, np.zeros(M), 0, rel, rel, 0.0, 0.0)
+        return _RawResult(status, X, np.zeros(M), 0, rel, rel, 0.0)
 
     # Constant constraints must already be consistent; catches doctored
     # contradictions exactly.
@@ -487,138 +478,113 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
         S = [c.sym(Sc + ad * dSc) for c, Sc, dSc in zip(cones, S, dS)]
         iterations = it + 1
 
-    return _RawResult(status, X, S, y, iterations, rel_p, rel_d, pobj, dobj)
+    return _RawResult(status, X, y, iterations, rel_p, rel_d, pobj)
 
 
-def _moment_positions(variable_index, layout):
-    zero = layout.zero_exponent
-    if variable_index[0] != zero:
+def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
+    """The program's cones, each with the labels of its multipliers, and the
+    position of every free moment.
+
+    A PSD block gives one ``_PsdCone`` labelled by its ``BlockLabel``; the LP
+    rows give one ``_RowCone`` per constraint family, in order of first
+    appearance, labelled by the positions in ``program.rows`` of its rows.
+    Only the entry loops read the program kind: entry (i, j) of a k x k block
+    fills slots i*k+j and j*k+i, row r of a family fills slot r.
+    """
+    zero = program.layout.zero_exponent
+    if program.variable_index[0] != zero:
         raise ValueError("variable index must start with the unit moment")
-    return {e: i - 1 for i, e in enumerate(variable_index) if i > 0}
-
-
-def _sdp_cones(program: ConicProgram):
-    layout = program.layout
-    zero = layout.zero_exponent
-    pos = _moment_positions(program.variable_index, layout)
-    M = len(program.variable_index) - 1
-    cones = []
-    for _, sym in program.psd_blocks:
-        k = sym.size
-        C = np.zeros((k, k))
-        moment, slot, value = [], [], []
-        for i, j, coeff, e in sym.terms:
-            v = float(coeff)
-            if e == zero:
-                C[i, j] += v
-                if i != j:
-                    C[j, i] += v
-            else:
-                q = pos[e]
-                moment.append(q)
-                slot.append(i * k + j)
-                value.append(-v)
-                if i != j:
-                    moment.append(q)
-                    slot.append(j * k + i)
-                    value.append(-v)
-        A = csr_matrix((value, (moment, slot)), shape=(M, k * k))
-        A.eliminate_zeros()
-        cones.append(_PsdCone(A, C))
-    return cones, pos, M
-
-
-def _lp_cones(program: LinearProgram):
-    """One cone of nonnegative rows per constraint family, in order of first
-    appearance, and the positions in ``program.rows`` of each cone's rows."""
-    layout = program.layout
-    zero = layout.zero_exponent
-    pos = _moment_positions(program.variable_index, layout)
-    M = len(program.variable_index) - 1
-    families: dict[str, list[int]] = {}
-    for i, ((family, _, _), _) in enumerate(program.rows):
-        families.setdefault(family, []).append(i)
+    pos = {e: i - 1 for i, e in enumerate(program.variable_index) if i > 0}
+    if isinstance(program, LinearProgram):
+        families: dict[str, list[int]] = {}
+        for i, ((family, _, _), _) in enumerate(program.rows):
+            families.setdefault(family, []).append(i)
+        parts = [(_RowCone, rows, rows) for rows in families.values()]
+    else:
+        parts = [(_PsdCone, label, sym) for label, sym in program.psd_blocks]
     # Assembly shares one Fraction per distinct coefficient, so each object
-    # is converted once; the rows keep every keyed object alive meanwhile.
+    # is converted once; the program keeps every keyed object alive meanwhile.
     floats: dict[int, float] = {}
     cones = []
-    for rows in families.values():
-        C = np.zeros(len(rows))
-        moment, column, value = [], [], []
-        for col, i in enumerate(rows):
-            for e, coeff in program.rows[i][1].items():
+    for Cone, labels, data in parts:
+        moment, slot, value = [], [], []
+        if Cone is _RowCone:
+            C = np.zeros(len(data))
+            for col, i in enumerate(data):
+                for e, coeff in program.rows[i][1].items():
+                    v = floats.get(id(coeff))
+                    if v is None:
+                        v = floats[id(coeff)] = float(coeff)
+                    if e == zero:
+                        C[col] += v
+                    else:
+                        moment.append(pos[e])
+                        slot.append(col)
+                        value.append(-v)
+        else:
+            k = data.size
+            C = np.zeros((k, k))
+            for i, j, coeff, e in data.terms:
                 v = floats.get(id(coeff))
                 if v is None:
                     v = floats[id(coeff)] = float(coeff)
                 if e == zero:
-                    C[col] += v
+                    C[i, j] += v
+                    if i != j:
+                        C[j, i] += v
                 else:
-                    moment.append(pos[e])
-                    column.append(col)
+                    q = pos[e]
+                    moment.append(q)
+                    slot.append(i * k + j)
                     value.append(-v)
-        A = csr_matrix((value, (moment, column)), shape=(M, len(rows)))
+                    if i != j:
+                        moment.append(q)
+                        slot.append(j * k + i)
+                        value.append(-v)
+        A = csr_matrix((value, (moment, slot)), shape=(len(pos), C.size))
         A.eliminate_zeros()
-        cones.append(_RowCone(A, C))
-    return cones, pos, M, list(families.values())
+        cones.append((Cone(A, C), labels))
+    return cones, pos
 
 
-def _objective_vector(program, M: int, pos) -> tuple[np.ndarray, float]:
+def solve(
+    program: ConicProgram | LinearProgram, tol: float = 1e-8, max_iter: int = 200
+) -> SolveReport:
+    """Solve a block-PSD moment relaxation or a cone (LP) relaxation.  On
+    optimal status the moments satisfy every block or row to tolerance with
+    the unit moment pinned at 1; LP duals follow program row order."""
+    if not 1e-12 <= tol <= 1e-2:
+        raise ValueError(f"tolerance must lie in [1e-12, 1e-2], got {tol}")
+    cones, pos = _cones(program)
     zero = program.layout.zero_exponent
-    c = np.zeros(M)
-    f0 = 0.0
+    f0 = float(program.objective.get(zero, 0))
+    c = np.zeros(len(pos))
     for e, coeff in program.objective.items():
-        if e == zero:
-            f0 = float(coeff)
-        else:
+        if e != zero:
             c[pos[e]] = float(coeff)
-    return c, f0
+    with _scipy_blas_on_one_thread():
+        raw = _ipm_loop([cone for cone, _ in cones], -c, tol, max_iter)
 
-
-def _build_report(program, raw: _RawResult, f0: float, c: np.ndarray, dual_blocks) -> SolveReport:
-    values = {program.layout.zero_exponent: 1.0}
-    for i, e in enumerate(program.variable_index[1:]):
-        values[e] = float(raw.y[i])
-    moments = MomentVector(program.layout, values, 2 * program.order)
+    if isinstance(program, LinearProgram):
+        multipliers = np.empty(len(program.rows))
+        for (_, rows), Xc in zip(cones, raw.X):
+            multipliers[rows] = Xc
+        dual_blocks = [(key, float(multipliers[i])) for i, (key, _) in enumerate(program.rows)]
+    else:
+        dual_blocks = [(label, Xc) for (_, label), Xc in zip(cones, raw.X)]
+    values = dict(zip(program.variable_index, [1.0, *raw.y.tolist()]))
     primal = f0 + float(c @ raw.y)
     dual = f0 - raw.pobj
     return SolveReport(
         status=raw.status,
         primal_objective=primal,
         dual_objective=dual,
-        moments=moments,
+        moments=MomentVector(program.layout, values, 2 * program.order),
         dual_blocks=dual_blocks,
         iterations=raw.iterations,
         residuals=Residuals(raw.rel_p, raw.rel_d, abs(primal - dual)),
     )
 
 
-def solve_sdp(program: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> SolveReport:
-    """Solve a block-PSD moment relaxation.
-
-    On optimal status the reported moments satisfy every block to tolerance
-    with the unit moment pinned at 1, and ``dual_blocks`` holds the Gram
-    matrices realizing the bound as a weighted sum-of-squares identity.
-    """
-    _check_tol(tol)
-    cones, pos, M = _sdp_cones(program)
-    c, f0 = _objective_vector(program, M, pos)
-    raw = _ipm(cones, -c, tol, max_iter)
-    dual_blocks = [
-        (label, Xc) for (label, _), Xc in zip(program.psd_blocks, raw.X)
-    ]
-    return _build_report(program, raw, f0, c, dual_blocks)
-
-
-def solve_lp(program: LinearProgram, tol: float = 1e-8, max_iter: int = 200) -> SolveReport:
-    """Solve a cone relaxation; row multipliers come back as the duals."""
-    _check_tol(tol)
-    cones, pos, M, families = _lp_cones(program)
-    c, f0 = _objective_vector(program, M, pos)
-    raw = _ipm(cones, -c, tol, max_iter)
-    multipliers = np.empty(len(program.rows))
-    for rows, Xc in zip(families, raw.X):
-        multipliers[rows] = Xc
-    dual_blocks = [
-        (key, float(multipliers[i])) for i, (key, _) in enumerate(program.rows)
-    ]
-    return _build_report(program, raw, f0, c, dual_blocks)
+# The earlier names, which perfbench and the acceptance tests import.
+solve_sdp = solve_lp = solve

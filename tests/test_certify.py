@@ -23,7 +23,7 @@ from sparsepos.certify import (
     extract_sos,
     verify,
 )
-from sparsepos.poly import BlockLayout, Polynomial
+from sparsepos.poly import BlockLayout, LayoutError, Polynomial
 from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
     assemble_krivine,
@@ -372,6 +372,13 @@ class TestCone:
         with pytest.raises(ValueError, match=re.escape(repr(pair))):
             verify(cert, inst)
 
+    def test_power_above_degree_cap_refused(self):
+        # (1 - x^2)^5000 has degree 10000: refused before any product.
+        inst, cert = _sign_flipped_cone(1)
+        cert = replace(cert, xy_coeffs={((5000,), (0,)): 1.0})
+        with pytest.raises(LayoutError, match="degree 10000"):
+            verify(cert, inst)
+
 
 @pytest.fixture(scope="module")
 def twoballs_r1_json():
@@ -526,6 +533,25 @@ class TestSerialization:
             data["mode"] = value
         with pytest.raises(ValueError, match=value):
             certificate_from_json(json.dumps(data), inst)
+
+    @pytest.mark.parametrize(
+        "layout",
+        [{"n": 2, "m": 0, "p": 1, "names": ["a", "b", "c"]},
+         {"n": 1, "m": 1, "p": 1, "names": ["a", "b", "c"]}],
+        ids=["blocks", "names"],
+    )
+    def test_other_layout_rejected(self, twoballs_r1_json, layout):
+        data = json.loads(twoballs_r1_json)
+        data["layout"] = layout
+        with pytest.raises(ValueError, match="layout"):
+            certificate_from_json(json.dumps(data), problems.twoballs())
+
+    @pytest.mark.parametrize("order", [-1, 2.5, "2", True], ids=["negative", "float", "string", "bool"])
+    def test_order_not_a_nonnegative_int_rejected(self, twoballs_r1_json, order):
+        data = json.loads(twoballs_r1_json)
+        data["order"] = order
+        with pytest.raises(ValueError, match="order"):
+            certificate_from_json(json.dumps(data), problems.twoballs())
 
     def test_seventeen_digit_numbers(self):
         inst = problems.interval()

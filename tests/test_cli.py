@@ -158,8 +158,7 @@ class TestMain:
     ], ids=["infinite-endpoint", "nan-endpoint", "tiny-step"])
     def test_unusable_oracle_grid_exits_2(self, problem_file, capsys, monkeypatch, box, step):
         # Refused before any solve.
-        for solve in ("solve_sdp", "solve_lp"):
-            monkeypatch.setattr(f"sparsepos.hierarchy.{solve}", _no_solve)
+        monkeypatch.setattr("sparsepos.hierarchy.solve", _no_solve)
         code = main([problem_file, "--order", "1", f"--oracle-box={box}", "--oracle-step", step])
         assert code == 2
         assert "error" in capsys.readouterr().err

@@ -284,6 +284,18 @@ class TestNormalize:
             grid_max = -grid_min(neg, [(-1, 1)] * 3, 0.01).minimum
             assert float(normed.krivine_scaling[idx]) >= grid_max - 1e-6
 
+    def test_auto_bounds_read_the_certified_side(self, monkeypatch):
+        # The moment side of a maximization can fall short of the maximum;
+        # lambda is the value the bound solve certifies.
+        from sparsepos import solver
+        from sparsepos.solver import Residuals, SolveReport
+
+        report = SolveReport("optimal", -0.5, -1.0, None, [], 0, Residuals(0.0, 0.0, 0.5))
+        for name in ("solve", "solve_sdp"):  # one function, two names
+            monkeypatch.setattr(solver, name, lambda program, tol: report, raising=False)
+        bounds = normalize_krivine(problems.twoballs(), None).krivine_scaling
+        assert len(bounds) == 2 and all(b >= 1 for b in bounds)
+
 
 class TestProgramInvariants:
     @pytest.mark.parametrize("assemble,r", [

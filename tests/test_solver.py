@@ -30,10 +30,9 @@ from sparsepos.solver import (
     NUMERICAL_FAILURE,
     OPTIMAL,
     UNBOUNDED,
-    _lp_cones,
+    _cones,
     _PsdCone,
     _RowCone,
-    _sdp_cones,
     solve_lp,
     solve_sdp,
 )
@@ -223,7 +222,10 @@ class TestLpFamilyCones:
 
     def test_schur_parts_match_dense_reference(self):
         prog = assemble_krivine(normalize_krivine(_two_family_box(), [1] * 4), 2)
-        cones, _, M, families = _lp_cones(prog)
+        labelled, pos = _cones(prog)
+        cones = [cone for cone, _ in labelled]
+        families = [rows for _, rows in labelled]
+        M = len(pos)
         assert [type(c) for c in cones] == [_RowCone, _RowCone]
         assert [len(rows) for rows in families] == [c.size for c in cones]
         zero = prog.layout.zero_exponent
@@ -250,8 +252,8 @@ class TestLpFamilyCones:
         assert [form for key, form in prog.rows if key[0] == "yz"] == [
             {UNIVARIATE.zero_exponent: Fraction(1)}
         ]
-        cones, _, _, _ = _lp_cones(prog)
-        assert cones[1].A.nnz == 0
+        labelled, _ = _cones(prog)
+        assert labelled[1][0].A.nnz == 0
         report = solve_lp(prog)
         assert report.status == OPTIMAL
         assert abs(report.primal_objective) <= 1e-6
@@ -319,8 +321,10 @@ class TestSparseConstraintData:
     @pytest.mark.parametrize("r,index", BLOCKS)
     def test_block_matches_dense_reference(self, r, index):
         program = assemble_sparse_schmudgen(problems.twoballs(), r)
-        cones, _, M = _sdp_cones(program)
-        cone = cones[index]
+        labelled, pos = _cones(program)
+        cone, label = labelled[index]
+        M = len(pos)
+        assert label == program.psd_blocks[index][0]
         A, C = _dense_constraints(program)[index]
         k = cone.size
         sym = program.psd_blocks[index][1]

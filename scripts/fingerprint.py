@@ -60,11 +60,8 @@ def _twins(names: list[str]) -> list:
 def _solve(program):
     from sparsepos import relax, solver
 
-    if hasattr(solver, "solve"):
-        return solver.solve(program, tol=SOLVE_TOL)
-    # Trees from before the single entry point have one per program kind.
-    kind = solver.solve_lp if isinstance(program, relax.LinearProgram) else solver.solve_sdp
-    return kind(program, tol=SOLVE_TOL)
+    solve = solver.solve_lp if isinstance(program, relax.LinearProgram) else solver.solve_sdp
+    return solve(program, tol=SOLVE_TOL)
 
 
 def record(rung, text: str) -> dict:

@@ -51,6 +51,8 @@ from .solver import (
     Residuals,
     SolveReport,
     solve,
+    solve_lp,  # solve_lp and solve_sdp are the earlier names of solve, kept
+    solve_sdp,  # so that existing imports from the package still work
 )
 from .certify import (
     ConeCertificate,

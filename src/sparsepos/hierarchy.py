@@ -109,9 +109,7 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
             program = relax.assemble(instance, config.variant, r)
         except (relax.OrderError, relax.CapacityError, relax.NormalizationError) as exc:
             ms = 1000.0 * (time.perf_counter() - start)
-            result.rows.append(
-                RowResult(r, None, "order-error", None, 0, 0, ms, error=str(exc))
-            )
+            result.rows.append(RowResult(r, None, "order-error", None, 0, 0, ms, error=str(exc)))
             had_config_error = True
             continue
 
@@ -134,10 +132,9 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
         )
         if report.status != OPTIMAL:
             had_solver_error = True
-        if row.bound is not None and last_bound is not None:
-            if row.bound < last_bound - MONOTONICITY_TOL:
-                row.monotonicity_violated = True
         if row.bound is not None:
+            if last_bound is not None and row.bound < last_bound - MONOTONICITY_TOL:
+                row.monotonicity_violated = True
             last_bound = row.bound
         result.rows.append(row)
 

@@ -370,7 +370,7 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
     status = MAX_ITERATIONS
     iterations = 0
     rel_p = rel_d = np.inf
-    pobj = dobj = 0.0
+    pobj = 0.0
     stalls = 0
 
     for it in range(max_iter + 1):
@@ -495,22 +495,17 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
     if program.variable_index[0] != zero:
         raise ValueError("variable index must start with the unit moment")
     pos = {e: i - 1 for i, e in enumerate(program.variable_index) if i > 0}
+    # Assembly shares one Fraction per distinct coefficient, so each object
+    # is converted once; the program keeps every keyed object alive meanwhile.
+    floats: dict[int, float] = {}
+    parts = []
     if isinstance(program, LinearProgram):
         families: dict[str, list[int]] = {}
         for i, ((family, _, _), _) in enumerate(program.rows):
             families.setdefault(family, []).append(i)
-        parts = [(_RowCone, rows, rows) for rows in families.values()]
-    else:
-        parts = [(_PsdCone, label, sym) for label, sym in program.psd_blocks]
-    # Assembly shares one Fraction per distinct coefficient, so each object
-    # is converted once; the program keeps every keyed object alive meanwhile.
-    floats: dict[int, float] = {}
-    cones = []
-    for Cone, labels, data in parts:
-        moment, slot, value = [], [], []
-        if Cone is _RowCone:
-            C = np.zeros(len(data))
-            for col, i in enumerate(data):
+        for rows in families.values():
+            C, moment, slot, value = np.zeros(len(rows)), [], [], []
+            for col, i in enumerate(rows):
                 for e, coeff in program.rows[i][1].items():
                     v = floats.get(id(coeff))
                     if v is None:
@@ -521,10 +516,12 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
                         moment.append(pos[e])
                         slot.append(col)
                         value.append(-v)
-        else:
-            k = data.size
-            C = np.zeros((k, k))
-            for i, j, coeff, e in data.terms:
+            parts.append((_RowCone, rows, C, moment, slot, value))
+    else:
+        for label, sym in program.psd_blocks:
+            k = sym.size
+            C, moment, slot, value = np.zeros((k, k)), [], [], []
+            for i, j, coeff, e in sym.terms:
                 v = floats.get(id(coeff))
                 if v is None:
                     v = floats[id(coeff)] = float(coeff)
@@ -541,6 +538,9 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
                         moment.append(q)
                         slot.append(j * k + i)
                         value.append(-v)
+            parts.append((_PsdCone, label, C, moment, slot, value))
+    cones = []
+    for Cone, labels, C, moment, slot, value in parts:
         A = csr_matrix((value, (moment, slot)), shape=(len(pos), C.size))
         A.eliminate_zeros()
         cones.append((Cone(A, C), labels))

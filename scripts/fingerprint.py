@@ -15,7 +15,15 @@ is bit-identical, so running this on two trees and comparing the output
 checks that a refactor changed no number.  Only ``gen`` and ``workloads``
 are imported from ROOT's ``perfbench/``.
 
+A change that reorders floating-point sums moves the objectives in their
+last digits, so ``--compare OLD NEW`` checks two saved outputs with a
+tolerance instead: the same records, equal status, iteration count and
+verification result, and both objectives within rtol*(1+|old|).  It prints
+the largest relative difference of each objective and every mismatch, and
+exits 1 on any mismatch.
+
 Usage: python scripts/fingerprint.py ROOT [--seeds 1 2 3] [--workloads W ...]
+       python scripts/fingerprint.py --compare OLD NEW [--rtol 1e-8]
 """
 
 from __future__ import annotations
@@ -23,11 +31,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 
 WORKLOADS = ["sparse-ladder", "dense-ladder", "krivine-box"]
 SOLVE_TOL = 1e-8  # the command line's default
+EXACT = ("status", "iterations", "passed")
+CLOSE = ("primal", "dual")
 
 
 def _load(root: str):
@@ -99,12 +110,56 @@ def record(rung, text: str) -> dict:
     return out
 
 
+def _records(path: str) -> dict:
+    with open(path) as f:
+        lines = [json.loads(line) for line in f if line.strip()]
+    return {(r["seed"], r["set"], r["rung"]): r for r in lines}
+
+
+def _relative(old: str, new: str) -> float:
+    a, b = float.fromhex(old), float.fromhex(new)
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    diff = abs(a - b) / (1.0 + abs(a))
+    return math.inf if math.isnan(diff) else diff  # one side inf or nan
+
+
+def compare(old_path: str, new_path: str, rtol: float) -> int:
+    """Print how the records of NEW differ from those of OLD; 1 on any
+    mismatch, else 0."""
+    old, new = _records(old_path), _records(new_path)
+    mismatches = [f"only in {old_path}: {key}" for key in old.keys() - new.keys()]
+    mismatches += [f"only in {new_path}: {key}" for key in new.keys() - old.keys()]
+    largest = dict.fromkeys(CLOSE, 0.0)
+    for key in sorted(old.keys() & new.keys(), key=str):
+        a, b = old[key], new[key]
+        mismatches += [f"{key}: {f} {a[f]} -> {b[f]}" for f in EXACT if a[f] != b[f]]
+        for f in CLOSE:
+            diff = _relative(a[f], b[f])
+            largest[f] = max(largest[f], diff)
+            if not diff <= rtol:
+                mismatches.append(f"{key}: {f} differs by {diff:.3g} relative")
+    print(f"{len(old.keys() & new.keys())} records compared, rtol {rtol:g}")
+    for f, diff in largest.items():
+        print(f"{f}: largest relative difference {diff:.3g}")
+    for line in mismatches:
+        print("MISMATCH", line)
+    return 1 if mismatches else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("root", help="checkout whose src/ and perfbench/ are used")
+    parser.add_argument("root", nargs="?", help="checkout whose src/ and perfbench/ are used")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     parser.add_argument("--workloads", nargs="+", default=WORKLOADS)
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two saved outputs instead of printing one")
+    parser.add_argument("--rtol", type=float, default=1e-8)
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, args.rtol)
+    if args.root is None:
+        parser.error("ROOT is required unless --compare is given")
     _load(os.path.abspath(args.root))
     import gen
     import workloads

@@ -498,14 +498,16 @@ def _auto_upper_bounds(instance: ProblemInstance) -> list[Fraction]:
     from .solver import solve
 
     bounds: list[Fraction] = []
-    for poly in (*instance.g_constraints, *instance.h_constraints):
+    names = (*instance.g_names, *instance.h_names)
+    for name, poly in zip(names, (*instance.g_constraints, *instance.h_constraints)):
         sub = replace(instance, objective=-poly, krivine_scaling=None)
         r = min_order(sub, "putinar-sparse") + 1
         report = solve(assemble_sparse_putinar(sub, r), tol=1e-8)
         if report.status != "optimal":
             raise BoundError(
-                f"automatic normalization failed: bound solve ended with "
-                f"status {report.status}"
+                f"automatic normalization failed: the maximum of constraint {name} "
+                f"could not be bounded (bound solve ended with status {report.status}); "
+                f"explicit upper bounds are needed"
             )
         upper = -report.dual_objective  # lambda, the certified side
         upper += 1e-8 * (1.0 + abs(upper))  # cushion for solver tolerance

@@ -24,32 +24,34 @@ symbolic localizing matrix: Nesterov-Todd scaling, and a Schur part built
 from its nonzeros (Fujisawa, Kojima and Nakata 1997, formula F1), M_b*k^3
 per iteration instead of M^2*k^2 for a block that touches M_b moments.  A
 ``_RowCone`` is one family of nonnegative LP rows, a sparse (M, R_b) matrix:
-x/s scaling, and a Schur part that is a dense (M_b, R_b) by (R_b, M_b)
-product.  Every LP row is a product of g's alone or of h's alone, so each
-family reads only the moments of its own side (plus the shared Y-only
-ones).  Either kind fills only the rows and columns of the M_b moments it
-touches.  The rest is dense float64 linear algebra; exactness is recovered
-downstream by certificate verification.  There is no randomized state, so
-repeated solves of one program are bit-identical.  Infeasibility detection
-is heuristic: a presolve catches constant-row contradictions, divergence of
-the certificate value with small residuals is reported as infeasible, and
-iterates that overflow end in numerical failure.
+x/s scaling, and a Schur part that is a symmetric rank-R_b update of the
+dense (M_b, R_b) rows it reads.  Every LP row is a product of g's alone or
+of h's alone, so each family reads only the moments of its own side (plus
+the shared Y-only ones).  Either kind fills only the rows and columns of
+the M_b moments it touches.  The rest is dense float64 linear algebra;
+exactness is recovered downstream by certificate verification.  There is no
+randomized state, so repeated solves of one program are bit-identical.
+Infeasibility detection is heuristic: a presolve catches constant-row
+contradictions, divergence of the certificate value with small residuals is
+reported as infeasible, and iterates that overflow end in numerical failure.
 
 numpy and scipy wheels each bundle their own OpenBLAS, with one thread pool
-each, and on a small machine the two pools fight over the same cores.  While
-an IPM runs, scipy's LAPACK (the Schur Cholesky factor and solves, the
-triangular solves of the step length) is therefore put on the calling thread,
-and numpy keeps its pool for the large products.  The scipy pool's previous
-thread count is restored when the last running solve ends, so the caller sees
-the same counts before and after.  The count is process-wide in OpenBLAS, so
-scipy LAPACK calls made by other threads during a solve also run on one
-thread.  Where the symbol is missing (another BLAS) or numpy and scipy share
-one library, nothing is changed.
+each.  While an IPM runs, both pools are put on the calling thread: on a
+2-vCPU machine a second BLAS thread nearly doubled the CPU time of the
+dense ladder and bought no wall time, once the Schur kernels stopped doing
+work that it had been hiding (one GEMM per PSD block, SYRK for LP rows,
+step lengths from the scaling already in hand).  Each library's previous
+thread count is restored when the last running solve ends, so the caller
+sees the same counts before and after.  The count is process-wide in
+OpenBLAS, so BLAS calls made by other threads during a solve also run on
+one thread.  Where the symbol is missing (another BLAS), nothing is
+changed.
 """
 
 from __future__ import annotations
 
 import ctypes
+import importlib
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -57,6 +59,7 @@ from functools import cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg.blas import dsyrk
 from scipy.sparse import csr_matrix
 
 from .moments import MomentVector
@@ -131,11 +134,11 @@ class _PsdCone(_Cone):
     W = R R^T, and the scaled complementarity target is diagonal, which
     makes the Mehrotra correction a Lyapunov-style division by lam_i + lam_j.
 
-    Schur part H_ij = <A_i, W A_j W>: Y[t, p, j] = (A_j W)[p, t] comes from
-    the block's nonzeros at nnz*k cost; its zero pattern never changes, so
-    one buffer is rewritten in place.  A batched product with W then gives
-    every W A_j W in the (k*k, M_b) layout the sparse A contracts directly,
-    for M_b*k^3 + nnz*M_b in all.
+    Schur part H_ij = <A_i, W A_j W>: the buffer Y[p, t, j] = (A_j W)[p, t]
+    comes from the block's nonzeros at nnz*k cost; its zero pattern never
+    changes, so it is rewritten in place.  One (k, k) by (k, k*M_b) product
+    W Y then gives every W A_j W, in the (k*k, M_b) layout the sparse A
+    contracts directly, for M_b*k^3 + nnz*M_b in all.
     """
 
     def __init__(self, A: csr_matrix, C: np.ndarray):
@@ -145,9 +148,10 @@ class _PsdCone(_Cone):
         coo = self.A_b.tocoo()
         p, q = np.divmod(coo.col, k)
         # One row per nonzero row p of some A_j: that row, over q.  Its
-        # product with W is column (p, j) of every Y[t].
-        self.cols, slot = np.unique(p * m + coo.row, return_inverse=True)
-        self.rows = csr_matrix((coo.data, (slot, q)), shape=(self.cols.size, k))
+        # product with W is Y[p, :, j].
+        cols, slot = np.unique(p * m + coo.row, return_inverse=True)
+        self.p_of, self.j_of = np.divmod(cols, m)
+        self.rows = csr_matrix((coo.data, (slot, q)), shape=(cols.size, k))
         self.Y = np.zeros((k, k, m))
 
     def unit(self) -> np.ndarray:
@@ -162,21 +166,20 @@ class _PsdCone(_Cone):
         return self.A.nnz == 0 and float(np.linalg.eigvalsh(self.sym(self.C))[0]) < -tiny
 
     def scale(self, X: np.ndarray, S: np.ndarray) -> None:
-        self.Lx = np.linalg.cholesky(X)
-        self.Ls = np.linalg.cholesky(S)
-        _, lam, Vt = np.linalg.svd(self.Ls.T @ self.Lx)
+        Lx = np.linalg.cholesky(X)
+        _, lam, Vt = np.linalg.svd(np.linalg.cholesky(S).T @ Lx)
         if np.min(lam) <= 0:
             raise np.linalg.LinAlgError("lost positive definiteness")
         self.lam = lam
-        self.R = self.Lx @ (Vt.T / np.sqrt(lam))
+        self.R = Lx @ (Vt.T / np.sqrt(lam))
         eye = np.eye(self.size)
-        self.Rinv = (Vt * np.sqrt(lam)[:, None]) @ solve_triangular(self.Lx, eye, lower=True)
+        self.Rinv = (Vt * np.sqrt(lam)[:, None]) @ solve_triangular(Lx, eye, lower=True)
         self.W = self.R @ self.R.T
 
     def schur(self) -> np.ndarray:
         k, _, m = self.Y.shape
-        self.Y.reshape(k, k * m)[:, self.cols] = (self.rows @ self.W).T
-        WAW = np.matmul(self.W, self.Y)  # [t, r, j] = (W A_j W)[r, t]
+        self.Y[self.p_of, :, self.j_of] = self.rows @ self.W
+        WAW = self.W @ self.Y.reshape(k, k * m)  # [r, t*m + j] = (W A_j W)[r, t]
         return self.A_b @ WAW.reshape(k * k, m)
 
     def congruence(self, mat: np.ndarray) -> np.ndarray:
@@ -194,20 +197,22 @@ class _PsdCone(_Cone):
         return self.R @ scaled @ self.R.T
 
     def max_steps(self, dX: np.ndarray, dS: np.ndarray) -> tuple[float, float]:
-        return self._step(self.Lx, dX), self._step(self.Ls, dS)
+        # Scaled by R, X and S both become diag(lam).
+        return self._step(self.Rinv @ dX @ self.Rinv.T), self._step(self.R.T @ dS @ self.R)
 
-    def _step(self, L: np.ndarray, D: np.ndarray) -> float:
-        # Largest a with L L^T + a D PSD, inf when none bounds it.
-        B = solve_triangular(L, D, lower=True)
-        B = solve_triangular(L, B.T, lower=True).T
-        lam_min = float(np.linalg.eigvalsh(self.sym(B))[0])
+    def _step(self, D: np.ndarray) -> float:
+        # Largest a with diag(lam) + a D PSD, inf when none bounds it.
+        d = 1.0 / np.sqrt(self.lam)
+        lam_min = float(np.linalg.eigvalsh(self.sym(d[:, None] * D * d))[0])
         return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
 
 
 class _RowCone(_Cone):
     """Elementwise-nonnegative rows, column r of ``A`` holding row r.  The
     scaling is w = x/s, and the Schur part H_ij = sum_r A_ir w_r A_jr is a
-    dense (M_b, R_b) by (R_b, M_b) product."""
+    symmetric rank-R_b update (BLAS SYRK) of (A_b * sqrt(w)), which computes
+    one triangle: half the flops of the full (M_b, R_b) by (R_b, M_b)
+    product."""
 
     def __init__(self, A: csr_matrix, C: np.ndarray):
         super().__init__(A, C)
@@ -231,7 +236,12 @@ class _RowCone(_Cone):
         self.Sinv = 1.0 / s
 
     def schur(self) -> np.ndarray:
-        return (self.A_b * self.w) @ self.A_b.T
+        # The transpose of the C-ordered product is the Fortran array SYRK
+        # reads without a copy.  It fills the lower triangle; the loop adds
+        # full parts, so the upper one is mirrored in.
+        H = dsyrk(1.0, (self.A_b * np.sqrt(self.w)).T, lower=1, trans=1)
+        H += np.tril(H, -1).T
+        return H
 
     def congruence(self, vec: np.ndarray) -> np.ndarray:
         return self.w * vec
@@ -283,26 +293,23 @@ def _address(fn) -> int:
 
 
 @cache
-def _scipy_thread_setter():
-    """OpenBLAS's ``openblas_set_num_threads_local`` in scipy's LAPACK (it
-    sets the count and returns the previous one), or None when it is absent,
-    a library cannot be opened, or numpy resolves the same function (then
-    there is one pool already)."""
-    try:
-        from numpy.linalg import _umath_linalg
-        from scipy.linalg import _flapack
-
-        scipy_lib = ctypes.CDLL(_flapack.__file__)
-        numpy_lib = ctypes.CDLL(_umath_linalg.__file__)
-    except (ImportError, OSError):
-        return None
-    setter = getattr(scipy_lib, "openblas_set_num_threads_local", None)
-    twin = getattr(numpy_lib, "openblas_set_num_threads_local", None)
-    if setter is None or (twin is not None and _address(twin) == _address(setter)):
-        return None
-    setter.argtypes = [ctypes.c_int]
-    setter.restype = ctypes.c_int
-    return setter
+def _thread_setters() -> tuple:
+    """OpenBLAS's ``openblas_set_num_threads_local`` (it sets the count and
+    returns the previous one) in the libraries behind scipy's LAPACK and
+    numpy's linalg, once per distinct function: empty where neither exports
+    it (another BLAS) or neither library can be opened."""
+    setters = {}
+    for name in ("scipy.linalg._flapack", "numpy.linalg._umath_linalg"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(name).__file__)
+        except (ImportError, OSError):
+            continue
+        setter = getattr(lib, "openblas_set_num_threads_local", None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = ctypes.c_int
+            setters.setdefault(_address(setter), setter)
+    return tuple(setters.values())
 
 
 # Despite its name, the setter changes the count of the whole process on
@@ -310,21 +317,17 @@ def _scipy_thread_setter():
 # share one pin instead of each restoring what another one set.
 _pin_lock = threading.Lock()
 _pin_depth = 0
-_pin_saved = 0
+_pin_saved: list[tuple] = []
 
 
 @contextmanager
-def _scipy_blas_on_one_thread():
-    """Run scipy's OpenBLAS on one thread for the body; concurrent solves
-    share one pin, and the last to leave restores the caller's count."""
+def _blas_on_one_thread():
+    """Run every OpenBLAS pool on one thread for the body; concurrent solves
+    share one pin, and the last to leave restores the caller's counts."""
     global _pin_depth, _pin_saved
-    setter = _scipy_thread_setter()
-    if setter is None:
-        yield
-        return
     with _pin_lock:
         if _pin_depth == 0:
-            _pin_saved = setter(1)
+            _pin_saved = [(setter, setter(1)) for setter in _thread_setters()]
         _pin_depth += 1
     try:
         yield
@@ -332,7 +335,8 @@ def _scipy_blas_on_one_thread():
         with _pin_lock:
             _pin_depth -= 1
             if _pin_depth == 0:
-                setter(_pin_saved)
+                for setter, count in _pin_saved:
+                    setter(count)
 
 
 def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
@@ -404,16 +408,18 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
                 c.scale(Xc, Sc)
                 if c.moments.size == M:
                     schur += c.schur()
-                else:
+                elif c.moments.size:  # a cone that reads no moment has none
                     schur[np.ix_(c.moments, c.moments)] += c.schur()
-            schur = 0.5 * (schur + schur.T)
+            schur += schur.T
+            schur *= 0.5
             if not np.isfinite(schur).all():
                 raise np.linalg.LinAlgError("non-finite Schur complement")
             jitter = 0.0
             base = 1e-14 * (1.0 + float(np.trace(schur)) / M)
             for attempt in range(4):
                 try:
-                    fac = cho_factor(schur + jitter * np.eye(M), lower=True, check_finite=False)
+                    shifted = schur + jitter * np.eye(M) if jitter > 0 else schur
+                    fac = cho_factor(shifted, lower=True, check_finite=False)
                     break
                 except np.linalg.LinAlgError:
                     jitter = base * (100.0**attempt + 1.0)
@@ -562,7 +568,7 @@ def solve(
     for e, coeff in program.objective.items():
         if e != zero:
             c[pos[e]] = float(coeff)
-    with _scipy_blas_on_one_thread():
+    with _blas_on_one_thread():
         raw = _ipm_loop([cone for cone, _ in cones], -c, tol, max_iter)
 
     if isinstance(program, LinearProgram):

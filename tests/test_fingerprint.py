@@ -29,3 +29,36 @@ def test_smoke_prints_one_record_per_rung():
         for field in ("primal", "dual", "residual"):
             assert float.hex(float.fromhex(r[field])) == r[field]
         assert len(r["json_sha256"]) == 64 and int(r["json_sha256"], 16) >= 0
+
+
+def _write(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+def _record(rung, dual):
+    return {
+        "seed": 1, "set": "sparse-ladder", "rung": rung, "status": "optimal",
+        "iterations": 14, "primal": float.hex(dual + 3e-10), "dual": float.hex(dual),
+        "passed": True, "residual": float.hex(1e-13), "json_sha256": "0" * 64,
+    }
+
+
+def test_compare_gates_on_tolerance_and_exact_fields(tmp_path, capsys):
+    main = runpy.run_path(os.path.join(ROOT, "scripts", "fingerprint.py"))["main"]
+    old = [_record("a", -0.75), _record("b", 2.5)]
+    moved = [_record("a", -0.75), dict(_record("b", 2.5), dual=float.hex(2.5 + 1e-6))]
+    recounted = [_record("a", -0.75), dict(_record("b", 2.5), iterations=15)]
+    old_path = _write(tmp_path / "old.jsonl", old)
+
+    assert main(["--compare", old_path, _write(tmp_path / "same.jsonl", old)]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+
+    assert main(["--compare", old_path, _write(tmp_path / "moved.jsonl", moved)]) == 1
+    out = capsys.readouterr().out
+    assert "primal: largest relative difference 0" in out
+    assert "dual: largest relative difference 2.86e-07" in out
+    assert "MISMATCH (1, 'sparse-ladder', 'b'): dual" in out
+
+    assert main(["--compare", old_path, _write(tmp_path / "recount.jsonl", recounted)]) == 1
+    assert "MISMATCH (1, 'sparse-ladder', 'b'): iterations 14 -> 15" in capsys.readouterr().out

@@ -296,6 +296,11 @@ class TestNormalize:
         bounds = normalize_krivine(problems.twoballs(), None).krivine_scaling
         assert len(bounds) == 2 and all(b >= 1 for b in bounds)
 
+    def test_auto_bounds_name_the_unbounded_constraint(self):
+        # (1 - x)/2 alone has no maximum, so its bound solve cannot finish.
+        with pytest.raises(BoundError, match=r"constraint g1 .*status max-iterations"):
+            normalize_krivine(problems.interval_affine())
+
 
 class TestProgramInvariants:
     @pytest.mark.parametrize("assemble,r", [

@@ -245,7 +245,7 @@ class TestLpFamilyCones:
             schur[np.ix_(cone.moments, cone.moments)] += cone.schur()
         assert _rel_err(schur, (A * w) @ A.T) <= 1e-12
 
-    def test_unit_row_family_touches_no_moment(self):
+    def test_unit_row_family_touches_no_moment(self, capfd):
         # interval has no h constraint: its yz family is the unit row alone.
         inst = replace(problems.interval(), objective=X1**2)
         prog = assemble_krivine(normalize_krivine(inst, [1]), 2)
@@ -258,6 +258,8 @@ class TestLpFamilyCones:
         assert report.status == OPTIMAL
         assert abs(report.primal_objective) <= 1e-6
         assert verify(extract_cone(report, prog), inst).passed
+        # The family has no Schur part, so no BLAS call sees an empty matrix.
+        assert "illegal value" not in "".join(capfd.readouterr())
 
 
 class TestModuleVersusPreordering:
@@ -435,6 +437,46 @@ class TestConeKindsAgree:
         assert psd.max_steps(np.array([[0.5]]), np.array([[1.5]])) == (np.inf, np.inf)
 
 
+def _cholesky_step(P, D):
+    """Largest a with P + a D PSD, from the Cholesky factor of P."""
+    L = np.linalg.cholesky(P)
+    B = np.linalg.solve(L, np.linalg.solve(L, D).T)
+    lam_min = np.linalg.eigvalsh(0.5 * (B + B.T))[0]
+    return np.inf if lam_min >= 0 else -1.0 / lam_min
+
+
+class TestPsdStepLength:
+    """The step test reads the scaling point: its steps must be the largest
+    ones that keep X + a dX and S + a dS PSD."""
+
+    @staticmethod
+    def _spd(rng, k):
+        G = rng.standard_normal((k, k))
+        return G @ G.T + 0.1 * np.eye(k)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("direction", ["negative", "indefinite"])
+    def test_steps_match_cholesky_definition(self, k, direction):
+        rng = np.random.default_rng(k)
+        cone = _PsdCone(csr_matrix(np.eye(k).reshape(1, k * k)), np.zeros((k, k)))
+        X, S = self._spd(rng, k), self._spd(rng, k)
+        cone.scale(X, S)
+        for _ in range(5):
+            if direction == "negative":
+                dX, dS = -self._spd(rng, k), -self._spd(rng, k)
+            else:
+                dX, dS = (G + G.T for G in rng.standard_normal((2, k, k)))
+            want = _cholesky_step(X, dX), _cholesky_step(S, dS)
+            np.testing.assert_allclose(cone.max_steps(dX, dS), want, rtol=1e-9)
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    def test_psd_directions_are_unbounded(self, k):
+        rng = np.random.default_rng(k)
+        cone = _PsdCone(csr_matrix(np.eye(k).reshape(1, k * k)), np.zeros((k, k)))
+        cone.scale(self._spd(rng, k), self._spd(rng, k))
+        assert cone.max_steps(self._spd(rng, k), np.zeros((k, k))) == (np.inf, np.inf)
+
+
 # Two ball constraints that do not meet (y in [2, 4] against y in [-1, 1]).
 DISJOINT = """vars x : X; y : Y; z : Z;
 minimize x*y + y*z + x + z;
@@ -500,41 +542,50 @@ class TestAdversarialCorpus:
         assert "numerical-failure" in capsys.readouterr().out
 
 
-def _thread_count_reader(module):
-    """OpenBLAS thread-count getter of the library behind ``module``, or None."""
+_COUNT_GETTERS = (
+    "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+    "openblas_get_num_threads64_", "openblas_get_num_threads",
+)
+
+
+def _openblas_function(module, names, argtypes):
+    """The first of ``names`` that the library behind ``module`` exports,
+    with an int result, or None."""
     lib = ctypes.CDLL(module.__file__)
-    for name in (
-        "scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
-        "openblas_get_num_threads64_", "openblas_get_num_threads",
-    ):
-        getter = getattr(lib, name, None)
-        if getter is not None:
-            getter.argtypes = []
-            getter.restype = ctypes.c_int
-            return getter
+    for name in names:
+        fn = getattr(lib, name, None)
+        if fn is not None:
+            fn.argtypes = argtypes
+            fn.restype = ctypes.c_int
+            return fn
     return None
 
 
 @pytest.fixture
 def blas_threads():
-    """Reader of the (scipy, numpy) OpenBLAS thread counts, with scipy's set
-    to 2 for the test so that a pin left behind shows; skips unless scipy
-    and numpy each bundle an OpenBLAS."""
+    """Reader of the (scipy, numpy) OpenBLAS thread counts, with both pools
+    set to 2 for the test so that a pin left behind shows in either library;
+    skips unless scipy and numpy each bundle an OpenBLAS."""
     from numpy.linalg import _umath_linalg
     from scipy.linalg import _flapack
 
-    setter = solver._scipy_thread_setter()
-    readers = _thread_count_reader(_flapack), _thread_count_reader(_umath_linalg)
-    if setter is None or None in readers:
+    modules = _flapack, _umath_linalg
+    readers = [_openblas_function(module, _COUNT_GETTERS, []) for module in modules]
+    setters = [
+        _openblas_function(module, ("openblas_set_num_threads_local",), [ctypes.c_int])
+        for module in modules
+    ]
+    if None in readers + setters:
         pytest.skip("scipy and numpy do not each bundle an OpenBLAS")
-    caller = setter(2)
+    callers = [setter(2) for setter in setters]
     yield lambda: tuple(read() for read in readers)
-    setter(caller)
+    for setter, count in reversed(list(zip(setters, callers))):
+        setter(count)
 
 
 class TestScipyBlasPin:
-    """While the IPM runs, scipy's OpenBLAS is on one thread and numpy's
-    pool is left alone; the caller's counts are the same afterwards."""
+    """While the IPM runs, the OpenBLAS pools of scipy and numpy are both on
+    one thread; the caller's counts are the same afterwards."""
 
     def test_one_scipy_thread_inside_ipm(self, blas_threads, monkeypatch):
         before = blas_threads()
@@ -548,8 +599,8 @@ class TestScipyBlasPin:
         monkeypatch.setattr(solver, "cho_factor", cho_factor)
         report = solve_sdp(assemble_sparse_schmudgen(problems.twoballs(), 2))
         assert report.status == OPTIMAL
-        assert before[0] == 2
-        assert seen and all(counts == (1, before[1]) for counts in seen)
+        assert before == (2, 2)
+        assert seen and all(counts == (1, 1) for counts in seen)
         assert blas_threads() == before
 
     @pytest.mark.parametrize(
@@ -634,7 +685,7 @@ class TestScipyBlasPin:
     def test_without_the_symbol_the_solve_is_unchanged(self, monkeypatch):
         program = assemble_sparse_schmudgen(problems.twoballs(), 2)
         pinned = solve_sdp(program)
-        monkeypatch.setattr(solver, "_scipy_thread_setter", lambda: None)
+        monkeypatch.setattr(solver, "_thread_setters", lambda: ())
         plain = solve_sdp(program)
         assert plain.status == pinned.status == OPTIMAL
         scale = 1.0 + abs(pinned.primal_objective)

@@ -18,12 +18,12 @@ are imported from ROOT's ``perfbench/``.
 A change that reorders floating-point sums moves the objectives in their
 last digits, so ``--compare OLD NEW`` checks two saved outputs with a
 tolerance instead: the same records, equal status, iteration count and
-verification result, and both objectives within rtol*(1+|old|).  It prints
-the largest relative difference of each objective and every mismatch, and
-exits 1 on any mismatch.
+verification result, and both objectives within RTOL*(1+|old|) with
+RTOL = 1e-8.  It prints the largest relative difference of each objective
+and every mismatch, and exits 1 on any mismatch.
 
 Usage: python scripts/fingerprint.py ROOT [--seeds 1 2 3] [--workloads W ...]
-       python scripts/fingerprint.py --compare OLD NEW [--rtol 1e-8]
+       python scripts/fingerprint.py --compare OLD NEW
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ WORKLOADS = ["sparse-ladder", "dense-ladder", "krivine-box"]
 SOLVE_TOL = 1e-8  # the command line's default
 EXACT = ("status", "iterations", "passed")
 CLOSE = ("primal", "dual")
+RTOL = 1e-8  # the acceptance gate for CLOSE fields
 
 
 def _load(root: str):
@@ -124,7 +125,7 @@ def _relative(old: str, new: str) -> float:
     return math.inf if math.isnan(diff) else diff  # one side inf or nan
 
 
-def compare(old_path: str, new_path: str, rtol: float) -> int:
+def compare(old_path: str, new_path: str) -> int:
     """Print how the records of NEW differ from those of OLD; 1 on any
     mismatch, else 0."""
     old, new = _records(old_path), _records(new_path)
@@ -137,9 +138,9 @@ def compare(old_path: str, new_path: str, rtol: float) -> int:
         for f in CLOSE:
             diff = _relative(a[f], b[f])
             largest[f] = max(largest[f], diff)
-            if not diff <= rtol:
+            if not diff <= RTOL:
                 mismatches.append(f"{key}: {f} differs by {diff:.3g} relative")
-    print(f"{len(old.keys() & new.keys())} records compared, rtol {rtol:g}")
+    print(f"{len(old.keys() & new.keys())} records compared, rtol {RTOL:g}")
     for f, diff in largest.items():
         print(f"{f}: largest relative difference {diff:.3g}")
     for line in mismatches:
@@ -154,10 +155,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workloads", nargs="+", default=WORKLOADS)
     parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                         help="compare two saved outputs instead of printing one")
-    parser.add_argument("--rtol", type=float, default=1e-8)
     args = parser.parse_args(argv)
     if args.compare:
-        return compare(*args.compare, args.rtol)
+        return compare(*args.compare)
     if args.root is None:
         parser.error("ROOT is required unless --compare is given")
     _load(os.path.abspath(args.root))

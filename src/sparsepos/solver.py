@@ -40,7 +40,10 @@ each.  While an IPM runs, both pools are put on the calling thread: on a
 2-vCPU machine a second BLAS thread nearly doubled the CPU time of the
 dense ladder and bought no wall time, once the Schur kernels stopped doing
 work that it had been hiding (one GEMM per PSD block, SYRK for LP rows,
-step lengths from the scaling already in hand).  Each library's previous
+step lengths from the scaling already in hand).  That was measured on 2
+vCPUs only; wall time on rungs larger than the ladders' and on machines
+with more cores, where big PSD products lose their other threads, is
+unverified.  Each library's previous
 thread count is restored when the last running solve ends, so the caller
 sees the same counts before and after.  The count is process-wide in
 OpenBLAS, so BLAS calls made by other threads during a solve also run on

@@ -30,8 +30,8 @@ from math import isfinite
 
 import numpy as np
 
-from .moments import min_eigenvalue
-from .poly import BlockLayout, Exponent, LayoutError, Polynomial
+from .moments import half_degree, min_eigenvalue
+from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial
 from .problem import ProblemInstance
 from .relax import ConicProgram, LinearProgram, cone_products, recipe_side
 from .solver import OPTIMAL, SolveReport
@@ -198,13 +198,19 @@ def _pieces(cert, instance: ProblemInstance):
                     f"{term.family} term over subset {term.subset} has a weight that is "
                     f"not the product of those constraints"
                 )
-            basis = [Polynomial.monomial(layout, a) for a in term.basis]
-            # v^T G v * w = sum_i m_{a_i} * w * sum_j G_ij * m_{a_j}, over
-            # all k^2 entries of G.
+            # v^T G v * w = (sum_ij G_ij * m_{a_i + a_j}) * w, over all k^2
+            # entries of G; no packed sum may carry.
+            basis, shift = [layout.pack(a) for a in term.basis], layout.degree_shift
+            pieces = []
             for a, row in zip(basis, np.asarray(term.gram, dtype=float).tolist()):
-                pieces = ((Fraction(g), b.nums.items(), 1) for b, g in zip(basis, row) if g)
-                product = a * weight * Polynomial.sum(layout, pieces)
-                yield 1, product.nums.items(), product.den
+                for b, g in zip(basis, row):
+                    if g:
+                        if (degree := (a >> shift) + (b >> shift)) > MAX_DEGREE:
+                            raise LayoutError(f"Gram form of degree {degree} is above {MAX_DEGREE}")
+                        num, den = g.as_integer_ratio()
+                        pieces.append((1, ((a + b, num),), den))
+            product = Polynomial.sum(layout, pieces) * weight
+            yield 1, product.nums.items(), product.den
     elif isinstance(cert, ConeCertificate):
         polys, ng = instance.g_constraints + instance.h_constraints, len(instance.g_constraints)
         if len(cert.scaling) != len(polys):
@@ -214,7 +220,8 @@ def _pieces(cert, instance: ProblemInstance):
             count = len(constraints)
             pairs = [_cone_key(pair, count) for pair, value in coeffs.items() if value != 0.0]
             for pair, product in cone_products(constraints, layout, pairs):
-                yield Fraction(coeffs[pair]), product.nums.items(), product.den
+                num, den = coeffs[pair].as_integer_ratio()
+                yield num, product.nums.items(), product.den * den
     else:
         raise TypeError(f"cannot expand a {type(cert).__name__}")
 
@@ -394,8 +401,12 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     constraints; a term that :class:`SOSTerm` refuses (a basis exponent
     that is not a list of one nonnegative int per variable, a Gram matrix
     that is not len(basis) x len(basis)); a ``layout`` whose n, m, p or
-    names differ from the instance's; and an ``order`` that is not a
-    nonnegative int.
+    names differ from the instance's; an ``order`` that is not a
+    nonnegative int; an SOS ``order`` other than the largest
+    deg(basis) + ceil(deg w / 2) over the terms, which every recipe builds
+    to; and a cone ``order`` below ceil(max sum_j (a_j + b_j) deg g_j / 2)
+    over the power pairs (not bounded above: a degree-4 constraint gives
+    the same rows at orders 2 and 3).
     """
     data = json.loads(text)
     layout = instance.layout
@@ -410,12 +421,17 @@ def certificate_from_json(text: str, instance: ProblemInstance):
         if mode != "krivine":
             raise ValueError(f"unknown cone certificate mode {mode!r}")
         coeffs: dict = {"xy": {}, "yz": {}}
-        counts = {"xy": len(instance.g_constraints), "yz": len(instance.h_constraints)}
+        g, h = instance.g_constraints, instance.h_constraints
+        degs, top = {"xy": [p.degree for p in g], "yz": [p.degree for p in h]}, 0
         for t in data["terms"]:
             if t["family"] not in coeffs:
                 raise ValueError(f"unknown cone certificate family {t['family']!r}")
-            key = _cone_key(t["subset"], counts[t["family"]])
+            key = _cone_key(t["subset"], len(degs[t["family"]]))
             coeffs[t["family"]][key] = float(_finite(t["coeff"], "coeff"))
+            top = max(top, sum((a + b) * d for a, b, d in zip(*key, degs[t["family"]])))
+        if order < (top + 1) // 2:  # every product's degree is at most 2 * order
+            raise ValueError(f"certificate order {order} is below {(top + 1) // 2}: "
+                             f"it has a cone product of degree {top}")
         scaling = _positive_scaling(_finite(s, "scaling") for s in data["scaling"])
         return ConeCertificate(lam, coeffs["xy"], coeffs["yz"], scaling, order, layout)
     if kind != "sos":
@@ -432,4 +448,7 @@ def certificate_from_json(text: str, instance: ProblemInstance):
         gram = np.array([[float(_finite(v, "gram entry")) for v in row] for row in t["gram"]])
         weight = side.weight(instance, subset)  # refuses an index out of range
         terms.append(SOSTerm(t["family"], tuple(subset), side.block, weight, basis, gram))
+    built = (max(map(sum, t.basis), default=0) + half_degree(t.weight) for t in terms)
+    if order != (r := max(built, default=0)):
+        raise ValueError(f"certificate order {order} is not {r}, the order its terms are built to")
     return SOSCertificate(lam, tuple(terms), mode, order, layout)

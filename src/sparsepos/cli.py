@@ -134,7 +134,7 @@ class _ExprParser:
                     raise ProblemFileError(
                         "division is only allowed by a nonzero constant", tok.line, tok.col
                     )
-                poly = poly.scale(1 / rhs.coefficient(self.layout.zero_exponent))
+                poly = poly.scale(Fraction(rhs.den, rhs.nums[0]))  # 1 / rhs
         return poly
 
     def _unary(self) -> Polynomial:

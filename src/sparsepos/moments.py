@@ -10,31 +10,27 @@ matrix of a weight polynomial g shifts every entry by g's monomials.
 A symbolic matrix is just its basis and its weight w (the constant 1 for a
 moment matrix): entry (a, b) is L_u(w * m_{a+b}) = sum_e w_e u_{e+a+b}.  One
 derivation turns the pair into the upper triangle's (i, j, coefficient,
-moment index) terms, computed once per matrix; moment referencing, the
-solver's constraint data and numeric instantiation all read those terms,
-and the nested per-entry view ``entries`` is built from them too.
+moment index) terms, computed once per matrix; the moment index and the
+solver's constraint data read those terms, and so do the tuple views
+``entries``, ``referenced_exponents`` and ``instantiate``.
 
-Moment indices are global exponent vectors over all of X, Y, Z even for
-block-restricted matrices, so a pure-Y moment is shared between the (X,Y)
-and (Y,Z) sides by construction rather than by explicit equality constraints.
+Moment indices are global packed exponents (see :mod:`poly`) over all of
+X, Y, Z even for block-restricted matrices, so a pure-Y moment is shared
+between the (X,Y) and (Y,Z) sides by construction rather than by explicit
+equality constraints; the views unpack them to :class:`MomentVector` keys.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .poly import (
-    BlockLayout,
-    Exponent,
-    Polynomial,
-    exp_add,
-    grlex_key,
-    monomial_basis,
+    MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial, grlex_key, monomial_basis
 )
 from .problem import BlockSupportError
 
@@ -114,35 +110,44 @@ class SymbolicMatrix:
         return len(self.basis)
 
     @cached_property
-    def terms(self) -> tuple[tuple[int, int, Fraction, Exponent], ...]:
-        """(i, j, coefficient, moment index) of the upper triangle, row by
+    def terms(self) -> tuple[tuple[int, int, Fraction, int], ...]:
+        """(i, j, coefficient, packed moment) of the upper triangle, row by
         row, weight monomials in graded-lex order within an entry."""
+        layout = self.weight.layout
+        basis = [layout.pack(a) for a in self.basis]
+        if 2 * (max(basis, default=0) >> layout.degree_shift) + self.weight.degree > MAX_DEGREE:
+            raise LayoutError(f"matrix entries reach a degree above {MAX_DEGREE}")
         w = sorted(self.weight.terms.items(), key=lambda item: grlex_key(item[0]))
+        w = [(layout.pack(e), coeff) for e, coeff in w]
         out = []
-        for i, a in enumerate(self.basis):
+        for i, a in enumerate(basis):
             for j in range(i, self.size):
-                ab = exp_add(a, self.basis[j])
-                out.extend((i, j, coeff, exp_add(e, ab)) for e, coeff in w)
+                ab = a + basis[j]
+                out.extend((i, j, coeff, e + ab) for e, coeff in w)
         return tuple(out)
+
+    def _unpacked(self) -> Iterator[tuple[int, int, Fraction, Exponent]]:
+        unpack = cache(self.weight.layout.unpack)
+        return ((i, j, coeff, unpack(p)) for i, j, coeff, p in self.terms)
 
     @cached_property
     def entries(self) -> tuple:
         """entries[i][j]: entry (i, j) as ((coefficient, moment index), ...)."""
         k = self.size
         upper = [[[] for _ in range(k)] for _ in range(k)]
-        for i, j, coeff, e in self.terms:
+        for i, j, coeff, e in self._unpacked():
             upper[i][j].append((coeff, e))
         return tuple(
             tuple(tuple(upper[min(i, j)][max(i, j)]) for j in range(k)) for i in range(k)
         )
 
     def referenced_exponents(self) -> set[Exponent]:
-        return {e for _, _, _, e in self.terms}
+        return {e for _, _, _, e in self._unpacked()}
 
     def instantiate(self, u: MomentVector) -> np.ndarray:
         """Numeric matrix with moment values substituted (float64)."""
         mat = np.zeros((self.size, self.size))
-        for i, j, coeff, e in self.terms:
+        for i, j, coeff, e in self._unpacked():
             mat[i, j] += float(coeff) * float(u.get(e))
         return mat + np.triu(mat, 1).T
 

@@ -10,8 +10,8 @@ multiplying check the degree cap ``MAX_DEGREE`` (raising
 exact; floats only appear where a caller converts explicitly (the solver
 boundary does).  Elsewhere exponents are tuples of nonnegative ints, one per
 variable: :attr:`Polynomial.terms` is a cached view from them to
-``fractions.Fraction`` coefficients, which printing, JSON, the oracle and
-the moment index read.
+``fractions.Fraction`` coefficients for printing, evaluation, the oracle
+and grlex order; assembled programs keep packed exponents to the solver.
 
 Example (layout with one variable per block, so vars are ``x, y, z``)::
 
@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from operator import add
 from typing import Iterable, Iterator, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -163,10 +162,6 @@ def grlex_key(exp: Exponent) -> tuple:
     return (sum(exp), tuple(-e for e in exp))
 
 
-def exp_add(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(map(add, a, b))
-
-
 def _bounded_compositions(slots: int, cap: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``slots`` nonnegative ints with sum at most ``cap``."""
     if slots == 0:
@@ -292,9 +287,6 @@ class Polynomial:
     @property
     def is_zero(self) -> bool:
         return not self.nums
-
-    def coefficient(self, exp: Exponent) -> Fraction:
-        return self.terms.get(tuple(exp), Fraction(0))
 
     def max_norm(self) -> Fraction:
         """Largest absolute coefficient (0 for the zero polynomial)."""

@@ -84,17 +84,17 @@ class BlockLabel:
 class ConicProgram:
     """Moment relaxation in block-PSD form.
 
-    ``variable_index`` lists every referenced moment index in graded-lex
-    order; position 0 is the zero exponent, pinned to 1 (the normalization
-    of a probability measure's moments).  ``objective`` holds the exact
-    coefficients of f keyed by moment index.
+    ``variable_index`` lists every referenced moment index as an exponent
+    tuple in graded-lex order; position 0 is the zero exponent, pinned to 1
+    (a probability measure's mass).  ``objective`` holds the exact
+    coefficients of f by packed exponent, as the blocks' terms do.
     """
 
     layout: BlockLayout
     mode: str
     order: int
     variable_index: tuple[Exponent, ...]
-    objective: dict[Exponent, Fraction]
+    objective: dict[int, Fraction]
     psd_blocks: tuple[tuple[BlockLabel, SymbolicMatrix], ...]
 
     @property
@@ -120,13 +120,14 @@ RowKey = tuple[str, tuple[int, ...], tuple[int, ...]]
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Cone relaxation: rows demand L_u(g^a (1-g)^b) >= 0."""
+    """Cone relaxation: rows demand L_u(g^a (1-g)^b) >= 0; row forms and
+    ``objective`` are keyed as in :class:`ConicProgram`."""
 
     layout: BlockLayout
     order: int
     variable_index: tuple[Exponent, ...]
-    objective: dict[Exponent, Fraction]
-    rows: tuple[tuple[RowKey, dict[Exponent, Fraction]], ...]
+    objective: dict[int, Fraction]
+    rows: tuple[tuple[RowKey, dict[int, Fraction]], ...]
     scaling: tuple[Fraction, ...]
 
     @property
@@ -262,14 +263,14 @@ def min_order(instance: ProblemInstance, variant: str = "schmudgen-sparse") -> i
     return max([fdeg] + [side.min_order(instance) for side in recipe.sides])
 
 
-def _moment_index(
-    instance: ProblemInstance, forms: Iterable[Iterable[Exponent]]
-) -> tuple[Exponent, ...]:
-    exps: set[Exponent] = {instance.layout.zero_exponent}
-    exps.update(instance.objective.terms)
-    for form in forms:
-        exps.update(form)
-    return tuple(sorted(exps, key=grlex_key))
+def _moment_index(instance: ProblemInstance, forms: Iterable) -> tuple[Exponent, ...]:
+    """Unit, f and ``forms`` packed moments, each unpacked once, grlex-sorted."""
+    packed = {0, *instance.objective.nums}.union(*forms)
+    return tuple(sorted(map(instance.layout.unpack, packed), key=grlex_key))
+
+
+def _objective(f: Polynomial) -> dict[int, Fraction]:
+    return {p: Fraction(v, f.den) for p, v in f.nums.items()}
 
 
 def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram | LinearProgram:
@@ -305,8 +306,8 @@ def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram | 
         layout=instance.layout,
         mode=recipe.mode,
         order=r,
-        variable_index=_moment_index(instance, (m.referenced_exponents() for _, m in blocks)),
-        objective=dict(instance.objective.terms),
+        variable_index=_moment_index(instance, ((t[3] for t in m.terms) for _, m in blocks)),
+        objective=_objective(instance.objective),
         psd_blocks=tuple(blocks),
     )
 
@@ -405,12 +406,12 @@ def cone_products(
 
 def _cone_rows(
     family: str, constraints: Sequence[Polynomial], layout: BlockLayout, r: int
-) -> list[tuple[RowKey, dict[Exponent, Fraction]]]:
+) -> list[tuple[RowKey, dict[int, Fraction]]]:
     degs = [g.degree for g in constraints]
     # Rows repeat few distinct coefficients and monomials: one Fraction per
-    # (den, numerator) and one exponent tuple per packed exponent.
+    # (den, numerator) and one int object per packed exponent.
     fractions: dict[int, dict[int, Fraction]] = {}
-    exps: dict[int, Exponent] = {}
+    exps: dict[int, int] = {}
     rows = []
     walk = cone_products(constraints, layout, _power_pairs(degs, 2 * r))
     for (alpha, beta), product in walk:
@@ -421,10 +422,7 @@ def _cone_rows(
             c = over.get(v)
             if c is None:
                 c = over[v] = Fraction(v, den)
-            e = exps.get(p)
-            if e is None:
-                e = exps[p] = layout.unpack(p)
-            form[e] = c
+            form[exps.setdefault(p, p)] = c
         rows.append(((family, alpha, beta), form))
     rows.sort(key=lambda row: (sum(row[0][1]) + sum(row[0][2]), row[0][1], row[0][2]))
     return rows
@@ -443,7 +441,7 @@ def _cone_program(instance: ProblemInstance, r: int) -> LinearProgram:
         layout=instance.layout,
         order=r,
         variable_index=_moment_index(instance, (form for _, form in rows)),
-        objective=dict(instance.objective.terms),
+        objective=_objective(instance.objective),
         rows=tuple(rows),
         scaling=instance.krivine_scaling,
     )

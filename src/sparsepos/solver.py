@@ -492,7 +492,7 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
 
 def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
     """The program's cones, each with the labels of its multipliers, and the
-    position of every free moment.
+    position of every free moment by packed exponent (the unit one is 0).
 
     A PSD block gives one ``_PsdCone`` labelled by its ``BlockLabel``; the LP
     rows give one ``_RowCone`` per constraint family, in order of first
@@ -500,10 +500,9 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
     Only the entry loops read the program kind: entry (i, j) of a k x k block
     fills slots i*k+j and j*k+i, row r of a family fills slot r.
     """
-    zero = program.layout.zero_exponent
-    if program.variable_index[0] != zero:
+    if program.variable_index[0] != program.layout.zero_exponent:
         raise ValueError("variable index must start with the unit moment")
-    pos = {e: i - 1 for i, e in enumerate(program.variable_index) if i > 0}
+    pos = {program.layout.pack(e): i for i, e in enumerate(program.variable_index[1:])}
     # Assembly shares one Fraction per distinct coefficient, so each object
     # is converted once; the program keeps every keyed object alive meanwhile.
     floats: dict[int, float] = {}
@@ -515,14 +514,14 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
         for rows in families.values():
             C, moment, slot, value = np.zeros(len(rows)), [], [], []
             for col, i in enumerate(rows):
-                for e, coeff in program.rows[i][1].items():
+                for p, coeff in program.rows[i][1].items():
                     v = floats.get(id(coeff))
                     if v is None:
                         v = floats[id(coeff)] = float(coeff)
-                    if e == zero:
+                    if p == 0:
                         C[col] += v
                     else:
-                        moment.append(pos[e])
+                        moment.append(pos[p])
                         slot.append(col)
                         value.append(-v)
             parts.append((_RowCone, rows, C, moment, slot, value))
@@ -530,16 +529,16 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
         for label, sym in program.psd_blocks:
             k = sym.size
             C, moment, slot, value = np.zeros((k, k)), [], [], []
-            for i, j, coeff, e in sym.terms:
+            for i, j, coeff, p in sym.terms:
                 v = floats.get(id(coeff))
                 if v is None:
                     v = floats[id(coeff)] = float(coeff)
-                if e == zero:
+                if p == 0:
                     C[i, j] += v
                     if i != j:
                         C[j, i] += v
                 else:
-                    q = pos[e]
+                    q = pos[p]
                     moment.append(q)
                     slot.append(i * k + j)
                     value.append(-v)
@@ -565,12 +564,11 @@ def solve(
     if not 1e-12 <= tol <= 1e-2:
         raise ValueError(f"tolerance must lie in [1e-12, 1e-2], got {tol}")
     cones, pos = _cones(program)
-    zero = program.layout.zero_exponent
-    f0 = float(program.objective.get(zero, 0))
+    f0 = float(program.objective.get(0, 0))
     c = np.zeros(len(pos))
-    for e, coeff in program.objective.items():
-        if e != zero:
-            c[pos[e]] = float(coeff)
+    for p, coeff in program.objective.items():
+        if p:
+            c[pos[p]] = float(coeff)
     with _blas_on_one_thread():
         raw = _ipm_loop([cone for cone, _ in cones], -c, tol, max_iter)
 

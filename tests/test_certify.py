@@ -169,6 +169,16 @@ class TestExpand:
             term = SOSTerm("xy", (), "xy", Polynomial.constant(layout, 1), basis, gram)
             expand(SOSCertificate(0.0, (term,), "schmudgen", 1, layout), problems.twoballs())
 
+    def test_gram_form_above_degree_cap_rejected(self):
+        # x^128 packs, but G_11 * x^128 * x^128 has degree 256: the packed
+        # sum would carry, so the expansion refuses it.
+        term = SOSTerm("xy", (), "x", Polynomial.constant(UNIVARIATE, 1), ((0,), (128,)),
+                       np.diag([0.0, 1.0]))
+        cert = SOSCertificate(0.0, (term,), "schmudgen", 128, UNIVARIATE)
+        inst = ProblemInstance(UNIVARIATE, X1, (1 - X1**2,), ())
+        with pytest.raises(LayoutError, match="256"):
+            expand(cert, inst)
+
     def test_term_on_another_layout_rejected(self):
         term = SOSTerm("xy", (), "x", Polynomial.constant(UNIVARIATE, 1), ((0,),), np.eye(1))
         cert = SOSCertificate(0.0, (term,), "schmudgen", 1, UNIVARIATE)
@@ -281,7 +291,8 @@ class TestVerify:
         else:
             parts = [("xy", "xy", f_xy - shift), ("yz", "yz", f_yz)]
         terms = tuple(SOSTerm(fam, (), block, w, one, np.eye(1)) for fam, block, w in parts)
-        cert = SOSCertificate(float(lam), terms, mode, 1, inst.layout)
+        # Order 0 is the order a degree-0 basis under weight 1 is built to.
+        cert = SOSCertificate(float(lam), terms, mode, 0, inst.layout)
         family = parts[0][0]
         with pytest.raises(ValueError, match=rf"{family} term over subset \(\)"):
             verify(cert, inst)
@@ -553,6 +564,26 @@ class TestSerialization:
         with pytest.raises(ValueError, match="order"):
             certificate_from_json(json.dumps(data), problems.twoballs())
 
+    def test_sos_order_other_than_built_rejected(self, twoballs_r1_json):
+        # Every term of an r=1 certificate is built to order 1.
+        data = json.loads(twoballs_r1_json)
+        assert certificate_from_json(json.dumps(data), problems.twoballs()).order == 1
+        data["order"] = 99
+        with pytest.raises(ValueError, match="order 99 is not 1"):
+            certificate_from_json(json.dumps(data), problems.twoballs())
+
+    def test_cone_order_below_its_products_rejected(self):
+        # interval's g is quadratic: the r=2 rows reach degree 4, order 2.
+        inst = replace(problems.interval(), objective=X1**2)
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 2)
+        data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+        data["order"] = 0
+        with pytest.raises(ValueError, match="order 0 is below 2"):
+            certificate_from_json(json.dumps(data), inst)
+        # Not bounded above: the same rows at a higher stated order load.
+        data["order"] = 3
+        assert certificate_from_json(json.dumps(data), inst).order == 3
+
     def test_seventeen_digit_numbers(self):
         inst = problems.interval()
         prog, report = _solved(inst, 1)
@@ -612,7 +643,8 @@ def _reference_rows(family, constraints, layout, r):
         alpha, beta = powers[0::2], powers[1::2]
         if sum((a + b) * d for a, b, d in zip(alpha, beta, degs)) <= 2 * r:
             product = _reference_product(constraints, alpha, beta, layout)
-            rows.append(((family, alpha, beta), product.terms))
+            form = {layout.pack(e): c for e, c in product.terms.items()}
+            rows.append(((family, alpha, beta), form))
     rows.sort(key=lambda row: (sum(row[0][1]) + sum(row[0][2]), row[0][1], row[0][2]))
     return rows
 
@@ -696,8 +728,10 @@ class TestConeProducts:
         random.Random(5).shuffle(data["terms"])
         nonzero = next(t for t in data["terms"] if float(t["coeff"]) > 1e-3)
         nonzero["coeff"] = "0"
-        # Degree 7 > 2r: the row enumeration never produces this key.
+        # Degree 7 > 2r: the row enumeration never produces this key, and
+        # the file must state an order of at least 4 to hold it.
         data["terms"].append({"family": "yz", "subset": [[4, 0], [0, 3]], "coeff": "0.125"})
+        data["order"] = 4
         edited = certificate_from_json(json.dumps(data), inst)
         assert ((4, 0), (0, 3)) in edited.yz_coeffs
         assert 0.0 in edited.xy_coeffs.values() or 0.0 in edited.yz_coeffs.values()

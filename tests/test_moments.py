@@ -11,7 +11,7 @@ from sparsepos.moments import (
     moments_of_dirac,
     riesz,
 )
-from sparsepos.poly import BlockLayout, Polynomial, monomial_basis
+from sparsepos.poly import BlockLayout, LayoutError, Polynomial, monomial_basis
 from sparsepos.problem import BlockSupportError
 from sparsepos import problems
 
@@ -119,6 +119,15 @@ class TestLocalizingMatrix:
     def test_block_violation(self):
         with pytest.raises(BlockSupportError):
             localizing_matrix(Z, "xy", 1)
+
+    def test_entries_above_degree_cap_refused(self):
+        # Degree 2 * 127 + 2 = 256: the packed sums would carry into the
+        # next digit, so the terms are refused; one degree less fits.
+        layout = BlockLayout(1, 0, 0)
+        g = 1 - Polynomial.variable(layout, "x") ** 2
+        assert localizing_matrix(g, "x", 126).terms[-1][3] == layout.pack((254,))
+        with pytest.raises(LayoutError, match="255"):
+            localizing_matrix(g, "x", 127).terms
 
     def test_instantiate_dirac_scales(self):
         point = (0.5, 0.25, 0.0)

@@ -6,7 +6,7 @@ import pytest
 from sparsepos import problems
 from sparsepos.certify import extract_sos, verify
 from sparsepos.moments import moments_of_dirac, min_eigenvalue
-from sparsepos.poly import BlockLayout, Polynomial, monomial_basis
+from sparsepos.poly import BlockLayout, Polynomial, grlex_key, monomial_basis
 from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
     BoundError,
@@ -229,7 +229,7 @@ class TestKrivineAssembly:
         inst = normalize_krivine(problems.interval(), [1])
         prog = assemble_krivine(inst, 2)
         row = dict(prog.rows)[("xy", (0,), (0,))]
-        assert row == {(0,): Fraction(1)}
+        assert row == {0: Fraction(1)}  # the unit moment packs to 0
 
     def test_rows_nonnegative_at_feasible_dirac(self):
         inst = normalize_krivine(problems.twoballs(), [1, 1])
@@ -241,7 +241,7 @@ class TestKrivineAssembly:
                 continue
             u = moments_of_dirac(LAYOUT, pt, prog.order)
             for _, form in prog.rows:
-                value = sum(float(c) * float(u.get(e)) for e, c in form.items())
+                value = sum(float(c) * float(u.get(LAYOUT.unpack(p))) for p, c in form.items())
                 assert value >= -1e-9
 
 
@@ -313,6 +313,26 @@ class TestProgramInvariants:
         for exp in prog.variable_index:
             assert not (exp[0] > 0 and exp[2] > 0)
 
+    def test_tuple_views_unpack_packed_keys(self):
+        # variable_index and the blocks' tuple views are layout.unpack of the
+        # packed keys that terms, rows and the objective carry.
+        inst = problems.twoballs()
+        unpack = inst.layout.unpack
+        psd = assemble_sparse_schmudgen(inst, 2)
+        lp = assemble_krivine(normalize_krivine(inst, [1, 1]), 2)
+        forms = [[t[3] for t in m.terms] for _, m in psd.psd_blocks]
+        for prog, keys in ((psd, forms), (lp, [form for _, form in lp.rows])):
+            packed = {0, *prog.objective}.union(*keys)
+            assert prog.variable_index == tuple(sorted(map(unpack, packed), key=grlex_key))
+        for _, m in psd.psd_blocks:
+            assert m.referenced_exponents() == {unpack(t[3]) for t in m.terms}
+            upper = {}
+            for i, j, coeff, p in m.terms:
+                upper.setdefault((i, j), []).append((coeff, unpack(p)))
+            for i in range(m.size):
+                for j in range(m.size):
+                    assert m.entries[i][j] == tuple(upper[min(i, j), max(i, j)])
+
     def test_product_program_never_couples(self):
         prog = assemble_product(problems.product_twoballs(), 2)
         for exp in prog.variable_index:
@@ -338,7 +358,8 @@ class TestProgramInvariants:
             for prog in progs:
                 for _, matrix in prog.psd_blocks:
                     assert min_eigenvalue(matrix.instantiate(u)) >= -1e-10
-                value = sum(float(c) * float(u.get(e)) for e, c in prog.objective.items())
+                objective = prog.objective.items()
+                value = sum(float(c) * float(u.get(LAYOUT.unpack(p))) for p, c in objective)
                 assert abs(value - float(inst.objective.evaluate(pt))) <= 1e-9
 
     def test_feasibility_of_dirac_moments_product(self):

@@ -161,10 +161,10 @@ class TestLp:
             layout=UNIVARIATE,
             order=1,
             variable_index=(zero, (1,)),
-            objective={(1,): Fraction(1)},
+            objective={UNIVARIATE.pack((1,)): Fraction(1)},
             rows=(
-                (("xy", (0,), (0,)), {zero: Fraction(-1)}),
-                (("xy", (1,), (0,)), {(1,): Fraction(1)}),
+                (("xy", (0,), (0,)), {0: Fraction(-1)}),
+                (("xy", (1,), (0,)), {UNIVARIATE.pack((1,)): Fraction(1)}),
             ),
             scaling=(Fraction(1),),
         )
@@ -228,13 +228,13 @@ class TestLpFamilyCones:
         M = len(pos)
         assert [type(c) for c in cones] == [_RowCone, _RowCone]
         assert [len(rows) for rows in families] == [c.size for c in cones]
-        zero = prog.layout.zero_exponent
-        pos = {e: i - 1 for i, e in enumerate(prog.variable_index) if i > 0}
+        pack = prog.layout.pack
+        pos = {pack(e): i - 1 for i, e in enumerate(prog.variable_index) if i > 0}
         A = np.zeros((M, len(prog.rows)))
         for j, (_, form) in enumerate(prog.rows):
-            for e, coeff in form.items():
-                if e != zero:
-                    A[pos[e], j] = -float(coeff)
+            for p, coeff in form.items():
+                if p != 0:  # the unit moment
+                    A[pos[p], j] = -float(coeff)
         w = np.random.default_rng(3).uniform(0.5, 2.0, len(prog.rows))
         schur = np.zeros((M, M))
         for cone, rows in zip(cones, families):
@@ -249,9 +249,7 @@ class TestLpFamilyCones:
         # interval has no h constraint: its yz family is the unit row alone.
         inst = replace(problems.interval(), objective=X1**2)
         prog = assemble_krivine(normalize_krivine(inst, [1]), 2)
-        assert [form for key, form in prog.rows if key[0] == "yz"] == [
-            {UNIVARIATE.zero_exponent: Fraction(1)}
-        ]
+        assert [form for key, form in prog.rows if key[0] == "yz"] == [{0: Fraction(1)}]
         labelled, _ = _cones(prog)
         assert labelled[1][0].A.nnz == 0
         report = solve_lp(prog)
@@ -371,7 +369,8 @@ class TestSparseConstraintData:
         block = SymbolicMatrix(((0,), (2,)), Polynomial.constant(UNIVARIATE, 1))
         label = BlockLabel("xy", (), "x")
         prog = ConicProgram(
-            UNIVARIATE, "test", 1, (zero, (1,), (2,), (4,)), {(1,): one}, ((label, block),)
+            UNIVARIATE, "test", 1, (zero, (1,), (2,), (4,)), {UNIVARIATE.pack((1,)): one},
+            ((label, block),),
         )
         report = solve_sdp(prog)
         assert report.status == UNBOUNDED
@@ -385,7 +384,7 @@ class TestSparseConstraintData:
         moment = SymbolicMatrix(((0,), (1,)), Polynomial.constant(UNIVARIATE, 1))
         constant = SymbolicMatrix(((0,),), Polynomial.constant(UNIVARIATE, -1))
         prog = ConicProgram(
-            UNIVARIATE, "test", 1, (zero, (1,), (2,)), {(1,): one},
+            UNIVARIATE, "test", 1, (zero, (1,), (2,)), {UNIVARIATE.pack((1,)): one},
             ((label, moment), (label, constant)),
         )
         report = solve_sdp(prog)

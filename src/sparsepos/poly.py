@@ -267,10 +267,6 @@ class Polynomial:
             raise LayoutError(f"unknown variable {name!r}; layout has {layout.names}")
         return cls(layout, {layout.pack(int(v == name) for v in layout.names): 1}, 1)
 
-    @classmethod
-    def monomial(cls, layout: BlockLayout, exp: Exponent, coeff=1) -> "Polynomial":
-        return cls.from_terms(layout, {tuple(exp): coeff})
-
     # -- queries -----------------------------------------------------------
 
     @cached_property

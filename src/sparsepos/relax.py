@@ -105,14 +105,6 @@ class ConicProgram:
     def max_block_size(self) -> int:
         return max((m.size for _, m in self.psd_blocks), default=0)
 
-    def validate(self) -> None:
-        index = set(self.variable_index)
-        if self.variable_index[0] != self.layout.zero_exponent:
-            raise AssertionError("variable index must start with the unit moment")
-        for _, matrix in self.psd_blocks:
-            if not matrix.referenced_exponents() <= index:
-                raise AssertionError("block references a moment outside the index")
-
 
 #: Row label of the cone LP: (family, alpha powers, beta powers).
 RowKey = tuple[str, tuple[int, ...], tuple[int, ...]]

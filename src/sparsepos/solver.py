@@ -22,13 +22,14 @@ its math; the loop calls them without knowing which kind it holds.  A
 ``_PsdCone`` is a k x k SDP block, a sparse (M, k*k) matrix read off the
 symbolic localizing matrix: Nesterov-Todd scaling, and a Schur part built
 from its nonzeros (Fujisawa, Kojima and Nakata 1997, formula F1), M_b*k^3
-per iteration instead of M^2*k^2 for a block that touches M_b moments.  A
+per iteration instead of M^2*k^2 for a block that touches M_b moments,
+built w moments at a time in O(k^2*w + M_b*w) workspace, not O(k^2*M_b).  A
 ``_RowCone`` is one family of nonnegative LP rows, a sparse (M, R_b) matrix:
 x/s scaling, and a Schur part that is a symmetric rank-R_b update of the
 dense (M_b, R_b) rows it reads.  Every LP row is a product of g's alone or
 of h's alone, so each family reads only the moments of its own side (plus
-the shared Y-only ones).  Either kind fills only the rows and columns of
-the M_b moments it touches.  The rest is dense float64 linear algebra;
+the shared Y-only ones).  Either kind adds into only the rows and columns
+of the M_b moments it touches.  The rest is dense float64 linear algebra;
 exactness is recovered downstream by certificate verification.  There is no
 randomized state, so repeated solves of one program are bit-identical.
 Infeasibility detection is heuristic: a presolve catches constant-row
@@ -76,6 +77,8 @@ NUMERICAL_FAILURE = "numerical-failure"
 
 _STEP_FRACTION = 0.98
 _DIVERGENCE = 1e10
+# Bytes in the (k, k, w) buffer Y of one PSD Schur chunk, and in W Y.
+_CHUNK_BYTES = 1 << 20
 
 
 @dataclass
@@ -118,6 +121,7 @@ class _Cone:
 
     def __init__(self, A: csr_matrix, C: np.ndarray):
         self.A = A
+        self.At = A.T  # a CSC view sharing A's arrays
         self.C = C
         self.size = C.shape[0]
         self.moments = np.flatnonzero(np.diff(A.indptr))
@@ -126,7 +130,7 @@ class _Cone:
         return self.A @ X.ravel()
 
     def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return (self.A.T @ y).reshape(self.C.shape)
+        return (self.At @ y).reshape(self.C.shape)
 
 
 class _PsdCone(_Cone):
@@ -137,11 +141,13 @@ class _PsdCone(_Cone):
     W = R R^T, and the scaled complementarity target is diagonal, which
     makes the Mehrotra correction a Lyapunov-style division by lam_i + lam_j.
 
-    Schur part H_ij = <A_i, W A_j W>: the buffer Y[p, t, j] = (A_j W)[p, t]
-    comes from the block's nonzeros at nnz*k cost; its zero pattern never
-    changes, so it is rewritten in place.  One (k, k) by (k, k*M_b) product
-    W Y then gives every W A_j W, in the (k*k, M_b) layout the sparse A
-    contracts directly, for M_b*k^3 + nnz*M_b in all.
+    Schur part H_ij = <A_i, W A_j W>, built in chunks of w moments j, with
+    8*k*k*w bytes about _CHUNK_BYTES so that a chunk stays in cache:
+    Y[p, t, j] = (A_j W)[p, t] from the chunk's nonzeros at nnz*k cost, one
+    (k, k) by (k, k*w) product W Y for its W A_j W in the (k*k, w) layout
+    the sparse A contracts directly, and the (M_b, w) result added into the
+    caller's Schur matrix.  M_b*k^3 + nnz*M_b in all, in O(k*k*w + M_b*w)
+    workspace rather than O(k*k*M_b); Y and W Y reuse two buffers.
     """
 
     def __init__(self, A: csr_matrix, C: np.ndarray):
@@ -150,12 +156,20 @@ class _PsdCone(_Cone):
         self.A_b = A[self.moments]
         coo = self.A_b.tocoo()
         p, q = np.divmod(coo.col, k)
-        # One row per nonzero row p of some A_j: that row, over q.  Its
-        # product with W is Y[p, :, j].
-        cols, slot = np.unique(p * m + coo.row, return_inverse=True)
-        self.p_of, self.j_of = np.divmod(cols, m)
-        self.rows = csr_matrix((coo.data, (slot, q)), shape=(cols.size, k))
-        self.Y = np.zeros((k, k, m))
+        # One row per nonzero row p of some A_j, ordered by j: that row, over
+        # q.  Its product with W is Y[p, :, j].
+        keys, slot = np.unique(coo.row * k + p, return_inverse=True)
+        j, p = np.divmod(keys, k)
+        rows = csr_matrix((coo.data, (slot, q)), shape=(keys.size, k))
+        w = max(1, min(m, _CHUNK_BYTES // (8 * k * k)))
+        self.Y, self.WAW = np.zeros(k * k * w), np.empty(k * k * w)
+        full = m == A.shape[0]
+        self.cols = slice(None) if full else self.moments
+        self.chunks = []
+        for j0 in range(0, m, w):
+            lo, hi = np.searchsorted(j, [j0, j0 + w])
+            at = slice(j0, j0 + w) if full else self.moments[j0 : j0 + w]
+            self.chunks.append((at, min(w, m - j0), rows[lo:hi], p[lo:hi], j[lo:hi] - j0))
 
     def unit(self) -> np.ndarray:
         return np.eye(self.size)
@@ -179,11 +193,19 @@ class _PsdCone(_Cone):
         self.Rinv = (Vt * np.sqrt(lam)[:, None]) @ solve_triangular(Lx, eye, lower=True)
         self.W = self.R @ self.R.T
 
-    def schur(self) -> np.ndarray:
-        k, _, m = self.Y.shape
-        self.Y[self.p_of, :, self.j_of] = self.rows @ self.W
-        WAW = self.W @ self.Y.reshape(k, k * m)  # [r, t*m + j] = (W A_j W)[r, t]
-        return self.A_b @ WAW.reshape(k * k, m)
+    def schur(self, H: np.ndarray) -> None:
+        k = self.size
+        for at, n, rows, p, j in self.chunks:
+            Y = self.Y[: k * k * n].reshape(k, k, n)
+            Y[p, :, j] = rows @ self.W
+            # WAW[r, t*n + j] = (W A_j W)[r, t]
+            WAW = np.matmul(self.W, Y.reshape(k, -1), out=self.WAW[: k * k * n].reshape(k, -1))
+            Y[p, :, j] = 0.0
+            # The part is symmetric and H is symmetrized later, so the chunk's
+            # columns go in as rows: faster to gather, and views if M_b = M.
+            block = H[at]
+            block[:, self.cols] += (self.A_b @ WAW.reshape(k * k, n)).T
+            H[at] = block
 
     def congruence(self, mat: np.ndarray) -> np.ndarray:
         return self.W @ mat @ self.W
@@ -238,13 +260,13 @@ class _RowCone(_Cone):
         self.w = x / s
         self.Sinv = 1.0 / s
 
-    def schur(self) -> np.ndarray:
+    def schur(self, H: np.ndarray) -> None:
         # The transpose of the C-ordered product is the Fortran array SYRK
         # reads without a copy.  It fills the lower triangle; the loop adds
         # full parts, so the upper one is mirrored in.
-        H = dsyrk(1.0, (self.A_b * np.sqrt(self.w)).T, lower=1, trans=1)
-        H += np.tril(H, -1).T
-        return H
+        L = dsyrk(1.0, (self.A_b * np.sqrt(self.w)).T, lower=1, trans=1)
+        L += np.tril(L, -1).T
+        H[np.ix_(self.moments, self.moments)] += L
 
     def congruence(self, vec: np.ndarray) -> np.ndarray:
         return self.w * vec
@@ -342,6 +364,18 @@ def _blas_on_one_thread():
                     setter(count)
 
 
+def _symmetrize(H: np.ndarray) -> None:
+    """H <- (H + H^T) / 2 in place by row blocks, with no M x M temporary."""
+    M = H.shape[0]
+    step = max(1, _CHUNK_BYTES // (8 * M))
+    for i in range(0, M, step):
+        j = min(i + step, M)
+        block = H[i:j, :j]
+        block += H[:j, i:j].T
+        block *= 0.5
+        H[:j, i:j] = block.T
+
+
 def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
     M = b.size
     nu = sum(c.size for c in cones)
@@ -373,6 +407,8 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
     X = [init_scale * c.unit() for c in cones]
     S = [init_scale * c.unit() for c in cones]
     y = np.zeros(M)
+    # The Schur matrix and its Cholesky factor, refilled every iteration.
+    schur, factor = np.empty((M, M)), np.empty((M, M))
 
     status = MAX_ITERATIONS
     iterations = 0
@@ -406,23 +442,23 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
             break
 
         try:
-            schur = np.zeros((M, M))
+            schur.fill(0.0)
             for c, Xc, Sc in zip(cones, X, S):
                 c.scale(Xc, Sc)
-                if c.moments.size == M:
-                    schur += c.schur()
-                elif c.moments.size:  # a cone that reads no moment has none
-                    schur[np.ix_(c.moments, c.moments)] += c.schur()
-            schur += schur.T
-            schur *= 0.5
+                if c.moments.size:  # a cone that reads no moment has none
+                    c.schur(schur)
+            _symmetrize(schur)
             if not np.isfinite(schur).all():
                 raise np.linalg.LinAlgError("non-finite Schur complement")
             jitter = 0.0
             base = 1e-14 * (1.0 + float(np.trace(schur)) / M)
             for attempt in range(4):
+                # Refinement below reads the unshifted matrix, so a copy is
+                # factored, in place: its transpose is Fortran-ordered.
+                np.copyto(factor, schur)
+                factor.flat[:: M + 1] += jitter
                 try:
-                    shifted = schur + jitter * np.eye(M) if jitter > 0 else schur
-                    fac = cho_factor(shifted, lower=True, check_finite=False)
+                    fac = cho_factor(factor.T, lower=True, overwrite_a=True, check_finite=False)
                     break
                 except np.linalg.LinAlgError:
                     jitter = base * (100.0**attempt + 1.0)

@@ -86,7 +86,7 @@ class TestMomentMatrix:
         point = (0.5, -0.25, 0.0)
         u = moments_of_dirac(LAYOUT, point, 1)
         mat = moment_matrix(LAYOUT, "xy", 1).instantiate(u)
-        w = np.array([float(Polynomial.monomial(LAYOUT, e).evaluate(point))
+        w = np.array([float(Polynomial.from_terms(LAYOUT, {e: 1}).evaluate(point))
                       for e in moment_matrix(LAYOUT, "xy", 1).basis])
         assert np.allclose(mat, np.outer(w, w))
 

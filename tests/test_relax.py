@@ -123,8 +123,13 @@ class TestSchmudgenAssembly:
         assert _certified(assemble_sparse_schmudgen, problems.product_twoballs(), 1)
 
     def test_validate(self):
+        # The index starts at the unit moment and holds every moment a block
+        # reads.
         prog = assemble_sparse_schmudgen(problems.twoballs(), 2)
-        prog.validate()
+        assert prog.variable_index[0] == prog.layout.zero_exponent
+        index = set(prog.variable_index)
+        for _, matrix in prog.psd_blocks:
+            assert matrix.referenced_exponents() <= index
 
 
 class TestPutinarAssembly:

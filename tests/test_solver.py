@@ -2,6 +2,7 @@ import ctypes
 import functools
 import sys
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -242,7 +243,7 @@ class TestLpFamilyCones:
             # Scaling x = w, s = 1 puts the weights w on the rows.
             cone.scale(w[rows], np.ones(cone.size))
             assert cone.moments.size < M
-            schur[np.ix_(cone.moments, cone.moments)] += cone.schur()
+            cone.schur(schur)
         assert _rel_err(schur, (A * w) @ A.T) <= 1e-12
 
     def test_unit_row_family_touches_no_moment(self, capfd):
@@ -348,7 +349,7 @@ class TestSparseConstraintData:
         W = cone.W
         assert _rel_err(W @ S @ W, np.eye(k)) <= 1e-10
         schur = np.zeros((M, M))
-        schur[np.ix_(cone.moments, cone.moments)] = cone.schur()
+        cone.schur(schur)
         WAW = W @ A @ W
         want = A.reshape(M, -1) @ WAW.reshape(M, -1).T
         assert _rel_err(schur, want) <= 1e-12
@@ -357,7 +358,8 @@ class TestSparseConstraintData:
         cone.scale(np.eye(k), S + np.eye(k))
         W2 = cone.W
         assert not np.allclose(W2, W)
-        schur[np.ix_(cone.moments, cone.moments)] = cone.schur()
+        schur.fill(0.0)
+        cone.schur(schur)
         want2 = A.reshape(M, -1) @ (W2 @ A @ W2).reshape(M, -1).T
         assert _rel_err(schur, want2) <= 1e-12
 
@@ -392,6 +394,63 @@ class TestSparseConstraintData:
         assert report.iterations == 0
 
 
+class TestChunkedSchur:
+    """A PSD block's Schur part is built a few moments at a time, straight
+    into the caller's matrix; the chunks must add up to formula F1."""
+
+    K, M = 64, 100  # one moment's (k, k) slab is 32 KiB
+
+    def _cone(self, touched, rng):
+        # Random sparse symmetric A_j on the touched moments, zero elsewhere.
+        A = np.zeros((self.M, self.K, self.K))
+        for j in touched:
+            B = np.zeros((self.K, self.K))
+            p, q = rng.integers(0, self.K, (2, 40))
+            B[p, q] = rng.standard_normal(40)
+            A[j] = B + B.T
+        return _PsdCone(csr_matrix(A.reshape(self.M, -1)), np.zeros((self.K, self.K))), A
+
+    @pytest.mark.parametrize("subset", [False, True], ids=["full-width", "subset"])
+    def test_chunks_match_dense_reference(self, subset):
+        rng = np.random.default_rng(11 + subset)
+        touched = np.sort(rng.choice(self.M, 70, replace=False)) if subset else np.arange(self.M)
+        cone, A = self._cone(touched, rng)
+        np.testing.assert_array_equal(cone.moments, touched)
+        assert len(cone.chunks) >= 3
+        base = rng.standard_normal((self.M, self.M))
+        for shift in (0.1, 1.0):  # two successive scaling points
+            G = rng.standard_normal((self.K, self.K))
+            cone.scale(np.eye(self.K), G @ G.T + shift * np.eye(self.K))
+            W = cone.W
+            H = base.copy()
+            cone.schur(H)  # adds into H
+            want = A.reshape(self.M, -1) @ (W @ A @ W).reshape(self.M, -1).T
+            assert _rel_err(H - base, want) <= 1e-12
+
+    def test_workspace_is_a_few_chunks(self):
+        k, M = 48, 1200
+        full = k * k * M * 8  # what one (k, k, M_b) buffer would take
+        assert full >= 16 * solver._CHUNK_BYTES
+        rng = np.random.default_rng(2)
+        j = np.repeat(np.arange(M), 4)
+        p, q = rng.integers(0, k, (2, j.size))
+        v = rng.standard_normal(j.size)
+        A = csr_matrix((np.r_[v, v], (np.r_[j, j], np.r_[p * k + q, q * k + p])), shape=(M, k * k))
+        cone = _PsdCone(A, np.zeros((k, k)))
+        G = rng.standard_normal((k, k))
+        cone.scale(np.eye(k), G @ G.T + np.eye(k))
+        assert all(a.nbytes < full // 4 for a in vars(cone).values() if isinstance(a, np.ndarray))
+        H = np.zeros((M, M))
+        tracemalloc.start()
+        try:
+            cone.schur(H)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full // 4
+        assert np.any(H)
+
+
 class TestConeKindsAgree:
     """A one-row LP cone and a 1x1 PSD block are the same cone, so the two
     classes must agree on it: Nesterov-Todd on 1x1 gives W^2 = x/s, and its
@@ -411,7 +470,10 @@ class TestConeKindsAgree:
         row, psd = self._pair()
         assert abs(psd.W[0, 0] ** 2 - self.X / self.S) <= 1e-12
         np.testing.assert_array_equal(row.moments, psd.moments)
-        np.testing.assert_allclose(psd.schur(), row.schur(), rtol=1e-12, atol=1e-12)
+        H_psd, H_row = np.zeros((3, 3)), np.zeros((3, 3))
+        psd.schur(H_psd)
+        row.schur(H_row)
+        np.testing.assert_allclose(H_psd, H_row, rtol=1e-12, atol=1e-12)
         v = np.array([-1.1])
         np.testing.assert_allclose(psd.congruence(v[:, None]).ravel(), row.congruence(v), rtol=1e-12)
         y = np.array([0.2, -0.5, 0.9])

@@ -11,7 +11,16 @@ Usage: python scripts/certificate_demo.py [instance] [--variant V] [--order R] [
 """
 
 import argparse
+import os
 import sys
+
+# Run from a bare checkout: import the package from ROOT/src, not an installed copy.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+import sparsepos
+
+if not os.path.abspath(sparsepos.__file__).startswith(SRC + os.sep):
+    raise SystemExit(f"sparsepos imported from {sparsepos.__file__}, not from {SRC}")
 
 from sparsepos import problems
 from sparsepos.certify import certificate_to_json, expand, extract_sos, verify

@@ -8,6 +8,16 @@ Usage: python scripts/run_suite.py [--max-order R] [--tol T]
 """
 
 import argparse
+import os
+import sys
+
+# Run from a bare checkout: import the package from ROOT/src, not an installed copy.
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+sys.path.insert(0, SRC)
+import sparsepos
+
+if not os.path.abspath(sparsepos.__file__).startswith(SRC + os.sep):
+    raise SystemExit(f"sparsepos imported from {sparsepos.__file__}, not from {SRC}")
 
 from sparsepos import problems
 from sparsepos.cli import render_text

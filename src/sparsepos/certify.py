@@ -15,7 +15,8 @@ sum_ij G_ij * m_{a_i + a_j} * w, from the same Gram matrix that the PSD test
 reads (as in Peyrl and Parrilo, "Computing sum of squares decompositions
 with rational coefficients"), and a cone term expands as c * g^a (1-g)^b,
 with the products from the same walk that assembles the LP rows
-(:func:`relax.cone_products`).  The walk starts from the instance's
+(:func:`relax.cone_products`).  The LP has top-shell rows only, but a cone
+term may name any power pair.  The walk starts from the instance's
 constraints and the certificate's divisors, never from the program, and
 refuses a divisor that is not positive.  Both kinds feed one
 :meth:`Polynomial.sum`, exact ints over a running common denominator.

@@ -21,8 +21,9 @@ this and raises :class:`ModeError` otherwise.
 the smallest admissible order off the same row, and a certificate term gets
 its block and weight from the side of its (mode, family), see
 :func:`recipe_side`.  The fifth variant, krivine, is a cone LP with scalar
-rows L_u(g^a (1-g)^b) >= 0 over degree-filtered power pairs; it needs
-constraints normalized into [0, 1] and uses the schmudgen row's order.
+rows L_u(g^a (1-g)^b) >= 0 over the top shell of power pairs (see
+:func:`_power_pairs`); it needs constraints normalized into [0, 1] and uses
+the schmudgen row's order.
 
 Sparse assemblies never reference a moment index with simultaneously
 positive X and Z degree, because every block lives on (X,Y) or (Y,Z);
@@ -112,8 +113,9 @@ RowKey = tuple[str, tuple[int, ...], tuple[int, ...]]
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """Cone relaxation: rows demand L_u(g^a (1-g)^b) >= 0; row forms and
-    ``objective`` are keyed as in :class:`ConicProgram`."""
+    """Cone relaxation: rows demand L_u(g^a (1-g)^b) >= 0 for the top-shell
+    pairs only; row forms and ``objective`` are keyed as in
+    :class:`ConicProgram`."""
 
     layout: BlockLayout
     order: int
@@ -330,11 +332,18 @@ def assemble_krivine(instance: ProblemInstance, r: int) -> LinearProgram:
 
 
 def _power_pairs(degs: Sequence[int], budget: int):
-    """All (alpha, beta) power pairs with sum_j (alpha_j + beta_j) deg_j <= budget."""
+    """The top shell of (alpha, beta) power pairs: sum_j (alpha_j + beta_j)
+    deg_j <= budget with a leftover below min(degs), so no factor fits.
+
+    A product P with room for g_j is P g_j + P (1 - g_j), so every lower
+    pair is a nonnegative integer combination of top-shell pairs.  With no
+    constraints the shell is the unit pair."""
+    floor = min(degs, default=budget + 1)
 
     def rec(j: int, remaining: int):
         if j == len(degs):
-            yield ((), ())
+            if remaining < floor:
+                yield ((), ())
             return
         d = degs[j]
         top = remaining // d
@@ -399,6 +408,7 @@ def cone_products(
 def _cone_rows(
     family: str, constraints: Sequence[Polynomial], layout: BlockLayout, r: int
 ) -> list[tuple[RowKey, dict[int, Fraction]]]:
+    """One family's rows: the top-shell products of budget 2r, as forms."""
     degs = [g.degree for g in constraints]
     # Rows repeat few distinct coefficients and monomials: one Fraction per
     # (den, numerator) and one int object per packed exponent.
@@ -421,7 +431,8 @@ def _cone_rows(
 
 
 def _cone_program(instance: ProblemInstance, r: int) -> LinearProgram:
-    """Cone (LP) relaxation over products g^a (1-g)^b and h^a (1-h)^b.
+    """Cone (LP) relaxation over the top-shell products g^a (1-g)^b and
+    h^a (1-h)^b; the lower ones add nothing, since g + (1-g) = 1.
 
     Requires a normalized instance (see :func:`normalize_krivine`): each
     constraint must satisfy 0 <= g <= 1 on the feasible set, otherwise the

@@ -1,6 +1,8 @@
 import itertools
 import json
+import os
 import random
+import runpy
 import re
 from dataclasses import replace
 from fractions import Fraction
@@ -23,9 +25,11 @@ from sparsepos.certify import (
     extract_sos,
     verify,
 )
+from sparsepos.cli import parse_problem
 from sparsepos.poly import BlockLayout, LayoutError, Polynomial
 from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
+    _moment_index,
     assemble_krivine,
     assemble_sparse_schmudgen,
     cone_products,
@@ -33,6 +37,7 @@ from sparsepos.relax import (
 )
 from sparsepos.solver import solve_lp, solve_sdp
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNIVARIATE = BlockLayout(1, 0, 0)
 X1 = Polynomial.variable(UNIVARIATE, "x")
 
@@ -636,12 +641,15 @@ def _reference_product(constraints, alpha, beta, layout):
     return product
 
 
-def _reference_rows(family, constraints, layout, r):
+def _reference_rows(family, constraints, layout, r, top_only=True):
+    """Rows of every pair of degree <= 2r by brute force; with ``top_only``,
+    of the top shell, where no constraint fits the leftover budget."""
     degs = [c.degree for c in constraints]
+    floor = min(degs, default=2 * r + 1) if top_only else 2 * r + 1
     rows = []
     for powers in itertools.product(range(2 * r + 1), repeat=2 * len(constraints)):
         alpha, beta = powers[0::2], powers[1::2]
-        if sum((a + b) * d for a, b, d in zip(alpha, beta, degs)) <= 2 * r:
+        if 0 <= 2 * r - sum((a + b) * d for a, b, d in zip(alpha, beta, degs)) < floor:
             product = _reference_product(constraints, alpha, beta, layout)
             form = {layout.pack(e): c for e, c in product.terms.items()}
             rows.append(((family, alpha, beta), form))
@@ -661,6 +669,65 @@ def _reference_expansion(cert, instance):
             product = _reference_product(constraints, alpha, beta, layout)
             total = total + product.scale(Fraction(value))
     return total
+
+
+def _full_row_program(prog, instance):
+    """``prog`` with every pair of degree <= 2r as a row, as the cone LP was
+    assembled before it kept the top shell only."""
+    layout = instance.layout
+    rows = _reference_rows("xy", instance.g_constraints, layout, prog.order, top_only=False)
+    rows += _reference_rows("yz", instance.h_constraints, layout, prog.order, top_only=False)
+    index = _moment_index(instance, (form for _, form in rows))
+    return replace(prog, rows=tuple(rows), variable_index=index)
+
+
+def _box212():
+    text = runpy.run_path(os.path.join(ROOT, "perfbench", "gen.py"))["instance_text"]
+    return parse_problem(text("box212", 1))
+
+
+class TestTopShell:
+    """The top-shell LP spans the same row cone as the full enumeration, so
+    both give the same lambda, and a certificate naming lower pairs (as the
+    full LP writes them) still loads and verifies."""
+
+    @pytest.mark.parametrize("name,status", [
+        # Every row of 1 - x^2 is even in x, so no row bounds the moment of x.
+        ("interval", "unbounded"),
+        ("interval-affine", "optimal"),
+        ("constant5", "optimal"),
+        ("box212", "optimal"),
+    ])
+    def test_same_lambda_as_full_rows(self, name, status):
+        inst = _box212() if name == "box212" else problems.get(name)
+        normed = normalize_krivine(inst, [1] * (len(inst.g_constraints) + len(inst.h_constraints)))
+        top = assemble_krivine(normed, 2)
+        full = _full_row_program(top, normed)
+        assert top.num_rows < full.num_rows
+        reports = [solve_lp(prog) for prog in (top, full)]
+        assert [report.status for report in reports] == [status, status]
+        if status == "optimal":
+            for prog, report in zip((top, full), reports):
+                assert verify(extract_cone(report, prog), inst).passed
+            lam_top, lam_full = (report.dual_objective for report in reports)
+            assert abs(lam_top - lam_full) <= 1e-7 * (1 + abs(lam_full))
+
+    def test_lower_pair_certificates_still_verify(self):
+        inst = problems.interval_affine()
+        normed = normalize_krivine(inst, [1])
+        full = _full_row_program(assemble_krivine(normed, 2), normed)
+        cert = extract_cone(solve_lp(full), full)
+        # The full LP's certificate leans on pairs below the shell a + b = 4.
+        assert any(c > 1e-9 and sum(map(sum, pair)) < 4 for pair, c in cert.xy_coeffs.items())
+        # A unit-row term with lambda lowered by its coefficient is the same identity.
+        unit = ((0,), (0,))
+        padded = replace(
+            cert, lam=cert.lam - 0.5, xy_coeffs={**cert.xy_coeffs, unit: cert.xy_coeffs[unit] + 0.5}
+        )
+        for c in (cert, padded):
+            loaded = certificate_from_json(certificate_to_json(c), inst)
+            assert loaded.xy_coeffs == c.xy_coeffs
+            assert verify(loaded, inst).passed
 
 
 WALK_LAYOUT = BlockLayout(1, 1, 1)

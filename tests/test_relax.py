@@ -1,10 +1,19 @@
+import itertools
+import os
+import runpy
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsepos import problems
 from sparsepos.certify import extract_sos, verify
+from sparsepos.cli import parse_problem
 from sparsepos.moments import moments_of_dirac, min_eigenvalue
 from sparsepos.poly import BlockLayout, Polynomial, grlex_key, monomial_basis
 from sparsepos.problem import ProblemInstance
@@ -14,6 +23,7 @@ from sparsepos.relax import (
     ModeError,
     NormalizationError,
     OrderError,
+    _power_pairs,
     assemble_dense,
     assemble_krivine,
     assemble_product,
@@ -26,6 +36,31 @@ from sparsepos.relax import (
 from sparsepos.solver import solve_sdp
 
 LAYOUT = BlockLayout(1, 1, 1)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@st.composite
+def _mixed_families(draw):
+    """One to three constraints of degree exactly 1, 2 or 3 with small
+    rational coefficients; a degree-3 one leaves an odd budget unspent."""
+    coeffs = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2, 3)])
+    degrees = draw(st.lists(st.sampled_from([1, 2, 3]), min_size=1, max_size=3))
+    exps = [e for e in itertools.product(range(4), repeat=3) if sum(e) <= 3]
+    constraints = []
+    for d in degrees:
+        top = draw(st.sampled_from([e for e in exps if sum(e) == d]))
+        lower = draw(st.dictionaries(st.sampled_from([e for e in exps if sum(e) < d]), coeffs))
+        constraints.append(Polynomial.from_terms(LAYOUT, {**lower, top: draw(coeffs)}))
+    return constraints
+
+
+def _cone_product(constraints, alpha, beta):
+    """prod_j g_j^a_j (1 - g_j)^b_j by plain powers."""
+    one = Polynomial.constant(LAYOUT, 1)
+    product = one
+    for g, a, b in zip(constraints, alpha, beta):
+        product = product * g**a * (one - g) ** b
+    return product
 
 
 def _certified(assemble, instance, r):
@@ -224,17 +259,61 @@ class TestKrivineAssembly:
         inst = normalize_krivine(problems.interval(), [1])
         prog = assemble_krivine(inst, 2)
         xy_rows = [key for key, _ in prog.rows if key[0] == "xy"]
-        # one degree-2 constraint at budget 4: (a, b) with a + b <= 2
-        assert sorted(xy_rows) == sorted(
-            [("xy", (a,), (b,)) for a in range(3) for b in range(3 - a)]
-        )
-        assert len(xy_rows) == 6
+        # one degree-2 constraint at budget 4: only the top shell a + b = 2
+        assert sorted(xy_rows) == [("xy", (a,), (2 - a,)) for a in range(3)]
 
-    def test_empty_power_row_is_unit(self):
+    def test_top_shell_rows_partition_unity(self):
+        # The unit row is gone; sum_{a+b=2} C(2, a) g^a (1-g)^b = 1 replaces it.
         inst = normalize_krivine(problems.interval(), [1])
-        prog = assemble_krivine(inst, 2)
-        row = dict(prog.rows)[("xy", (0,), (0,))]
-        assert row == {0: Fraction(1)}  # the unit moment packs to 0
+        rows = dict(assemble_krivine(inst, 2).rows)
+        total = {}
+        for a in range(3):
+            for p, c in rows[("xy", (a,), (2 - a,))].items():
+                total[p] = total.get(p, 0) + comb(2, a) * c
+        assert {p: c for p, c in total.items() if c} == {0: Fraction(1)}
+
+    @settings(max_examples=25, deadline=None)
+    @given(_mixed_families(), st.integers(1, 2))
+    def test_lower_pairs_are_top_shell_combinations(self, constraints, r):
+        # P = P g_j + P (1 - g_j) while g_j still fits the budget, so each
+        # pair of degree <= 2r is a nonnegative integer combination of top-shell
+        # products, exactly.
+        degs = [g.degree for g in constraints]
+        budget = 2 * r
+
+        @cache
+        def split(alpha, beta):
+            left = budget - sum((a + b) * d for a, b, d in zip(alpha, beta, degs))
+            j = next((j for j, d in enumerate(degs) if d <= left), None)
+            if j is None:
+                return Counter({(alpha, beta): 1})
+
+            def bump(powers):
+                return tuple(k + (i == j) for i, k in enumerate(powers))
+
+            return split(bump(alpha), beta) + split(alpha, bump(beta))
+
+        leaves = set()
+        for powers in itertools.product(range(budget + 1), repeat=2 * len(degs)):
+            alpha, beta = powers[0::2], powers[1::2]
+            if sum((a + b) * d for a, b, d in zip(alpha, beta, degs)) > budget:
+                continue
+            combination = split(alpha, beta)
+            leaves.update(combination)
+            products = {pair: _cone_product(constraints, *pair) for pair in combination}
+            total = Polynomial.sum(LAYOUT, (
+                (k, products[pair].nums.items(), products[pair].den)
+                for pair, k in combination.items()
+            ))
+            assert total.terms == _cone_product(constraints, alpha, beta).terms
+        # The shell is exactly the pairs with no room left: none missing, none extra.
+        assert leaves == set(_power_pairs(degs, budget))
+
+    def test_box212_row_counts(self):
+        text = runpy.run_path(os.path.join(ROOT, "perfbench", "gen.py"))["instance_text"]
+        inst = parse_problem(text("box212", 1))
+        inst = normalize_krivine(inst, [1] * (len(inst.g_constraints) + len(inst.h_constraints)))
+        assert [assemble_krivine(inst, r).num_rows for r in (2, 3, 4)] == [252, 924, 2574]
 
     def test_rows_nonnegative_at_feasible_dirac(self):
         inst = normalize_krivine(problems.twoballs(), [1, 1])

@@ -57,6 +57,7 @@ from __future__ import annotations
 import ctypes
 import importlib
 import threading
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -548,7 +549,7 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
         for i, ((family, _, _), _) in enumerate(program.rows):
             families.setdefault(family, []).append(i)
         for rows in families.values():
-            C, moment, slot, value = np.zeros(len(rows)), [], [], []
+            C, moment, slot, value = np.zeros(len(rows)), array("q"), array("q"), array("d")
             for col, i in enumerate(rows):
                 for p, coeff in program.rows[i][1].items():
                     v = floats.get(id(coeff))
@@ -564,7 +565,7 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
     else:
         for label, sym in program.psd_blocks:
             k = sym.size
-            C, moment, slot, value = np.zeros((k, k)), [], [], []
+            C, moment, slot, value = np.zeros((k, k)), array("q"), array("q"), array("d")
             for i, j, coeff, p in sym.terms:
                 v = floats.get(id(coeff))
                 if v is None:

@@ -23,13 +23,14 @@ its math; the loop calls them without knowing which kind it holds.  A
 symbolic localizing matrix: Nesterov-Todd scaling, and a Schur part built
 from its nonzeros (Fujisawa, Kojima and Nakata 1997, formula F1), M_b*k^3
 per iteration instead of M^2*k^2 for a block that touches M_b moments,
-built w moments at a time in O(k^2*w + M_b*w) workspace, not O(k^2*M_b).  A
+built w moments at a time in one O(max(k^2, M)*w) workspace per solve.  A
 ``_RowCone`` is one family of nonnegative LP rows, a sparse (M, R_b) matrix:
 x/s scaling, and a Schur part that is a symmetric rank-R_b update of the
 dense (M_b, R_b) rows it reads.  Every LP row is a product of g's alone or
 of h's alone, so each family reads only the moments of its own side (plus
 the shared Y-only ones).  Either kind adds into only the rows and columns
-of the M_b moments it touches.  The rest is dense float64 linear algebra;
+of the M_b moments it touches.  The M x M Schur matrix is factored in
+place, in its upper triangle.  The rest is dense float64 linear algebra;
 exactness is recovered downstream by certificate verification.  There is no
 randomized state, so repeated solves of one program are bit-identical.
 Infeasibility detection is heuristic: a presolve catches constant-row
@@ -64,7 +65,7 @@ from functools import cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.blas import dsymv, dsyrk
 from scipy.sparse import csr_matrix
 
 from .moments import MomentVector
@@ -78,7 +79,7 @@ NUMERICAL_FAILURE = "numerical-failure"
 
 _STEP_FRACTION = 0.98
 _DIVERGENCE = 1e10
-# Bytes in the (k, k, w) buffer Y of one PSD Schur chunk, and in W Y.
+# Bytes in each of Y, W Y and the gathered rows of H in one PSD Schur chunk.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -122,6 +123,7 @@ class _Cone:
 
     def __init__(self, A: csr_matrix, C: np.ndarray):
         self.A = A
+        self.workspace = 0  # floats in each chunk buffer that ``schur`` reads
         self.At = A.T  # a CSC view sharing A's arrays
         self.C = C
         self.size = C.shape[0]
@@ -143,12 +145,13 @@ class _PsdCone(_Cone):
     makes the Mehrotra correction a Lyapunov-style division by lam_i + lam_j.
 
     Schur part H_ij = <A_i, W A_j W>, built in chunks of w moments j, with
-    8*k*k*w bytes about _CHUNK_BYTES so that a chunk stays in cache:
+    8*max(k*k, M)*w bytes about _CHUNK_BYTES so that a chunk stays in cache:
     Y[p, t, j] = (A_j W)[p, t] from the chunk's nonzeros at nnz*k cost, one
     (k, k) by (k, k*w) product W Y for its W A_j W in the (k*k, w) layout
     the sparse A contracts directly, and the (M_b, w) result added into the
-    caller's Schur matrix.  M_b*k^3 + nnz*M_b in all, in O(k*k*w + M_b*w)
-    workspace rather than O(k*k*M_b); Y and W Y reuse two buffers.
+    caller's Schur matrix (gathering w full rows of it if M_b < M).  M_b*k^3
+    + nnz*M_b in all, in O(max(k*k, M)*w) workspace rather than O(k*k*M_b):
+    Y and W Y are buffers of ``workspace`` floats that all blocks share.
     """
 
     def __init__(self, A: csr_matrix, C: np.ndarray):
@@ -162,8 +165,8 @@ class _PsdCone(_Cone):
         keys, slot = np.unique(coo.row * k + p, return_inverse=True)
         j, p = np.divmod(keys, k)
         rows = csr_matrix((coo.data, (slot, q)), shape=(keys.size, k))
-        w = max(1, min(m, _CHUNK_BYTES // (8 * k * k)))
-        self.Y, self.WAW = np.zeros(k * k * w), np.empty(k * k * w)
+        w = max(1, min(m, _CHUNK_BYTES // (8 * max(k * k, A.shape[0]))))
+        self.workspace = k * k * w
         full = m == A.shape[0]
         self.cols = slice(None) if full else self.moments
         self.chunks = []
@@ -194,14 +197,15 @@ class _PsdCone(_Cone):
         self.Rinv = (Vt * np.sqrt(lam)[:, None]) @ solve_triangular(Lx, eye, lower=True)
         self.W = self.R @ self.R.T
 
-    def schur(self, H: np.ndarray) -> None:
+    def schur(self, H: np.ndarray, Y: np.ndarray, WY: np.ndarray) -> None:
+        # Y is all zeros on entry and again on return: each chunk clears it.
         k = self.size
         for at, n, rows, p, j in self.chunks:
-            Y = self.Y[: k * k * n].reshape(k, k, n)
-            Y[p, :, j] = rows @ self.W
+            Yc = Y[: k * k * n].reshape(k, k, n)
+            Yc[p, :, j] = rows @ self.W
             # WAW[r, t*n + j] = (W A_j W)[r, t]
-            WAW = np.matmul(self.W, Y.reshape(k, -1), out=self.WAW[: k * k * n].reshape(k, -1))
-            Y[p, :, j] = 0.0
+            WAW = np.matmul(self.W, Yc.reshape(k, -1), out=WY[: k * k * n].reshape(k, -1))
+            Yc[p, :, j] = 0.0
             # The part is symmetric and H is symmetrized later, so the chunk's
             # columns go in as rows: faster to gather, and views if M_b = M.
             block = H[at]
@@ -261,10 +265,10 @@ class _RowCone(_Cone):
         self.w = x / s
         self.Sinv = 1.0 / s
 
-    def schur(self, H: np.ndarray) -> None:
-        # The transpose of the C-ordered product is the Fortran array SYRK
-        # reads without a copy.  It fills the lower triangle; the loop adds
-        # full parts, so the upper one is mirrored in.
+    def schur(self, H: np.ndarray, *_) -> None:
+        # Needs no chunk buffers.  The transpose of the C-ordered product is
+        # the Fortran array SYRK reads without a copy.  It fills the lower
+        # triangle; the loop adds full parts, so the upper one is mirrored in.
         L = dsyrk(1.0, (self.A_b * np.sqrt(self.w)).T, lower=1, trans=1)
         L += np.tril(L, -1).T
         H[np.ix_(self.moments, self.moments)] += L
@@ -365,16 +369,49 @@ def _blas_on_one_thread():
                     setter(count)
 
 
-def _symmetrize(H: np.ndarray) -> None:
-    """H <- (H + H^T) / 2 in place by row blocks, with no M x M temporary."""
+def _symmetrize(H: np.ndarray, mirror: bool = False) -> bool:
+    """H <- (H + H^T) / 2, or ``mirror`` the strict lower triangle onto the
+    upper, in place by row blocks with no M x M temporary; True if finite."""
     M = H.shape[0]
     step = max(1, _CHUNK_BYTES // (8 * M))
+    finite = True
     for i in range(0, M, step):
         j = min(i + step, M)
         block = H[i:j, :j]
-        block += H[:j, i:j].T
-        block *= 0.5
+        if mirror:  # the diagonal square's own lower triangle first
+            block[:, i:] = np.tril(block[:, i:]) + np.tril(block[:, i:], -1).T
+        else:
+            block += H[:j, i:j].T
+            block *= 0.5
+        finite &= bool(np.isfinite(block).all())
         H[:j, i:j] = block.T
+    return finite
+
+
+def _factor(H: np.ndarray) -> tuple:
+    """Cholesky-factor the symmetric H in place: U^T U = H + jitter*I (the
+    jitter 0 unless an attempt fails) in its upper triangle and diagonal, H in
+    its strict lower one.  Returns ``cho_solve``'s factor and H's diagonal."""
+    diag = H.diagonal().copy()
+    base, jitter = 1e-14 * (1.0 + float(diag.mean())), 0.0
+    for attempt in range(4):
+        np.fill_diagonal(H, diag + jitter)
+        try:
+            # H.T is Fortran-ordered: LAPACK's lower triangle is H's upper one.
+            return cho_factor(H.T, lower=True, overwrite_a=True, check_finite=False), diag
+        except np.linalg.LinAlgError:
+            jitter = base * (100.0**attempt + 1.0)
+            _symmetrize(H, mirror=True)  # over the partial factor
+    raise np.linalg.LinAlgError("Schur complement not positive definite")
+
+
+def _times(H: np.ndarray, diag: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H v for an H that ``_factor`` overwrote, read off its lower triangle."""
+    u_diag = H.diagonal().copy()
+    np.fill_diagonal(H, diag)
+    Hv = dsymv(1.0, H.T, v, lower=0)
+    np.fill_diagonal(H, u_diag)
+    return Hv
 
 
 def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
@@ -408,8 +445,9 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
     X = [init_scale * c.unit() for c in cones]
     S = [init_scale * c.unit() for c in cones]
     y = np.zeros(M)
-    # The Schur matrix and its Cholesky factor, refilled every iteration.
-    schur, factor = np.empty((M, M)), np.empty((M, M))
+    # The Schur matrix, refilled and factored in place each iteration.
+    n = max(c.workspace for c in cones)
+    schur, Y, WY = np.empty((M, M)), np.zeros(n), np.empty(n)
 
     status = MAX_ITERATIONS
     iterations = 0
@@ -447,24 +485,10 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
             for c, Xc, Sc in zip(cones, X, S):
                 c.scale(Xc, Sc)
                 if c.moments.size:  # a cone that reads no moment has none
-                    c.schur(schur)
-            _symmetrize(schur)
-            if not np.isfinite(schur).all():
+                    c.schur(schur, Y, WY)
+            if not _symmetrize(schur):
                 raise np.linalg.LinAlgError("non-finite Schur complement")
-            jitter = 0.0
-            base = 1e-14 * (1.0 + float(np.trace(schur)) / M)
-            for attempt in range(4):
-                # Refinement below reads the unshifted matrix, so a copy is
-                # factored, in place: its transpose is Fortran-ordered.
-                np.copyto(factor, schur)
-                factor.flat[:: M + 1] += jitter
-                try:
-                    fac = cho_factor(factor.T, lower=True, overwrite_a=True, check_finite=False)
-                    break
-                except np.linalg.LinAlgError:
-                    jitter = base * (100.0**attempt + 1.0)
-            else:
-                raise np.linalg.LinAlgError("Schur complement not positive definite")
+            fac, diag = _factor(schur)
 
             def schur_solve(rhs):
                 # Diverging iterates overflow here first (infeasible input).
@@ -480,7 +504,7 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
                 # Refine against the unregularized system: recovers accuracy
                 # lost to jitter and to ill-conditioning near optimality.
                 for _ in range(2):
-                    dy = dy + schur_solve(rhs - schur @ dy)
+                    dy = dy + schur_solve(rhs - _times(schur, diag, dy))
                 dS = [R - c.apply_adjoint(dy) for c, R in zip(cones, Rd)]
                 dX = [c.sym(Rcc - c.congruence(dSc)) for c, Rcc, dSc in zip(cones, Rc, dS)]
                 if not all(np.isfinite(d).all() for d in [dy, *dX, *dS]):

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 from scipy.sparse import csr_matrix
 
 from sparsepos import cli, problems, solver
@@ -312,6 +313,13 @@ def _rel_err(got, want) -> float:
     return float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
 
 
+def _workspace(*cones):
+    """The chunk buffers Y (zeroed) and W Y that a solve over these cones
+    allocates once and hands to every ``schur`` call."""
+    n = max(c.workspace for c in cones)
+    return np.zeros(n), np.empty(n)
+
+
 class TestSparseConstraintData:
     """The sparse cone data against the dense (M, k, k) formulas."""
 
@@ -349,7 +357,8 @@ class TestSparseConstraintData:
         W = cone.W
         assert _rel_err(W @ S @ W, np.eye(k)) <= 1e-10
         schur = np.zeros((M, M))
-        cone.schur(schur)
+        work = _workspace(cone)
+        cone.schur(schur, *work)
         WAW = W @ A @ W
         want = A.reshape(M, -1) @ WAW.reshape(M, -1).T
         assert _rel_err(schur, want) <= 1e-12
@@ -359,7 +368,7 @@ class TestSparseConstraintData:
         W2 = cone.W
         assert not np.allclose(W2, W)
         schur.fill(0.0)
-        cone.schur(schur)
+        cone.schur(schur, *work)
         want2 = A.reshape(M, -1) @ (W2 @ A @ W2).reshape(M, -1).T
         assert _rel_err(schur, want2) <= 1e-12
 
@@ -418,12 +427,13 @@ class TestChunkedSchur:
         np.testing.assert_array_equal(cone.moments, touched)
         assert len(cone.chunks) >= 3
         base = rng.standard_normal((self.M, self.M))
+        work = _workspace(cone)
         for shift in (0.1, 1.0):  # two successive scaling points
             G = rng.standard_normal((self.K, self.K))
             cone.scale(np.eye(self.K), G @ G.T + shift * np.eye(self.K))
             W = cone.W
             H = base.copy()
-            cone.schur(H)  # adds into H
+            cone.schur(H, *work)  # adds into H
             want = A.reshape(self.M, -1) @ (W @ A @ W).reshape(self.M, -1).T
             assert _rel_err(H - base, want) <= 1e-12
 
@@ -443,12 +453,102 @@ class TestChunkedSchur:
         H = np.zeros((M, M))
         tracemalloc.start()
         try:
-            cone.schur(H)
+            cone.schur(H, *_workspace(cone))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < full // 4
         assert np.any(H)
+
+    def test_subset_chunks_count_the_gathered_rows(self):
+        # A 4x4 block over 800 of 1200 moments: its (k, k, w) buffers are
+        # small even at w = M_b, but each chunk gathers w full rows of H.
+        k, M = 4, 1200
+        rng = np.random.default_rng(4)
+        j = np.repeat(np.sort(rng.choice(M, 800, replace=False)), 3)
+        p, q = rng.integers(0, k, (2, j.size))
+        v = rng.standard_normal(j.size)
+        A = csr_matrix((np.r_[v, v], (np.r_[j, j], np.r_[p * k + q, q * k + p])), shape=(M, k * k))
+        cone = _PsdCone(A, np.zeros((k, k)))
+        G = rng.standard_normal((k, k))
+        cone.scale(np.eye(k), G @ G.T + np.eye(k))
+        H = np.zeros((M, M))
+        tracemalloc.start()
+        try:
+            cone.schur(H, *_workspace(cone))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * solver._CHUNK_BYTES
+        Ad = A.toarray().reshape(M, k, k)
+        want = A.toarray() @ (cone.W @ Ad @ cone.W).reshape(M, -1).T
+        assert _rel_err(H, want) <= 1e-12
+
+    def test_shared_workspace_matches_fresh_buffers(self):
+        # Blocks of k = 21 and 6, over different moments, one after another
+        # in one shared pair of buffers, as in a solve.
+        cones = [cone for cone, _ in _cones(assemble_dense(problems.fivevar(), 3))[0]]
+        assert len({c.workspace for c in cones}) >= 2
+        M = cones[0].A.shape[0]
+        rng = np.random.default_rng(6)
+        for c in cones:
+            G = rng.standard_normal((c.size, c.size))
+            c.scale(np.eye(c.size), G @ G.T + np.eye(c.size))
+        Y, WY = _workspace(*cones)
+        shared, fresh = np.zeros((M, M)), np.zeros((M, M))
+        for c in cones:
+            c.schur(shared, Y, WY)
+            assert not np.any(Y)  # each chunk clears what it wrote
+            c.schur(fresh, *_workspace(c))
+        np.testing.assert_array_equal(shared, fresh)
+
+
+class TestSchurFactorInPlace:
+    """Cholesky overwrites the Schur matrix's upper triangle and diagonal;
+    refinement reads H back from the strict lower triangle and the saved
+    diagonal."""
+
+    @pytest.mark.parametrize("step", [None, 7], ids=["one-row-block", "row-blocks-of-7"])
+    def test_retry_keeps_the_matrix(self, step, monkeypatch):
+        # A zero row makes B B^T singular: the unshifted attempt fails at
+        # row 30, after writing part of a factor over the upper triangle.
+        n = 40
+        if step:  # the mirror then walks several row blocks
+            monkeypatch.setattr(solver, "_CHUNK_BYTES", 8 * n * step)
+        rng = np.random.default_rng(8)
+        B = rng.standard_normal((n, n))
+        B[30] = 0.0
+        H = B @ B.T
+        with pytest.raises(np.linalg.LinAlgError):
+            cho_factor(H, lower=True, check_finite=False)
+        F = H.copy()
+        (factor, in_lower), diag = solver._factor(F)
+        assert in_lower and np.shares_memory(factor, F)  # factored in place
+        np.testing.assert_array_equal(diag, np.diag(H))
+        lower = np.tril(F, -1)
+        np.testing.assert_array_equal(lower + lower.T + np.diag(diag), H)
+        # The factor is the jittered H's, with no trace of the failed attempt.
+        U = np.triu(F)
+        jitter = U[30, 30] ** 2
+        assert 0.0 < jitter <= 1e-8
+        assert _rel_err(U.T @ U, H + jitter * np.eye(n)) <= 1e-13
+        v = rng.standard_normal(n)
+        assert _rel_err(solver._times(F, diag, v), H @ v) <= 1e-13
+        np.testing.assert_array_equal(np.triu(F), U)  # the factor's diagonal is back
+
+    def test_solve_working_set(self):
+        # One M x M matrix and one chunk workspace: fivevar dense r=3 has
+        # M = 461 and blocks 21 and 6.  A second M x M copy to factor and a
+        # pair of chunk buffers per block take the traced peak to 13 MiB.
+        program = assemble_dense(problems.fivevar(), 3)
+        tracemalloc.start()
+        try:
+            report = solve_sdp(program)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.status == OPTIMAL
+        assert peak < 9 * 2**20
 
 
 class TestConeKindsAgree:
@@ -471,7 +571,7 @@ class TestConeKindsAgree:
         assert abs(psd.W[0, 0] ** 2 - self.X / self.S) <= 1e-12
         np.testing.assert_array_equal(row.moments, psd.moments)
         H_psd, H_row = np.zeros((3, 3)), np.zeros((3, 3))
-        psd.schur(H_psd)
+        psd.schur(H_psd, *_workspace(psd))
         row.schur(H_row)
         np.testing.assert_allclose(H_psd, H_row, rtol=1e-12, atol=1e-12)
         v = np.array([-1.1])

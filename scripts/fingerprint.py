@@ -69,18 +69,11 @@ def _twins(names: list[str]) -> list:
     return list(dict.fromkeys(twins))
 
 
-def _solve(program):
-    from sparsepos import relax, solver
-
-    solve = solver.solve_lp if isinstance(program, relax.LinearProgram) else solver.solve_sdp
-    return solve(program, tol=SOLVE_TOL)
-
-
 def record(rung, text: str) -> dict:
     from sparsepos import relax
     from sparsepos.certify import certificate_to_json, extract_cone, extract_sos, verify
     from sparsepos.cli import parse_problem
-    from sparsepos.solver import OPTIMAL
+    from sparsepos.solver import OPTIMAL, solve
 
     instance = parse_problem(text)
     if rung.variant == "krivine":
@@ -88,7 +81,7 @@ def record(rung, text: str) -> dict:
         program = relax.assemble(relax.normalize_krivine(instance, bounds), "krivine", rung.order)
     else:
         program = relax.assemble(instance, rung.variant, rung.order)
-    report = _solve(program)
+    report = solve(program, tol=SOLVE_TOL)
     out = {
         "status": report.status,
         "iterations": report.iterations,

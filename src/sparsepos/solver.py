@@ -30,7 +30,8 @@ dense (M_b, R_b) rows it reads.  Every LP row is a product of g's alone or
 of h's alone, so each family reads only the moments of its own side (plus
 the shared Y-only ones).  Either kind adds into only the rows and columns
 of the M_b moments it touches.  The M x M Schur matrix is factored in
-place, in its upper triangle.  The rest is dense float64 linear algebra;
+place, in its upper triangle, and never read back: refinement applies it
+through the cones.  The rest is dense float64 linear algebra;
 exactness is recovered downstream by certificate verification.  There is no
 randomized state, so repeated solves of one program are bit-identical.
 Infeasibility detection is heuristic: a presolve catches constant-row
@@ -65,7 +66,7 @@ from functools import cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.linalg.blas import dsymv, dsyrk
+from scipy.linalg.blas import dsyrk
 from scipy.sparse import csr_matrix
 
 from .moments import MomentVector
@@ -206,8 +207,9 @@ class _PsdCone(_Cone):
             # WAW[r, t*n + j] = (W A_j W)[r, t]
             WAW = np.matmul(self.W, Yc.reshape(k, -1), out=WY[: k * k * n].reshape(k, -1))
             Yc[p, :, j] = 0.0
-            # The part is symmetric and H is symmetrized later, so the chunk's
-            # columns go in as rows: faster to gather, and views if M_b = M.
+            # The part is symmetric, up to rounding that Cholesky never sees
+            # (it reads one triangle), so the chunk's columns go in as rows:
+            # faster to gather, and views if M_b = M.
             block = H[at]
             block[:, self.cols] += (self.A_b @ WAW.reshape(k * k, n)).T
             H[at] = block
@@ -369,49 +371,37 @@ def _blas_on_one_thread():
                     setter(count)
 
 
-def _symmetrize(H: np.ndarray, mirror: bool = False) -> bool:
-    """H <- (H + H^T) / 2, or ``mirror`` the strict lower triangle onto the
-    upper, in place by row blocks with no M x M temporary; True if finite."""
-    M = H.shape[0]
-    step = max(1, _CHUNK_BYTES // (8 * M))
-    finite = True
-    for i in range(0, M, step):
-        j = min(i + step, M)
-        block = H[i:j, :j]
-        if mirror:  # the diagonal square's own lower triangle first
-            block[:, i:] = np.tril(block[:, i:]) + np.tril(block[:, i:], -1).T
-        else:
-            block += H[:j, i:j].T
-            block *= 0.5
-        finite &= bool(np.isfinite(block).all())
-        H[:j, i:j] = block.T
-    return finite
-
-
-def _factor(H: np.ndarray) -> tuple:
-    """Cholesky-factor the symmetric H in place: U^T U = H + jitter*I (the
-    jitter 0 unless an attempt fails) in its upper triangle and diagonal, H in
-    its strict lower one.  Returns ``cho_solve``'s factor and H's diagonal."""
-    diag = H.diagonal().copy()
-    base, jitter = 1e-14 * (1.0 + float(diag.mean())), 0.0
+def _factor(cones: list[_Cone], H: np.ndarray, Y: np.ndarray, WY: np.ndarray) -> tuple:
+    """Build the Schur complement H = sum of the cones' parts and Cholesky-
+    factor it in place: U^T U = H + jitter*I in H's upper triangle and
+    diagonal, the jitter 0 unless an attempt fails.  A failed attempt leaves
+    part of a factor over H, so each retry builds H again.  Returns
+    ``cho_solve``'s factor."""
     for attempt in range(4):
-        np.fill_diagonal(H, diag + jitter)
+        H.fill(0.0)
+        for c in cones:
+            if c.moments.size:  # a cone that reads no moment has none
+                c.schur(H, Y, WY)
+        if attempt == 0:
+            base = 1e-14 * (1.0 + float(H.diagonal().mean()))
+        else:
+            np.fill_diagonal(H, H.diagonal() + base * (100.0 ** (attempt - 1) + 1.0))
         try:
             # H.T is Fortran-ordered: LAPACK's lower triangle is H's upper one.
-            return cho_factor(H.T, lower=True, overwrite_a=True, check_finite=False), diag
+            fac = cho_factor(H.T, lower=True, overwrite_a=True, check_finite=False)
         except np.linalg.LinAlgError:
-            jitter = base * (100.0**attempt + 1.0)
-            _symmetrize(H, mirror=True)  # over the partial factor
+            continue
+        # OpenBLAS's potrf does not fail on a NaN or inf it reads; the factor's
+        # diagonal comes back non-finite instead.
+        if not np.isfinite(fac[0].diagonal()).all():
+            raise np.linalg.LinAlgError("non-finite Schur complement")
+        return fac
     raise np.linalg.LinAlgError("Schur complement not positive definite")
 
 
-def _times(H: np.ndarray, diag: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """H v for an H that ``_factor`` overwrote, read off its lower triangle."""
-    u_diag = H.diagonal().copy()
-    np.fill_diagonal(H, diag)
-    Hv = dsymv(1.0, H.T, v, lower=0)
-    np.fill_diagonal(H, u_diag)
-    return Hv
+def _times(cones: list[_Cone], v: np.ndarray) -> np.ndarray:
+    """H v for the unregularized Schur complement, applied through the cones."""
+    return sum(c.apply(c.congruence(c.apply_adjoint(v))) for c in cones)
 
 
 def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
@@ -481,14 +471,9 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
             break
 
         try:
-            schur.fill(0.0)
             for c, Xc, Sc in zip(cones, X, S):
                 c.scale(Xc, Sc)
-                if c.moments.size:  # a cone that reads no moment has none
-                    c.schur(schur, Y, WY)
-            if not _symmetrize(schur):
-                raise np.linalg.LinAlgError("non-finite Schur complement")
-            fac, diag = _factor(schur)
+            fac = _factor(cones, schur, Y, WY)
 
             def schur_solve(rhs):
                 # Diverging iterates overflow here first (infeasible input).
@@ -499,12 +484,12 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
             def newton(Rc):
                 rhs = rp.copy()
                 for c, R, Rcc in zip(cones, Rd, Rc):
-                    rhs += c.apply(c.congruence(R)) - c.apply(Rcc)
+                    rhs += c.apply(c.congruence(R) - Rcc)
                 dy = schur_solve(rhs)
                 # Refine against the unregularized system: recovers accuracy
                 # lost to jitter and to ill-conditioning near optimality.
                 for _ in range(2):
-                    dy = dy + schur_solve(rhs - _times(schur, diag, dy))
+                    dy = dy + schur_solve(rhs - _times(cones, dy))
                 dS = [R - c.apply_adjoint(dy) for c, R in zip(cones, Rd)]
                 dX = [c.sym(Rcc - c.congruence(dSc)) for c, Rcc, dSc in zip(cones, Rc, dS)]
                 if not all(np.isfinite(d).all() for d in [dy, *dX, *dS]):

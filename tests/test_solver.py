@@ -504,37 +504,58 @@ class TestChunkedSchur:
 
 
 class TestSchurFactorInPlace:
-    """Cholesky overwrites the Schur matrix's upper triangle and diagonal;
-    refinement reads H back from the strict lower triangle and the saved
-    diagonal."""
+    """The Schur matrix is built from the cones, then Cholesky overwrites its
+    upper triangle and diagonal; a failed attempt builds it again, and
+    refinement applies H through the cones."""
 
     @pytest.mark.parametrize("step", [None, 7], ids=["one-row-block", "row-blocks-of-7"])
     def test_retry_keeps_the_matrix(self, step, monkeypatch):
-        # A zero row makes B B^T singular: the unshifted attempt fails at
-        # row 30, after writing part of a factor over the upper triangle.
-        n = 40
-        if step:  # the mirror then walks several row blocks
-            monkeypatch.setattr(solver, "_CHUNK_BYTES", 8 * n * step)
+        # A block over 40 moments whose A_30 is zero: H has a zero row and
+        # column, so the unshifted attempt fails at row 30, after writing part
+        # of a factor over the upper triangle.
+        n, k = 40, 10
+        if step:  # the build then walks several chunks of 7 moments
+            monkeypatch.setattr(solver, "_CHUNK_BYTES", 8 * k * k * step)
         rng = np.random.default_rng(8)
-        B = rng.standard_normal((n, n))
+        B = rng.standard_normal((n, k, k))
         B[30] = 0.0
-        H = B @ B.T
+        cone = _PsdCone(csr_matrix((B + B.transpose(0, 2, 1)).reshape(n, -1)), np.zeros((k, k)))
+        assert len(cone.chunks) == (6 if step else 1)
+        G = rng.standard_normal((k, k))
+        cone.scale(np.eye(k), G @ G.T + np.eye(k))
+        Y, WY = _workspace(cone)
+        H_ref = np.zeros((n, n))
+        cone.schur(H_ref, Y, WY)
         with pytest.raises(np.linalg.LinAlgError):
-            cho_factor(H, lower=True, check_finite=False)
-        F = H.copy()
-        (factor, in_lower), diag = solver._factor(F)
-        assert in_lower and np.shares_memory(factor, F)  # factored in place
-        np.testing.assert_array_equal(diag, np.diag(H))
-        lower = np.tril(F, -1)
-        np.testing.assert_array_equal(lower + lower.T + np.diag(diag), H)
+            cho_factor(H_ref, lower=True, check_finite=False)
+        builds = []
+        schur = cone.schur
+        monkeypatch.setattr(cone, "schur", lambda *args: builds.append(schur(*args)))
+        H = np.full((n, n), np.nan)  # what the last iteration left
+        factor, in_lower = solver._factor([cone], H, Y, WY)
+        assert len(builds) == 2  # one build per attempt
+        assert in_lower and np.shares_memory(factor, H)  # factored in place
         # The factor is the jittered H's, with no trace of the failed attempt.
-        U = np.triu(F)
+        U = np.triu(H)
         jitter = U[30, 30] ** 2
         assert 0.0 < jitter <= 1e-8
-        assert _rel_err(U.T @ U, H + jitter * np.eye(n)) <= 1e-13
+        assert _rel_err(U.T @ U, H_ref + jitter * np.eye(n)) <= 1e-13
         v = rng.standard_normal(n)
-        assert _rel_err(solver._times(F, diag, v), H @ v) <= 1e-13
-        np.testing.assert_array_equal(np.triu(F), U)  # the factor's diagonal is back
+        assert _rel_err(solver._times([cone], v), H_ref @ v) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_part_fails(self, bad):
+        # OpenBLAS's Cholesky reads the NaN or inf without failing; the
+        # factor's diagonal is what shows it.
+        class Part:
+            moments = np.arange(10)
+
+            def schur(self, H, *_):
+                H += np.eye(10)
+                H[2, 7] = bad
+
+        with pytest.raises(np.linalg.LinAlgError):
+            solver._factor([Part()], np.empty((10, 10)), None, None)
 
     def test_solve_working_set(self):
         # One M x M matrix and one chunk workspace: fivevar dense r=3 has

@@ -13,25 +13,28 @@ and the (P) variable X collects the Gram multiplier blocks of the dual
 representation (the bound certificate), found by a Mehrotra
 predictor-corrector.
 
-``solve`` is the one entry point for both program kinds, and ``_cones``
-the one builder: it places the moments once and makes each PSD block or LP
-constraint family one cone object, labelled with its multipliers
-(``solve_sdp`` and ``solve_lp`` are aliases, kept for the benchmark and the
-acceptance tests, which import those names).  Each cone owns its data and
-its math; the loop calls them without knowing which kind it holds.  A
-``_PsdCone`` is a k x k SDP block, a sparse (M, k*k) matrix read off the
-symbolic localizing matrix: Nesterov-Todd scaling, and a Schur part built
-from its nonzeros (Fujisawa, Kojima and Nakata 1997, formula F1), M_b*k^3
-per iteration instead of M^2*k^2 for a block that touches M_b moments,
-built w moments at a time in one O(max(k^2, M)*w) workspace per solve.  A
-``_RowCone`` is one family of nonnegative LP rows, a sparse (M, R_b) matrix:
-x/s scaling, and a Schur part that is a symmetric rank-R_b update of the
-dense (M_b, R_b) rows it reads.  Every LP row is a product of g's alone or
-of h's alone, so each family reads only the moments of its own side (plus
-the shared Y-only ones).  Either kind adds into only the rows and columns
-of the M_b moments it touches.  The M x M Schur matrix is factored in
-place, in its upper triangle, and never read back: refinement applies it
-through the cones.  The rest is dense float64 linear algebra;
+``solve`` is the one entry point for both program kinds (``solve_sdp`` and
+``solve_lp`` are aliases, kept for the benchmark and the acceptance tests,
+which import those names), and ``_cones`` the one builder.  It places the
+moments by side, X-side | Y-only | Z-side | X-Z mixed (the last class only
+in dense programs), so that each block of P(g)+P(h) reads one range of them
+and the Schur matrix H is block tridiagonal; makes each PSD block or LP
+constraint family one cone object, labelled with its multipliers; and
+stacks their constraint data into one sparse (M, N) operator, N the entries
+of all blocks.  The loop holds X, S and the dual residual as flat length-N
+vectors with one view per cone, so each A x and A^T y is one sparse
+product, and calls each cone's math without knowing its kind.  A
+``_PsdCone`` is a k x k SDP block: Nesterov-Todd scaling, and a Schur part
+built from its nonzeros (Fujisawa, Kojima and Nakata 1997, formula F1),
+M_b*k^3 per iteration instead of M^2*k^2 for a block that touches M_b
+moments, w moments at a time in one O(max(k^2, M)*w) workspace per solve.
+A ``_RowCone`` is one family of nonnegative LP rows, each a product of g's
+alone or of h's alone: x/s scaling, and a Schur part that is a symmetric
+rank-R_b update of the dense (M_b, R_b) rows it reads.  Either kind adds
+into the view H[lo:hi, lo:hi] when its moments form one range, and through
+a gather otherwise (a dense program's localizing blocks).  H is factored in
+place, in its upper triangle, and each Newton direction is one solve with
+that factor, unrefined.  The rest is dense float64 linear algebra;
 exactness is recovered downstream by certificate verification.  There is no
 randomized state, so repeated solves of one program are bit-identical.
 Infeasibility detection is heuristic: a presolve catches constant-row
@@ -46,12 +49,11 @@ work that it had been hiding (one GEMM per PSD block, SYRK for LP rows,
 step lengths from the scaling already in hand).  That was measured on 2
 vCPUs only; wall time on rungs larger than the ladders' and on machines
 with more cores, where big PSD products lose their other threads, is
-unverified.  Each library's previous
-thread count is restored when the last running solve ends, so the caller
-sees the same counts before and after.  The count is process-wide in
-OpenBLAS, so BLAS calls made by other threads during a solve also run on
-one thread.  Where the symbol is missing (another BLAS), nothing is
-changed.
+unverified.  Each library's previous thread count is restored when the last
+running solve ends, so the caller sees the same counts before and after.
+The count is process-wide in OpenBLAS, so BLAS calls made by other threads
+during a solve also run on one thread.  Where the symbol is missing
+(another BLAS), nothing is changed.
 """
 
 from __future__ import annotations
@@ -65,9 +67,9 @@ from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
-from scipy.sparse import csr_matrix
+from scipy.sparse import csr_matrix, hstack
 
 from .moments import MomentVector
 from .relax import ConicProgram, LinearProgram
@@ -80,7 +82,7 @@ NUMERICAL_FAILURE = "numerical-failure"
 
 _STEP_FRACTION = 0.98
 _DIVERGENCE = 1e10
-# Bytes in each of Y, W Y and the gathered rows of H in one PSD Schur chunk.
+# Bytes in each of Y, W Y and the rows of H in one PSD Schur chunk.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -111,30 +113,31 @@ class SolveReport:
     residuals: Residuals
 
 
-class _Cone:
-    """One block of the conic pair: its constraint data and, in a subclass,
-    the interior-point math of its kind.
+def _block(rows: np.ndarray, cols: np.ndarray):
+    """Index of the (rows, cols) block of the Schur matrix: a view when both
+    run without a gap, an outer gather otherwise."""
+    if rows.size and rows[-1] - rows[0] == rows.size - 1 and cols[-1] - cols[0] == cols.size - 1:
+        return slice(rows[0], rows[-1] + 1), slice(cols[0], cols[-1] + 1)
+    return np.ix_(rows, cols)
 
-    ``A`` is sparse with no explicit zeros, one row per free moment, and
-    ``moments`` lists the rows it touches: the block's part of the Schur
+
+class _Cone:
+    """One block of the conic pair: the interior-point math of its kind, in
+    a subclass.
+
+    It is built from its columns ``A`` of the constraint operator, sparse
+    with no explicit zeros, one row per free moment, and keeps only the rows
+    ``A_b`` of the ``moments`` it touches: the block's part of the Schur
     complement has a row and column for those alone.  ``scale(X, S)`` fixes
     the scaling point that ``schur``, ``congruence``, ``corrector`` and
     ``max_steps`` then read.
     """
 
     def __init__(self, A: csr_matrix, C: np.ndarray):
-        self.A = A
         self.workspace = 0  # floats in each chunk buffer that ``schur`` reads
-        self.At = A.T  # a CSC view sharing A's arrays
         self.C = C
         self.size = C.shape[0]
         self.moments = np.flatnonzero(np.diff(A.indptr))
-
-    def apply(self, X: np.ndarray) -> np.ndarray:
-        return self.A @ X.ravel()
-
-    def apply_adjoint(self, y: np.ndarray) -> np.ndarray:
-        return (self.At @ y).reshape(self.C.shape)
 
 
 class _PsdCone(_Cone):
@@ -146,13 +149,15 @@ class _PsdCone(_Cone):
     makes the Mehrotra correction a Lyapunov-style division by lam_i + lam_j.
 
     Schur part H_ij = <A_i, W A_j W>, built in chunks of w moments j, with
-    8*max(k*k, M)*w bytes about _CHUNK_BYTES so that a chunk stays in cache:
-    Y[p, t, j] = (A_j W)[p, t] from the chunk's nonzeros at nnz*k cost, one
-    (k, k) by (k, k*w) product W Y for its W A_j W in the (k*k, w) layout
-    the sparse A contracts directly, and the (M_b, w) result added into the
-    caller's Schur matrix (gathering w full rows of it if M_b < M).  M_b*k^3
-    + nnz*M_b in all, in O(max(k*k, M)*w) workspace rather than O(k*k*M_b):
-    Y and W Y are buffers of ``workspace`` floats that all blocks share.
+    8*max(k*k, M)*w bytes about _CHUNK_BYTES so that a chunk stays in
+    cache: Y[p, t, j] = (A_j W)[p, t] from the chunk's nonzeros at nnz*k
+    cost, one (k, k) by (k, k*w) product W Y for its W A_j W in the
+    (k*k, w) layout the sparse A_b contracts directly, and the (M_b, w)
+    result added into the caller's Schur matrix: into a view of it, or
+    through a gather of its (w, M_b) block when the moments have gaps.
+    M_b*k^3 + nnz*M_b in all, in O(max(k*k, M)*w) workspace rather than
+    O(k*k*M_b): Y and W Y are buffers of ``workspace`` floats that all
+    blocks share.
     """
 
     def __init__(self, A: csr_matrix, C: np.ndarray):
@@ -168,12 +173,10 @@ class _PsdCone(_Cone):
         rows = csr_matrix((coo.data, (slot, q)), shape=(keys.size, k))
         w = max(1, min(m, _CHUNK_BYTES // (8 * max(k * k, A.shape[0]))))
         self.workspace = k * k * w
-        full = m == A.shape[0]
-        self.cols = slice(None) if full else self.moments
         self.chunks = []
         for j0 in range(0, m, w):
             lo, hi = np.searchsorted(j, [j0, j0 + w])
-            at = slice(j0, j0 + w) if full else self.moments[j0 : j0 + w]
+            at = _block(self.moments[j0 : j0 + w], self.moments)
             self.chunks.append((at, min(w, m - j0), rows[lo:hi], p[lo:hi], j[lo:hi] - j0))
 
     def unit(self) -> np.ndarray:
@@ -185,18 +188,23 @@ class _PsdCone(_Cone):
 
     def constant_infeasible(self, tiny: float) -> bool:
         # A block that reads no moment must already be PSD.
-        return self.A.nnz == 0 and float(np.linalg.eigvalsh(self.sym(self.C))[0]) < -tiny
+        return self.moments.size == 0 and float(np.linalg.eigvalsh(self.sym(self.C))[0]) < -tiny
 
     def scale(self, X: np.ndarray, S: np.ndarray) -> None:
-        Lx = np.linalg.cholesky(X)
-        _, lam, Vt = np.linalg.svd(np.linalg.cholesky(S).T @ Lx)
+        # Ls^T Lx = U diag(lam) V^T, so Lx^-1 = V diag(lam)^-1 U^T Ls^T and
+        # R^-1 needs no triangular solve (Todd, Toh and Tutuncu 1998).
+        Lx, Ls = np.linalg.cholesky(X), np.linalg.cholesky(S)
+        U, lam, Vt = np.linalg.svd(Ls.T @ Lx)
         if np.min(lam) <= 0:
             raise np.linalg.LinAlgError("lost positive definiteness")
         self.lam = lam
-        self.R = Lx @ (Vt.T / np.sqrt(lam))
-        eye = np.eye(self.size)
-        self.Rinv = (Vt * np.sqrt(lam)[:, None]) @ solve_triangular(Lx, eye, lower=True)
+        d = 1.0 / np.sqrt(lam)
+        self.R = Lx @ (Vt.T * d)
+        self.Rinv = (U.T * d[:, None]) @ Ls.T
         self.W = self.R @ self.R.T
+        # Rows of R^-1 and R^T scaled by lam^-1/2: they map X + a dX and
+        # S + a dS to I + a D, whose smallest eigenvalue bounds the step.
+        self.steps = np.stack((self.Rinv * d[:, None], self.R.T * d[:, None]))
 
     def schur(self, H: np.ndarray, Y: np.ndarray, WY: np.ndarray) -> None:
         # Y is all zeros on entry and again on return: each chunk clears it.
@@ -208,11 +216,8 @@ class _PsdCone(_Cone):
             WAW = np.matmul(self.W, Yc.reshape(k, -1), out=WY[: k * k * n].reshape(k, -1))
             Yc[p, :, j] = 0.0
             # The part is symmetric, up to rounding that Cholesky never sees
-            # (it reads one triangle), so the chunk's columns go in as rows:
-            # faster to gather, and views if M_b = M.
-            block = H[at]
-            block[:, self.cols] += (self.A_b @ WAW.reshape(k * k, n)).T
-            H[at] = block
+            # (it reads one triangle), so the chunk's columns go in as rows.
+            H[at] += (self.A_b @ WAW.reshape(k * k, n)).T
 
     def congruence(self, mat: np.ndarray) -> np.ndarray:
         return self.W @ mat @ self.W
@@ -229,14 +234,11 @@ class _PsdCone(_Cone):
         return self.R @ scaled @ self.R.T
 
     def max_steps(self, dX: np.ndarray, dS: np.ndarray) -> tuple[float, float]:
-        # Scaled by R, X and S both become diag(lam).
-        return self._step(self.Rinv @ dX @ self.Rinv.T), self._step(self.R.T @ dS @ self.R)
-
-    def _step(self, D: np.ndarray) -> float:
-        # Largest a with diag(lam) + a D PSD, inf when none bounds it.
-        d = 1.0 / np.sqrt(self.lam)
-        lam_min = float(np.linalg.eigvalsh(self.sym(d[:, None] * D * d))[0])
-        return np.inf if lam_min >= -1e-14 else -1.0 / lam_min
+        # Largest a with I + a D PSD, for both D at once; eigvalsh reads one
+        # triangle.  inf when no eigenvalue bounds it.
+        D = self.steps @ np.stack((dX, dS)) @ self.steps.transpose(0, 2, 1)
+        lam_min = np.linalg.eigvalsh(D)[:, 0]
+        return tuple(np.inf if v >= -1e-14 else -1.0 / v for v in lam_min.tolist())
 
 
 class _RowCone(_Cone):
@@ -249,6 +251,7 @@ class _RowCone(_Cone):
     def __init__(self, A: csr_matrix, C: np.ndarray):
         super().__init__(A, C)
         self.A_b = A[self.moments].toarray()
+        self.at = _block(self.moments, self.moments)
 
     def unit(self) -> np.ndarray:
         return np.ones(self.size)
@@ -259,8 +262,7 @@ class _RowCone(_Cone):
 
     def constant_infeasible(self, tiny: float) -> bool:
         # Rows that read no moment must already be nonnegative.
-        dead = np.bincount(self.A.indices, minlength=self.size) == 0
-        return bool(np.any(self.C[dead] < -tiny))
+        return bool(np.any(self.C[~self.A_b.any(axis=0)] < -tiny))
 
     def scale(self, x: np.ndarray, s: np.ndarray) -> None:
         self.x, self.s = x, s
@@ -273,7 +275,7 @@ class _RowCone(_Cone):
         # triangle; the loop adds full parts, so the upper one is mirrored in.
         L = dsyrk(1.0, (self.A_b * np.sqrt(self.w)).T, lower=1, trans=1)
         L += np.tril(L, -1).T
-        H[np.ix_(self.moments, self.moments)] += L
+        H[self.at] += L
 
     def congruence(self, vec: np.ndarray) -> np.ndarray:
         return self.w * vec
@@ -299,25 +301,6 @@ class _RawResult:
     rel_p: float
     rel_d: float
     pobj: float
-
-
-def _max_steps(cones: list[_Cone], dX, dS) -> tuple[float, float]:
-    """Largest primal and dual steps along (dX, dS) that stay in every cone,
-    inf when no cone bounds them."""
-    ap = ad = np.inf
-    for c, dXc, dSc in zip(cones, dX, dS):
-        p, d = c.max_steps(dXc, dSc)
-        ap, ad = min(ap, p), min(ad, d)
-    return ap, ad
-
-
-def _presolve_unbounded(cones: list[_Cone], b: np.ndarray) -> bool:
-    # A moment with nonzero objective weight that no block touches is a free
-    # ray (e.g. odd moments under purely even constraint products).
-    touched = np.zeros(b.size, dtype=bool)
-    for cone in cones:
-        touched[cone.moments] = True
-    return bool(np.any(~touched & (b != 0)))
 
 
 def _address(fn) -> int:
@@ -399,41 +382,52 @@ def _factor(cones: list[_Cone], H: np.ndarray, Y: np.ndarray, WY: np.ndarray) ->
     raise np.linalg.LinAlgError("Schur complement not positive definite")
 
 
-def _times(cones: list[_Cone], v: np.ndarray) -> np.ndarray:
-    """H v for the unregularized Schur complement, applied through the cones."""
-    return sum(c.apply(c.congruence(c.apply_adjoint(v))) for c in cones)
-
-
-def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
+def _ipm_loop(cones: list, A: csr_matrix, b: np.ndarray, tol: float, max_iter: int) -> _RawResult:
+    """Mehrotra predictor-corrector on the cones, whose columns of the
+    stacked operator ``A`` follow one another in cone order."""
     M = b.size
+    At = A.T  # a CSC view sharing A's arrays
+    cuts = np.cumsum([0] + [c.C.size for c in cones]).tolist()
+    parts = [(slice(lo, hi), c.C.shape) for c, lo, hi in zip(cones, cuts, cuts[1:])]
+
+    def views(v: np.ndarray) -> list:
+        return [v[at].reshape(shape) for at, shape in parts]
+
+    def flat(blocks) -> np.ndarray:
+        return np.concatenate([block.ravel() for block in blocks])
+
+    def max_steps(dX: np.ndarray, dS: np.ndarray):
+        # Largest primal and dual steps that stay in every cone, inf when
+        # none bounds them.
+        steps = [c.max_steps(*d) for c, *d in zip(cones, views(dX), views(dS))]
+        return (min(v) for v in zip(*steps))
+
+    C = flat(c.C for c in cones)
     nu = sum(c.size for c in cones)
     norm_b = float(np.linalg.norm(b))
-    norm_C = float(np.sqrt(sum(np.sum(c.C**2) for c in cones)))
-    data_norm = max(
-        [norm_b] + [float(np.max(np.abs(c.C), initial=0.0)) for c in cones]
-        + [float(np.max(np.abs(c.A.data), initial=0.0)) for c in cones]
-    )
-    init_scale = 1.0 + data_norm
+    norm_C = float(np.linalg.norm(C))
+    init_scale = 1.0 + max(norm_b, float(np.max(np.abs(np.r_[C, A.data]), initial=0.0)))
 
     def idle(status: str) -> _RawResult:
         # No iteration runs: zero multipliers.
-        X = [np.zeros_like(c.C) for c in cones]
         rel = 0.0 if status == OPTIMAL else np.inf
-        return _RawResult(status, X, np.zeros(M), 0, rel, rel, 0.0)
+        return _RawResult(status, views(np.zeros(C.size)), np.zeros(M), 0, rel, rel, 0.0)
 
     # Constant constraints must already be consistent; catches doctored
     # contradictions exactly.
     if any(c.constant_infeasible(1e-12 * init_scale) for c in cones):
         return idle(INFEASIBLE)
-    if _presolve_unbounded(cones, b):
+    # A moment with nonzero objective weight that no block touches is a free
+    # ray (e.g. odd moments under purely even constraint products).
+    if np.any((np.diff(A.indptr) == 0) & (b != 0)):
         return idle(UNBOUNDED)
     if M == 0:
         # No free moments: every block is constant, and the presolve has
         # already found each one PSD.
         return idle(OPTIMAL)
 
-    X = [init_scale * c.unit() for c in cones]
-    S = [init_scale * c.unit() for c in cones]
+    X = init_scale * flat(c.unit() for c in cones)
+    S = X.copy()
     y = np.zeros(M)
     # The Schur matrix, refilled and factored in place each iteration.
     n = max(c.workspace for c in cones)
@@ -446,14 +440,14 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
     stalls = 0
 
     for it in range(max_iter + 1):
-        rp = b - sum(c.apply(Xc) for c, Xc in zip(cones, X))
-        Rd = [c.C - Sc - c.apply_adjoint(y) for c, Sc in zip(cones, S)]
-        gap_xs = sum(float(np.vdot(Xc, Sc)) for Xc, Sc in zip(X, S))
+        rp = b - A @ X
+        Rd = C - S - At @ y
+        gap_xs = float(X @ S)
         mu = gap_xs / nu
-        pobj = sum(float(np.vdot(c.C, Xc)) for c, Xc in zip(cones, X))
+        pobj = float(C @ X)
         dobj = float(b @ y)
         rel_p = float(np.linalg.norm(rp)) / (1.0 + norm_b)
-        rel_d = float(np.sqrt(sum(np.sum(R * R) for R in Rd))) / (1.0 + norm_C)
+        rel_d = float(np.linalg.norm(Rd)) / (1.0 + norm_C)
         # <X,S> alone can be tiny while the objectives still disagree (a
         # feasible set with no interior), so the objective gap counts too.
         rel_g = max(gap_xs, abs(pobj - dobj)) / (1.0 + abs(pobj) + abs(dobj))
@@ -471,54 +465,38 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
             break
 
         try:
-            for c, Xc, Sc in zip(cones, X, S):
+            for c, Xc, Sc in zip(cones, views(X), views(S)):
                 c.scale(Xc, Sc)
             fac = _factor(cones, schur, Y, WY)
+            WRd = flat(c.congruence(R) for c, R in zip(cones, views(Rd)))
 
-            def schur_solve(rhs):
+            def newton(Rc):
+                rhs = rp + A @ (WRd - Rc)
                 # Diverging iterates overflow here first (infeasible input).
                 if not np.isfinite(rhs).all():
                     raise np.linalg.LinAlgError("non-finite Newton right-hand side")
-                return cho_solve(fac, rhs, check_finite=False)
-
-            def newton(Rc):
-                rhs = rp.copy()
-                for c, R, Rcc in zip(cones, Rd, Rc):
-                    rhs += c.apply(c.congruence(R) - Rcc)
-                dy = schur_solve(rhs)
-                # Refine against the unregularized system: recovers accuracy
-                # lost to jitter and to ill-conditioning near optimality.
-                for _ in range(2):
-                    dy = dy + schur_solve(rhs - _times(cones, dy))
-                dS = [R - c.apply_adjoint(dy) for c, R in zip(cones, Rd)]
-                dX = [c.sym(Rcc - c.congruence(dSc)) for c, Rcc, dSc in zip(cones, Rc, dS)]
-                if not all(np.isfinite(d).all() for d in [dy, *dX, *dS]):
+                dy = cho_solve(fac, rhs, check_finite=False)
+                dS = Rd - At @ dy
+                pairs = zip(cones, views(Rc), views(dS))
+                dX = flat(c.sym(R - c.congruence(D)) for c, R, D in pairs)
+                if not (np.isfinite(dy).all() and np.isfinite(dX).all() and np.isfinite(dS).all()):
                     raise np.linalg.LinAlgError("non-finite Newton direction")
                 return dy, dX, dS
 
             # Predictor: pure Newton step toward complementarity zero.
-            Rc_aff = [-Xc for Xc in X]
-            dy_a, dX_a, dS_a = newton(Rc_aff)
-            ap, ad = (min(1.0, a) for a in _max_steps(cones, dX_a, dS_a))
-            mu_aff = max(
-                0.0,
-                sum(
-                    float(np.vdot(Xc + ap * dXc, Sc + ad * dSc))
-                    for Xc, Sc, dXc, dSc in zip(X, S, dX_a, dS_a)
-                )
-                / nu,
-            )
+            dy_a, dX_a, dS_a = newton(-X)
+            ap, ad = (min(1.0, a) for a in max_steps(dX_a, dS_a))
+            mu_aff = max(0.0, float((X + ap * dX_a) @ (S + ad * dS_a)) / nu)
             sigma = min(0.999, max(1e-10, (mu_aff / mu) ** 3)) if mu > 0 else 0.1
 
             # Corrector with the second-order complementarity term.
-            dy, dX, dS = newton(
-                [c.corrector(sigma * mu, dXc, dSc) for c, dXc, dSc in zip(cones, dX_a, dS_a)]
-            )
+            affine = zip(cones, views(dX_a), views(dS_a))
+            dy, dX, dS = newton(flat(c.corrector(sigma * mu, *d) for c, *d in affine))
         except np.linalg.LinAlgError:
             status = NUMERICAL_FAILURE
             break
 
-        ap, ad = (min(1.0, _STEP_FRACTION * a) for a in _max_steps(cones, dX, dS))
+        ap, ad = (min(1.0, _STEP_FRACTION * a) for a in max_steps(dX, dS))
 
         if max(ap, ad) < 1e-10:
             stalls += 1
@@ -528,27 +506,41 @@ def _ipm_loop(cones: list[_Cone], b: np.ndarray, tol: float, max_iter: int) -> _
         else:
             stalls = 0
 
-        X = [c.sym(Xc + ap * dXc) for c, Xc, dXc in zip(cones, X, dX)]
+        # dX and dS are symmetric block by block, so X and S stay so.
+        X = X + ap * dX
         y = y + ad * dy
-        S = [c.sym(Sc + ad * dSc) for c, Sc, dSc in zip(cones, S, dS)]
+        S = S + ad * dS
         iterations = it + 1
 
-    return _RawResult(status, X, y, iterations, rel_p, rel_d, pobj)
+    return _RawResult(status, views(X), y, iterations, rel_p, rel_d, pobj)
 
 
-def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
-    """The program's cones, each with the labels of its multipliers, and the
-    position of every free moment by packed exponent (the unit one is 0).
+# Moment classes by (has an X digit, has a Z digit), in placement order:
+# X-side, Y-only, Z-side, X-Z mixed.
+_PLACE = {(True, False): 0, (False, False): 1, (False, True): 2, (True, True): 3}
 
-    A PSD block gives one ``_PsdCone`` labelled by its ``BlockLabel``; the LP
-    rows give one ``_RowCone`` per constraint family, in order of first
-    appearance, labelled by the positions in ``program.rows`` of its rows.
-    Only the entry loops read the program kind: entry (i, j) of a k x k block
-    fills slots i*k+j and j*k+i, row r of a family fills slot r.
+
+def _cones(program: ConicProgram | LinearProgram) -> tuple[list, csr_matrix, dict]:
+    """The program's cones, each with the labels of its multipliers, their
+    stacked (M, N) constraint operator, and the position of every free
+    moment by packed exponent, in ``variable_index`` order.
+
+    The moments are placed by side, X-side | Y-only | Z-side | X-Z mixed,
+    each class in ``variable_index`` order, so that a block on one side
+    reads one range of them.  A PSD block gives one ``_PsdCone`` labelled by
+    its ``BlockLabel``; the LP rows give one ``_RowCone`` per constraint
+    family, in order of first appearance, labelled by the positions in
+    ``program.rows`` of its rows.  Only the entry loops read the program
+    kind: entry (i, j) of a k x k block fills slots i*k+j and j*k+i, row r
+    of a family fills slot r.
     """
-    if program.variable_index[0] != program.layout.zero_exponent:
+    layout = program.layout
+    if program.variable_index[0] != layout.zero_exponent:
         raise ValueError("variable index must start with the unit moment")
-    pos = {program.layout.pack(e): i for i, e in enumerate(program.variable_index[1:])}
+    packed = [layout.pack(e) for e in program.variable_index[1:]]
+    x, z = layout.outside("yz"), layout.outside("xy")
+    order = np.argsort([_PLACE[bool(p & x), bool(p & z)] for p in packed], kind="stable")
+    pos = dict(zip(packed, np.argsort(order).tolist()))  # the inverse permutation
     # Assembly shares one Fraction per distinct coefficient, so each object
     # is converted once; the program keeps every keyed object alive meanwhile.
     floats: dict[int, float] = {}
@@ -593,12 +585,14 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, dict]:
                         slot.append(j * k + i)
                         value.append(-v)
             parts.append((_PsdCone, label, C, moment, slot, value))
-    cones = []
+    cones, columns = [], []
     for Cone, labels, C, moment, slot, value in parts:
         A = csr_matrix((value, (moment, slot)), shape=(len(pos), C.size))
         A.eliminate_zeros()
         cones.append((Cone(A, C), labels))
-    return cones, pos
+        columns.append(A)
+    # One copy of the data: the cones keep only the rows they read.
+    return cones, hstack(columns, format="csr"), pos
 
 
 def solve(
@@ -609,14 +603,14 @@ def solve(
     the unit moment pinned at 1; LP duals follow program row order."""
     if not 1e-12 <= tol <= 1e-2:
         raise ValueError(f"tolerance must lie in [1e-12, 1e-2], got {tol}")
-    cones, pos = _cones(program)
+    cones, A, pos = _cones(program)
     f0 = float(program.objective.get(0, 0))
     c = np.zeros(len(pos))
     for p, coeff in program.objective.items():
         if p:
             c[pos[p]] = float(coeff)
     with _blas_on_one_thread():
-        raw = _ipm_loop([cone for cone, _ in cones], -c, tol, max_iter)
+        raw = _ipm_loop([cone for cone, _ in cones], A, -c, tol, max_iter)
 
     if isinstance(program, LinearProgram):
         multipliers = np.empty(len(program.rows))
@@ -625,7 +619,7 @@ def solve(
         dual_blocks = [(key, float(multipliers[i])) for i, (key, _) in enumerate(program.rows)]
     else:
         dual_blocks = [(label, Xc) for (_, label), Xc in zip(cones, raw.X)]
-    values = dict(zip(program.variable_index, [1.0, *raw.y.tolist()]))
+    values = dict(zip(program.variable_index, [1.0, *raw.y[list(pos.values())].tolist()]))
     primal = f0 + float(c @ raw.y)
     dual = f0 - raw.pobj
     return SolveReport(

@@ -1,5 +1,7 @@
 import ctypes
 import functools
+import os
+import runpy
 import sys
 import threading
 import tracemalloc
@@ -13,7 +15,7 @@ from scipy.linalg import cho_factor
 from scipy.sparse import csr_matrix
 
 from sparsepos import cli, problems, solver
-from sparsepos.certify import extract_cone, verify
+from sparsepos.certify import extract_cone, extract_sos, verify
 from sparsepos.moments import SymbolicMatrix
 from sparsepos.poly import BlockLayout, Polynomial
 from sparsepos.problem import ProblemInstance
@@ -35,10 +37,12 @@ from sparsepos.solver import (
     _cones,
     _PsdCone,
     _RowCone,
+    solve,
     solve_lp,
     solve_sdp,
 )
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNIVARIATE = BlockLayout(1, 0, 0)
 X1 = Polynomial.variable(UNIVARIATE, "x")
 INTERVAL_G = 1 - X1**2
@@ -224,23 +228,24 @@ class TestLpFamilyCones:
 
     def test_schur_parts_match_dense_reference(self):
         prog = assemble_krivine(normalize_krivine(_two_family_box(), [1] * 4), 2)
-        labelled, pos = _cones(prog)
+        labelled, stacked, pos = _cones(prog)
         cones = [cone for cone, _ in labelled]
         families = [rows for _, rows in labelled]
         M = len(pos)
+        assert sorted(pos.values()) == list(range(M))
         assert [type(c) for c in cones] == [_RowCone, _RowCone]
         assert [len(rows) for rows in families] == [c.size for c in cones]
-        pack = prog.layout.pack
-        pos = {pack(e): i - 1 for i, e in enumerate(prog.variable_index) if i > 0}
         A = np.zeros((M, len(prog.rows)))
         for j, (_, form) in enumerate(prog.rows):
             for p, coeff in form.items():
                 if p != 0:  # the unit moment
                     A[pos[p], j] = -float(coeff)
+        # The stacked operator holds the families' columns one after another.
+        np.testing.assert_array_equal(stacked.toarray(), A[:, np.concatenate(families)])
         w = np.random.default_rng(3).uniform(0.5, 2.0, len(prog.rows))
         schur = np.zeros((M, M))
         for cone, rows in zip(cones, families):
-            np.testing.assert_array_equal(cone.A.toarray(), A[:, rows])
+            np.testing.assert_array_equal(cone.A_b, A[cone.moments][:, rows])
             # Scaling x = w, s = 1 puts the weights w on the rows.
             cone.scale(w[rows], np.ones(cone.size))
             assert cone.moments.size < M
@@ -252,8 +257,9 @@ class TestLpFamilyCones:
         inst = replace(problems.interval(), objective=X1**2)
         prog = assemble_krivine(normalize_krivine(inst, [1]), 2)
         assert [form for key, form in prog.rows if key[0] == "yz"] == [{0: Fraction(1)}]
-        labelled, _ = _cones(prog)
-        assert labelled[1][0].A.nnz == 0
+        labelled, stacked, _ = _cones(prog)
+        assert labelled[1][0].moments.size == 0
+        assert stacked[:, -1].nnz == 0
         report = solve_lp(prog)
         assert report.status == OPTIMAL
         assert abs(report.primal_objective) <= 1e-6
@@ -287,11 +293,11 @@ class TestModuleVersusPreordering:
         assert abs(report2.primal_objective) <= 1e-6
 
 
-def _dense_constraints(program):
+def _dense_constraints(program, pos):
     """The (M, k, k) tensors A_i = -F_i and constants C = F_0 of every PSD
-    block, expanded entry by entry from the symbolic matrices."""
+    block, expanded entry by entry from the symbolic matrices, with moment
+    i at ``pos`` of its packed exponent."""
     zero = program.layout.zero_exponent
-    pos = {e: i - 1 for i, e in enumerate(program.variable_index) if i > 0}
     M = len(pos)
     out = []
     for _, sym in program.psd_blocks:
@@ -304,7 +310,7 @@ def _dense_constraints(program):
                     if e == zero:
                         C[i, j] += float(coeff)
                     else:
-                        A[pos[e], i, j] -= float(coeff)
+                        A[pos[program.layout.pack(e)], i, j] -= float(coeff)
         out.append((A, C))
     return out
 
@@ -330,11 +336,11 @@ class TestSparseConstraintData:
     @pytest.mark.parametrize("r,index", BLOCKS)
     def test_block_matches_dense_reference(self, r, index):
         program = assemble_sparse_schmudgen(problems.twoballs(), r)
-        labelled, pos = _cones(program)
+        labelled, stacked, pos = _cones(program)
         cone, label = labelled[index]
         M = len(pos)
         assert label == program.psd_blocks[index][0]
-        A, C = _dense_constraints(program)[index]
+        A, C = _dense_constraints(program, pos)[index]
         k = cone.size
         sym = program.psd_blocks[index][1]
         assert isinstance(cone, _PsdCone) and k == sym.size
@@ -349,8 +355,11 @@ class TestSparseConstraintData:
         G = rng.standard_normal((k, k))
         S = G @ G.T + 0.1 * np.eye(k)
 
-        assert _rel_err(cone.apply(X), np.tensordot(A, X)) <= 1e-12
-        assert _rel_err(cone.apply_adjoint(y), np.tensordot(y, A, axes=1)) <= 1e-12
+        # The block's columns of the stacked operator, after the earlier blocks'.
+        start = sum(c.C.size for c, _ in labelled[:index])
+        own = stacked[:, start : start + k * k]
+        assert _rel_err(own @ X.ravel(), np.tensordot(A, X)) <= 1e-12
+        assert _rel_err((own.T @ y).reshape(k, k), np.tensordot(y, A, axes=1)) <= 1e-12
 
         # Nesterov-Todd scaling at X = I gives W = S^(-1/2).
         cone.scale(np.eye(k), S)
@@ -387,6 +396,18 @@ class TestSparseConstraintData:
         assert report.status == UNBOUNDED
         assert report.iterations == 0
 
+    def test_one_block_program(self):
+        # The moment matrix on basis {1, x} alone: minimizing x^2 gives 0.
+        zero = UNIVARIATE.zero_exponent
+        block = SymbolicMatrix(((0,), (1,)), Polynomial.constant(UNIVARIATE, 1))
+        prog = ConicProgram(
+            UNIVARIATE, "test", 1, (zero, (1,), (2,)), {UNIVARIATE.pack((2,)): Fraction(1)},
+            ((BlockLabel("xy", (), "x"), block),),
+        )
+        report = solve_sdp(prog)
+        assert report.status == OPTIMAL and report.iterations > 0
+        assert abs(report.primal_objective) <= 1e-7
+
     def test_constant_negative_block_is_infeasible(self):
         # A second block that reads no moment and equals -1 contradicts PSD.
         zero = UNIVARIATE.zero_exponent
@@ -401,6 +422,83 @@ class TestSparseConstraintData:
         report = solve_sdp(prog)
         assert report.status == INFEASIBLE
         assert report.iterations == 0
+
+
+def _is_view(cone) -> bool:
+    """Whether a PSD cone adds its Schur part into a view of the matrix
+    rather than through a gather."""
+    return all(isinstance(at[0], slice) for at, *_ in cone.chunks)
+
+
+class TestMomentPlacement:
+    """The moments are placed by side, X-side | Y-only | Z-side | X-Z
+    mixed, so each block of P(g)+P(h) reads one range and adds into a view
+    of the Schur matrix; any other block gathers."""
+
+    def test_sides_cover_one_range_each(self):
+        text = runpy.run_path(os.path.join(ROOT, "perfbench", "gen.py"))["instance_text"]
+        program = assemble_sparse_schmudgen(cli.parse_problem(text("ball313", 1)), 3)
+        labelled, stacked, pos = _cones(program)
+        M = len(pos)
+        assert stacked.shape[0] == M and len(labelled) == 4
+        sides = {"xy": set(), "yz": set()}
+        for cone, label in labelled:
+            m = cone.moments
+            np.testing.assert_array_equal(m, np.arange(m[0], m[-1] + 1))
+            assert _is_view(cone)
+            sides[label.block].update(m.tolist())
+        x, z = program.layout.outside("yz"), program.layout.outside("xy")
+        y_only = {i for p, i in pos.items() if not p & x and not p & z}
+        assert y_only and sides["xy"] & sides["yz"] == y_only
+        assert sides["xy"] | sides["yz"] == set(range(M))
+        # X-side first, Z-side last.
+        assert min(sides["xy"]) == 0 and max(sides["yz"]) == M - 1
+
+    def test_dense_localizing_block_gathers(self):
+        program = assemble_dense(problems.twoballs(), 2)
+        labelled, _, pos = _cones(program)
+        M = len(pos)
+        cone, label = labelled[1]
+        assert label.subset == (0,) and isinstance(cone, _PsdCone)
+        m = cone.moments
+        assert m[-1] - m[0] >= m.size  # gaps between its moments
+        assert not _is_view(cone)
+        assert _is_view(labelled[0][0])  # the moment matrix reads every moment
+        A, C = _dense_constraints(program, pos)[1]
+        np.testing.assert_array_equal(cone.C, C)
+        rng = np.random.default_rng(9)
+        G = rng.standard_normal((cone.size, cone.size))
+        cone.scale(np.eye(cone.size), G @ G.T + 0.1 * np.eye(cone.size))
+        W = cone.W
+        base = rng.standard_normal((M, M))
+        H = base.copy()
+        cone.schur(H, *_workspace(cone))
+        want = A.reshape(M, -1) @ (W @ A @ W).reshape(M, -1).T
+        assert _rel_err(H - base, want) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "program,moments",
+        [
+            (assemble_sparse_schmudgen(problems.twoballs(), 2), True),
+            (assemble_dense(problems.fivevar(), 2), True),
+            # The cone LP is degenerate: its moments are fixed only to the
+            # tolerance, on a face of optima, so only its bound is compared.
+            (assemble_krivine(normalize_krivine(_two_family_box(), [1] * 4), 2), False),
+        ],
+        ids=["twoballs-sparse-r2", "fivevar-dense-r2", "box-krivine-r2"],
+    )
+    def test_variable_order_does_not_matter(self, program, moments):
+        index = list(program.variable_index[1:])
+        np.random.default_rng(5).shuffle(index)
+        shuffled = replace(program, variable_index=(program.variable_index[0], *index))
+        a, b = solve(program), solve(shuffled)
+        assert a.status == b.status == OPTIMAL
+        assert a.iterations == b.iterations
+        assert abs(a.dual_objective - b.dual_objective) <= 1e-9 * (1.0 + abs(a.dual_objective))
+        if moments:
+            scale = 1.0 + max(abs(v) for v in a.moments.values.values())
+            for e, v in a.moments.values.items():
+                assert abs(b.moments.values[e] - v) <= 1e-9 * scale
 
 
 class TestChunkedSchur:
@@ -487,9 +585,10 @@ class TestChunkedSchur:
     def test_shared_workspace_matches_fresh_buffers(self):
         # Blocks of k = 21 and 6, over different moments, one after another
         # in one shared pair of buffers, as in a solve.
-        cones = [cone for cone, _ in _cones(assemble_dense(problems.fivevar(), 3))[0]]
+        labelled, stacked, _ = _cones(assemble_dense(problems.fivevar(), 3))
+        cones = [cone for cone, _ in labelled]
         assert len({c.workspace for c in cones}) >= 2
-        M = cones[0].A.shape[0]
+        M = stacked.shape[0]
         rng = np.random.default_rng(6)
         for c in cones:
             G = rng.standard_normal((c.size, c.size))
@@ -505,8 +604,7 @@ class TestChunkedSchur:
 
 class TestSchurFactorInPlace:
     """The Schur matrix is built from the cones, then Cholesky overwrites its
-    upper triangle and diagonal; a failed attempt builds it again, and
-    refinement applies H through the cones."""
+    upper triangle and diagonal; a failed attempt builds it again."""
 
     @pytest.mark.parametrize("step", [None, 7], ids=["one-row-block", "row-blocks-of-7"])
     def test_retry_keeps_the_matrix(self, step, monkeypatch):
@@ -540,8 +638,6 @@ class TestSchurFactorInPlace:
         jitter = U[30, 30] ** 2
         assert 0.0 < jitter <= 1e-8
         assert _rel_err(U.T @ U, H_ref + jitter * np.eye(n)) <= 1e-13
-        v = rng.standard_normal(n)
-        assert _rel_err(solver._times([cone], v), H_ref @ v) <= 1e-12
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_part_fails(self, bad):
@@ -572,6 +668,63 @@ class TestSchurFactorInPlace:
         assert peak < 9 * 2**20
 
 
+class TestJitteredSolves:
+    """Each Newton direction is one solve with the factor, unrefined; with
+    the jitter of a failed first Cholesky attempt on every factorization,
+    the solves still converge and verify in as many iterations."""
+
+    @pytest.mark.parametrize(
+        "instance,assemble",
+        [(problems.twoballs(), assemble_sparse_schmudgen), (problems.fivevar(), assemble_dense)],
+        ids=["twoballs-sparse-r2", "fivevar-dense-r2"],
+    )
+    def test_converges_without_refinement(self, instance, assemble, monkeypatch):
+        program = assemble(instance, 2)
+        plain = solve(program)
+        factor = solver.cho_factor
+        calls = []
+
+        def first_attempt_fails(*args, **kwargs):
+            # _factor calls once per attempt: odd calls are first attempts.
+            calls.append(None)
+            if len(calls) % 2:
+                raise np.linalg.LinAlgError("forced first-attempt failure")
+            return factor(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "cho_factor", first_attempt_fails)
+        jittered = solve(program)
+        assert len(calls) == 2 * jittered.iterations
+        assert plain.status == jittered.status == OPTIMAL
+        assert jittered.iterations == plain.iterations
+        scale = 1.0 + abs(plain.dual_objective)
+        assert abs(jittered.dual_objective - plain.dual_objective) <= 1e-8 * scale
+        assert verify(extract_sos(jittered, program), instance).passed
+
+
+class TestNesterovToddScaling:
+    """R^-1 comes from the SVD that gives R: R^-1 X R^-T = R^T S R =
+    diag(lam) and R^-1 R = I, also on badly conditioned pairs."""
+
+    @staticmethod
+    def _spd(rng, k, cond):
+        Q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        return (Q * np.logspace(0, -np.log10(cond), k)) @ Q.T
+
+    @pytest.mark.parametrize("k", [1, 3, 8, 20])
+    @pytest.mark.parametrize("cond", [1e2, 1e5, 1e8])
+    def test_scaling_identities(self, k, cond):
+        rng = np.random.default_rng(int(k * np.log10(cond)))
+        cone = _PsdCone(csr_matrix(np.eye(k).reshape(1, k * k)), np.zeros((k, k)))
+        for _ in range(5):
+            X, S = self._spd(rng, k, cond), self._spd(rng, k, cond)
+            cone.scale(X, S)
+            lam = np.diag(cone.lam)
+            assert _rel_err(cone.Rinv @ X @ cone.Rinv.T, lam) <= 1e-10
+            assert _rel_err(cone.R.T @ S @ cone.R, lam) <= 1e-10
+            assert _rel_err(cone.Rinv @ cone.R, np.eye(k)) <= 1e-10
+            assert _rel_err(cone.W, cone.R @ cone.R.T) == 0.0
+
+
 class TestConeKindsAgree:
     """A one-row LP cone and a 1x1 PSD block are the same cone, so the two
     classes must agree on it: Nesterov-Todd on 1x1 gives W^2 = x/s, and its
@@ -597,8 +750,8 @@ class TestConeKindsAgree:
         np.testing.assert_allclose(H_psd, H_row, rtol=1e-12, atol=1e-12)
         v = np.array([-1.1])
         np.testing.assert_allclose(psd.congruence(v[:, None]).ravel(), row.congruence(v), rtol=1e-12)
-        y = np.array([0.2, -0.5, 0.9])
-        np.testing.assert_allclose(psd.apply_adjoint(y).ravel(), row.apply_adjoint(y), rtol=1e-12)
+        # Both keep the same rows of the constraint data.
+        np.testing.assert_array_equal(psd.A_b.toarray(), row.A_b)
 
     @pytest.mark.parametrize("dx,ds", [(-1.7, -0.9), (-0.4, -2.2)])
     def test_corrector_and_steps(self, dx, ds):

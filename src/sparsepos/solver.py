@@ -49,11 +49,12 @@ work that it had been hiding (one GEMM per PSD block, SYRK for LP rows,
 step lengths from the scaling already in hand).  That was measured on 2
 vCPUs only; wall time on rungs larger than the ladders' and on machines
 with more cores, where big PSD products lose their other threads, is
-unverified.  Each library's previous thread count is restored when the last
-running solve ends, so the caller sees the same counts before and after.
-The count is process-wide in OpenBLAS, so BLAS calls made by other threads
-during a solve also run on one thread.  Where the symbol is missing
-(another BLAS), nothing is changed.
+unverified.  Each library's previous
+thread count is restored when the last running solve ends, so the caller
+sees the same counts before and after.  The count is process-wide in
+OpenBLAS, so BLAS calls made by other threads during a solve also run on
+one thread.  Where the symbol is missing (another BLAS), nothing is
+changed.
 """
 
 from __future__ import annotations
@@ -544,7 +545,16 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, csr_matrix, dic
     # Assembly shares one Fraction per distinct coefficient, so each object
     # is converted once; the program keeps every keyed object alive meanwhile.
     floats: dict[int, float] = {}
-    parts = []
+    cones, columns = [], []
+
+    def add(Cone, labels, C, moment, slot, value):
+        # Called as soon as a block's entries are read, so they are freed
+        # block by block: the stacked operator is the one full copy.
+        A = csr_matrix((value, (moment, slot)), shape=(len(pos), C.size))
+        A.eliminate_zeros()
+        cones.append((Cone(A, C), labels))
+        columns.append(A)
+
     if isinstance(program, LinearProgram):
         families: dict[str, list[int]] = {}
         for i, ((family, _, _), _) in enumerate(program.rows):
@@ -562,7 +572,7 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, csr_matrix, dic
                         moment.append(pos[p])
                         slot.append(col)
                         value.append(-v)
-            parts.append((_RowCone, rows, C, moment, slot, value))
+            add(_RowCone, rows, C, moment, slot, value)
     else:
         for label, sym in program.psd_blocks:
             k = sym.size
@@ -584,14 +594,7 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, csr_matrix, dic
                         moment.append(q)
                         slot.append(j * k + i)
                         value.append(-v)
-            parts.append((_PsdCone, label, C, moment, slot, value))
-    cones, columns = [], []
-    for Cone, labels, C, moment, slot, value in parts:
-        A = csr_matrix((value, (moment, slot)), shape=(len(pos), C.size))
-        A.eliminate_zeros()
-        cones.append((Cone(A, C), labels))
-        columns.append(A)
-    # One copy of the data: the cones keep only the rows they read.
+            add(_PsdCone, label, C, moment, slot, value)
     return cones, hstack(columns, format="csr"), pos
 
 

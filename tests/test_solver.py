@@ -559,8 +559,9 @@ class TestChunkedSchur:
         assert np.any(H)
 
     def test_subset_chunks_count_the_gathered_rows(self):
-        # A 4x4 block over 800 of 1200 moments: its (k, k, w) buffers are
-        # small even at w = M_b, but each chunk gathers w full rows of H.
+        # A 4x4 block over 800 of 1200 moments, with gaps: its (k, k, w)
+        # buffers are small even at w = M_b, but each chunk gathers a (w, M_b)
+        # block of H and the sparse product makes another.
         k, M = 4, 1200
         rng = np.random.default_rng(4)
         j = np.repeat(np.sort(rng.choice(M, 800, replace=False)), 3)

@@ -23,7 +23,7 @@ if not os.path.abspath(sparsepos.__file__).startswith(SRC + os.sep):
     raise SystemExit(f"sparsepos imported from {sparsepos.__file__}, not from {SRC}")
 
 from sparsepos import problems
-from sparsepos.certify import certificate_to_json, expand, extract_sos, verify
+from sparsepos.certify import certificate_to_json, expand, extract, verify
 from sparsepos.relax import RECIPES, CapacityError, ModeError, OrderError, assemble, min_order
 from sparsepos.solver import solve
 
@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     if report.status != "optimal":
         return 3
 
-    cert = extract_sos(report, program)
+    cert = extract(report, program)
     print(f"certificate: mode={cert.mode} order={cert.order} terms={len(cert.terms)}")
     for term in cert.terms:
         weight = str(term.weight) if term.weight.degree else "1"

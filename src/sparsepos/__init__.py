@@ -63,8 +63,9 @@ from .certify import (
     certificate_from_json,
     certificate_to_json,
     expand,
-    extract_cone,
-    extract_sos,
+    extract,
+    extract_cone,  # extract_cone and extract_sos are the earlier names of
+    extract_sos,  # extract, kept so that existing imports still work
     verify,
 )
 from .oracle import (

@@ -1,12 +1,15 @@
 """Positivity certificates: extraction from dual solutions, exact symbolic
 re-expansion, and verification.
 
-A sum-of-squares certificate asserts f - lambda = sum_terms v^T G v * w,
-where each term carries a monomial basis v over one variable block, a PSD
-Gram matrix G, and a weight polynomial w (a product of constraints).  A cone
-certificate asserts f - lambda = sum c_ab * g^a (1-g)^b + sum c_ab * h^a (1-h)^b
-with nonnegative scalars.  Both shapes keep the two variable sides separate,
-so sparse-mode certificates never produce a monomial coupling X with Z.
+A certificate asserts f - lambda = sum_terms v^T G v * w plus
+sum c_ab * g^a (1-g)^b + sum c_ab * h^a (1-h)^b: SOS terms, each a monomial
+basis v over one variable block, a PSD Gram matrix G and a weight w (a
+product of constraints), and cone terms with nonnegative scalars.  One
+:class:`SOSCertificate` holds both parts, and every function here reads
+both; krivine's certificates (:class:`ConeCertificate`) have cone terms
+only, the others SOS terms only.  Both parts keep the two variable sides
+separate, so sparse-mode certificates never produce a monomial coupling X
+with Z.
 
 Verification expands the right-hand side exactly and measures the
 coefficient residual against f - lambda.  Every float is an exact dyadic
@@ -18,14 +21,14 @@ with the products from the same walk that assembles the LP rows
 (:func:`relax.cone_products`).  The LP has top-shell rows only, but a cone
 term may name any power pair.  The walk starts from the instance's
 constraints and the certificate's divisors, never from the program, and
-refuses a divisor that is not positive.  Both kinds feed one
+refuses a divisor that is not positive.  Both parts feed one
 :meth:`Polynomial.sum`, exact ints over a running common denominator.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isfinite
 
@@ -34,7 +37,7 @@ import numpy as np
 from .moments import half_degree, min_eigenvalue
 from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial
 from .problem import ProblemInstance
-from .relax import ConicProgram, LinearProgram, cone_products, recipe_side
+from .relax import ConicProgram, cone_products, recipe_side
 from .solver import OPTIMAL, SolveReport
 
 
@@ -69,17 +72,9 @@ class SOSTerm:
 
 @dataclass(frozen=True)
 class SOSCertificate:
-    lam: float
-    terms: tuple[SOSTerm, ...]
-    mode: str  # "schmudgen" | "putinar" | "product" | "dense"
-    order: int
-    layout: BlockLayout
-
-
-@dataclass(frozen=True)
-class ConeCertificate:
-    """Cone coefficients per power pair of each family, over the constraints
-    divided by ``scaling`` (one divisor per constraint, g family first).
+    """SOS ``terms`` plus cone coefficients per power pair of each family,
+    over the constraints divided by ``scaling`` (one divisor per constraint,
+    g family first).  The cone part is there when ``scaling`` is.
 
     A divisor must be positive, which verification checks; that it also
     dominates its constraint on the feasible set, so that 1 - g/s >= 0
@@ -88,11 +83,24 @@ class ConeCertificate:
     """
 
     lam: float
-    xy_coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], float]
-    yz_coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], float]
-    scaling: tuple[Fraction, ...]
+    terms: tuple[SOSTerm, ...]
+    mode: str  # "schmudgen" | "putinar" | "product" | "dense" | "krivine"
     order: int
     layout: BlockLayout
+    xy_coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = field(default_factory=dict)
+    yz_coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = field(default_factory=dict)
+    scaling: tuple[Fraction, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.scaling is None and (self.xy_coeffs or self.yz_coeffs):
+            raise ValueError("cone coefficients need a scaling record")
+
+
+@dataclass(frozen=True, kw_only=True)
+class ConeCertificate(SOSCertificate):
+    """A krivine certificate: cone coefficients only."""
+
+    terms: tuple[SOSTerm, ...] = ()
     mode: str = "krivine"
 
 
@@ -105,17 +113,21 @@ class VerificationReport:
     passed: bool
 
 
-def extract_sos(report: SolveReport, program: ConicProgram) -> SOSCertificate:
-    """Turn the dual Gram blocks of an optimal solve into a certificate.
+def extract(report: SolveReport, program: ConicProgram) -> SOSCertificate:
+    """Turn the duals of an optimal solve into a certificate: a
+    :class:`ConeCertificate` for a krivine program, else an
+    :class:`SOSCertificate`.
 
     Each Gram matrix must match its block's basis.  It is symmetrized;
     eigenvalues in [-clip, 0) are projected to zero, anything below -clip
     aborts (the certificate would be unusable), with clip = 1e-7 * (1 +
     max |gram|) per block.  Weight and basis come from the block's matrix.
+    A row dual below -1e-9 aborts, smaller negative ones are clipped to
+    zero.
     """
     if report.status != OPTIMAL:
         raise ExtractionError(f"cannot extract from a solve with status {report.status}")
-    if len(program.psd_blocks) != len(report.dual_blocks):
+    if program.num_blocks + program.num_rows != len(report.dual_blocks):
         raise ExtractionError("report and program block structures disagree")
     terms = []
     for (label, matrix), (dual_label, gram) in zip(program.psd_blocks, report.dual_blocks):
@@ -141,99 +153,76 @@ def extract_sos(report: SolveReport, program: ConicProgram) -> SOSCertificate:
         clipped = np.clip(eigvals, 0.0, None)
         gram = (eigvecs * clipped) @ eigvecs.T
         terms.append(
-            SOSTerm(
-                family=label.family,
-                subset=label.subset,
-                block=label.block,
-                weight=matrix.weight,
-                basis=matrix.basis,
-                gram=gram,
-            )
+            SOSTerm(label.family, label.subset, label.block, matrix.weight, matrix.basis, gram)
         )
-    return SOSCertificate(
-        lam=report.dual_objective,
-        terms=tuple(terms),
-        mode=program.mode,
-        order=program.order,
-        layout=program.layout,
-    )
-
-
-def extract_cone(report: SolveReport, program: LinearProgram) -> ConeCertificate:
-    """Turn LP row duals into nonnegative cone coefficients; a dual below
-    -1e-9 aborts, smaller negative ones are clipped to zero."""
-    if report.status != OPTIMAL:
-        raise ExtractionError(f"cannot extract from a solve with status {report.status}")
-    xy: dict = {}
-    yz: dict = {}
-    for (family, alpha, beta), value in report.dual_blocks:
+    coeffs: dict[str, dict] = {"xy": {}, "yz": {}}
+    for (family, alpha, beta), value in report.dual_blocks[program.num_blocks :]:
         if value < -1e-9:
             raise ExtractionError(
                 f"row dual for {family} powers {alpha}/{beta} is {value:.3e} < 0"
             )
-        value = max(0.0, value)
-        (xy if family == "xy" else yz)[(alpha, beta)] = value
-    return ConeCertificate(
-        lam=report.dual_objective,
-        xy_coeffs=xy,
-        yz_coeffs=yz,
-        scaling=program.scaling,
-        order=program.order,
-        layout=program.layout,
-    )
+        coeffs[family][(alpha, beta)] = max(0.0, value)
+    shared = dict(lam=report.dual_objective, order=program.order, layout=program.layout,
+                  xy_coeffs=coeffs["xy"], yz_coeffs=coeffs["yz"], scaling=program.scaling)
+    if program.mode == "krivine":
+        return ConeCertificate(**shared)
+    return SOSCertificate(terms=tuple(terms), mode=program.mode, **shared)
+
+
+# The earlier names, one per program kind.
+extract_sos = extract_cone = extract
 
 
 def _pieces(cert, instance: ProblemInstance):
-    """The certificate's right-hand side as :meth:`Polynomial.sum` pieces."""
+    """The certificate's right-hand side as :meth:`Polynomial.sum` pieces:
+    its SOS terms, then its cone terms."""
     layout = instance.layout
-    if isinstance(cert, SOSCertificate):
-        for term in cert.terms:
-            # Each term checked its Gram shape and basis against its weight's
-            # layout when it was built.
-            if term.weight.layout != layout:
-                raise LayoutError(f"{term.family} term lives on another layout")
-            # Like the cone path, start from the instance's constraints.
-            weight = term.weight
-            if weight != recipe_side(cert.mode, term.family).weight(instance, term.subset):
-                raise ValueError(
-                    f"{term.family} term over subset {term.subset} has a weight that is "
-                    f"not the product of those constraints"
-                )
-            # v^T G v * w = (sum_ij G_ij * m_{a_i + a_j}) * w, over all k^2
-            # entries of G; no packed sum may carry.
-            basis, shift = [layout.pack(a) for a in term.basis], layout.degree_shift
-            pieces = []
-            for a, row in zip(basis, np.asarray(term.gram, dtype=float).tolist()):
-                for b, g in zip(basis, row):
-                    if g:
-                        if (degree := (a >> shift) + (b >> shift)) > MAX_DEGREE:
-                            raise LayoutError(f"Gram form of degree {degree} is above {MAX_DEGREE}")
-                        num, den = g.as_integer_ratio()
-                        pieces.append((1, ((a + b, num),), den))
-            product = Polynomial.sum(layout, pieces) * weight
-            yield 1, product.nums.items(), product.den
-    elif isinstance(cert, ConeCertificate):
-        polys, ng = instance.g_constraints + instance.h_constraints, len(instance.g_constraints)
-        if len(cert.scaling) != len(polys):
-            raise ValueError("scaling record does not match the instance's constraints")
-        scaled = [p.scale(1 / s) for p, s in zip(polys, _positive_scaling(cert.scaling))]
-        for constraints, coeffs in ((scaled[:ng], cert.xy_coeffs), (scaled[ng:], cert.yz_coeffs)):
-            count = len(constraints)
-            pairs = [_cone_key(pair, count) for pair, value in coeffs.items() if value != 0.0]
-            for pair, product in cone_products(constraints, layout, pairs):
-                num, den = coeffs[pair].as_integer_ratio()
-                yield num, product.nums.items(), product.den * den
-    else:
-        raise TypeError(f"cannot expand a {type(cert).__name__}")
+    for term in cert.terms:
+        # Each term checked its Gram shape and basis against its weight's
+        # layout when it was built.
+        if term.weight.layout != layout:
+            raise LayoutError(f"{term.family} term lives on another layout")
+        # Like the cone terms, start from the instance's constraints.
+        weight = term.weight
+        if weight != recipe_side(cert.mode, term.family).weight(instance, term.subset):
+            raise ValueError(
+                f"{term.family} term over subset {term.subset} has a weight that is "
+                f"not the product of those constraints"
+            )
+        # v^T G v * w = (sum_ij G_ij * m_{a_i + a_j}) * w, over all k^2
+        # entries of G; no packed sum may carry.
+        basis, shift = [layout.pack(a) for a in term.basis], layout.degree_shift
+        pieces = []
+        for a, row in zip(basis, np.asarray(term.gram, dtype=float).tolist()):
+            for b, g in zip(basis, row):
+                if g:
+                    if (degree := (a >> shift) + (b >> shift)) > MAX_DEGREE:
+                        raise LayoutError(f"Gram form of degree {degree} is above {MAX_DEGREE}")
+                    num, den = g.as_integer_ratio()
+                    pieces.append((1, ((a + b, num),), den))
+        product = Polynomial.sum(layout, pieces) * weight
+        yield 1, product.nums.items(), product.den
+    if cert.scaling is None:
+        return  # no cone part
+    polys, ng = instance.g_constraints + instance.h_constraints, len(instance.g_constraints)
+    if len(cert.scaling) != len(polys):
+        raise ValueError("scaling record does not match the instance's constraints")
+    scaled = [p.scale(1 / s) for p, s in zip(polys, _positive_scaling(cert.scaling))]
+    for constraints, coeffs in ((scaled[:ng], cert.xy_coeffs), (scaled[ng:], cert.yz_coeffs)):
+        count = len(constraints)
+        pairs = [_cone_key(pair, count) for pair, value in coeffs.items() if value != 0.0]
+        for pair, product in cone_products(constraints, layout, pairs):
+            num, den = coeffs[pair].as_integer_ratio()
+            yield num, product.nums.items(), product.den * den
 
 
 def expand(cert, instance: ProblemInstance) -> Polynomial:
     """Exact polynomial expansion of the certificate's right-hand side
     (without lambda): the object that should coefficient-match f - lambda.
 
-    Cone certificates are expanded against the instance's original
-    constraints with the recorded normalization divisors re-applied, so the
-    caller passes the unnormalized instance.
+    Cone terms are expanded against the instance's original constraints
+    with the recorded normalization divisors re-applied, so the caller
+    passes the unnormalized instance.
     """
     return Polynomial.sum(instance.layout, _pieces(cert, instance))
 
@@ -257,15 +246,14 @@ def _coupling_free(cert, expansion: Polynomial, layout: BlockLayout) -> bool:
 
     if not clean(expansion):
         return False
-    if isinstance(cert, SOSCertificate):
-        for term in cert.terms:
-            basis = Polynomial.from_terms(layout, dict.fromkeys(term.basis, 1))
-            if term.block == "xyz":
-                mixed = not basis.is_supported_on("xy") and not basis.is_supported_on("yz")
-                if mixed or not clean(term.weight):
-                    return False
-            elif not all(p.is_supported_on(term.block) for p in (basis, term.weight)):
+    for term in cert.terms:
+        basis = Polynomial.from_terms(layout, dict.fromkeys(term.basis, 1))
+        if term.block == "xyz":
+            mixed = not basis.is_supported_on("xy") and not basis.is_supported_on("yz")
+            if mixed or not clean(term.weight):
                 return False
+        elif not all(p.is_supported_on(term.block) for p in (basis, term.weight)):
+            return False
     return True
 
 
@@ -281,7 +269,7 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
 
     An SOS term whose weight is not the product of the instance's
     constraints that its mode, family and subset name raises ``ValueError``.
-    A cone certificate whose ``scaling`` has the wrong length or an entry
+    A cone part whose ``scaling`` has the wrong length or an entry
     that is not positive, or with a coefficient key that is not two
     sequences of one nonnegative int per constraint of its family, raises
     ``ValueError``.  A positive divisor below its constraint's maximum on
@@ -294,17 +282,10 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     residual = float(diff.max_norm())
     coupling = _coupling_free(cert, expansion, instance.layout)
 
-    if isinstance(cert, SOSCertificate):
-        psd_ok = True
-        for term in cert.terms:
-            scale = float(np.max(np.abs(term.gram))) if term.gram.size else 0.0
-            if min_eigenvalue(term.gram) < -tol * (1.0 + scale):
-                psd_ok = False
-                break
-    else:
-        psd_ok = all(
-            v >= -tol for coeffs in (cert.xy_coeffs, cert.yz_coeffs) for v in coeffs.values()
-        )
+    psd_ok = not any(
+        min_eigenvalue(t.gram) < -tol * (1.0 + float(np.max(np.abs(t.gram), initial=0.0)))
+        for t in cert.terms
+    ) and all(v >= -tol for coeffs in (cert.xy_coeffs, cert.yz_coeffs) for v in coeffs.values())
 
     bound = tol * (1.0 + float(instance.objective.max_norm()))
     passed = residual <= bound and psd_ok and (coupling or cert.mode == "dense")
@@ -328,36 +309,29 @@ def _layout_json(layout: BlockLayout) -> dict:
 
 
 def certificate_to_json(cert) -> str:
+    """The certificate as JSON: kind ``sos`` with its SOS terms, or kind
+    ``cone`` with its cone coefficients and scaling.  A certificate with
+    both parts raises ``ValueError``; the format has no kind for it yet."""
+    cone = cert.scaling is not None
+    if cone and cert.terms:
+        raise ValueError("a certificate with both SOS terms and a cone part has no JSON form")
     head = {
         "mode": cert.mode,
         "order": cert.order,
         "lambda": _fmt(cert.lam),
         "layout": _layout_json(cert.layout),
+        "kind": "cone" if cone else "sos",
     }
-    if isinstance(cert, SOSCertificate):
-        head["kind"] = "sos"
-        head["terms"] = [
-            {
-                "family": t.family,
-                "subset": list(t.subset),
-                "basis": [list(e) for e in t.basis],
-                "gram": [[_fmt(v) for v in row] for row in t.gram],
-            }
-            for t in cert.terms
-        ]
-        head["scaling"] = None
-    else:
-        head["kind"] = "cone"
-        head["terms"] = [
-            {
-                "family": family,
-                "subset": [list(alpha), list(beta)],
-                "coeff": _fmt(value),
-            }
-            for family, coeffs in (("xy", cert.xy_coeffs), ("yz", cert.yz_coeffs))
-            for (alpha, beta), value in sorted(coeffs.items())
-        ]
-        head["scaling"] = [_fmt(s) for s in cert.scaling]
+    head["terms"] = [
+        {"family": family, "subset": [list(alpha), list(beta)], "coeff": _fmt(value)}
+        for family, coeffs in (("xy", cert.xy_coeffs), ("yz", cert.yz_coeffs))
+        for (alpha, beta), value in sorted(coeffs.items())
+    ] + [
+        {"family": t.family, "subset": list(t.subset), "basis": [list(e) for e in t.basis],
+         "gram": [[_fmt(v) for v in row] for row in t.gram]}
+        for t in cert.terms
+    ]
+    head["scaling"] = [_fmt(s) for s in cert.scaling] if cone else None
     return json.dumps(head, indent=2)
 
 
@@ -434,7 +408,8 @@ def certificate_from_json(text: str, instance: ProblemInstance):
             raise ValueError(f"certificate order {order} is below {(top + 1) // 2}: "
                              f"it has a cone product of degree {top}")
         scaling = _positive_scaling(_finite(s, "scaling") for s in data["scaling"])
-        return ConeCertificate(lam, coeffs["xy"], coeffs["yz"], scaling, order, layout)
+        return ConeCertificate(lam=lam, order=order, layout=layout, xy_coeffs=coeffs["xy"],
+                               yz_coeffs=coeffs["yz"], scaling=scaling)
     if kind != "sos":
         raise ValueError(f"unknown certificate kind {kind!r}")
 

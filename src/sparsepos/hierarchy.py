@@ -18,7 +18,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import relax
-from .certify import extract_cone, extract_sos
+from .certify import extract
 from .oracle import OracleResult, check_grid, grid_min
 from .problem import ProblemInstance
 from .solver import OPTIMAL, SolveReport, solve
@@ -114,9 +114,9 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
             continue
 
         report = solve(program, tol=config.tol)
-        linear = isinstance(program, relax.LinearProgram)
-        blocks = program.num_rows if linear else program.num_blocks
-        max_block = 1 if linear else program.max_block_size
+        # A row is a 1 x 1 block.
+        blocks = program.num_blocks + program.num_rows
+        max_block = max(program.max_block_size, min(program.num_rows, 1))
         ms = 1000.0 * (time.perf_counter() - start)
 
         row = RowResult(
@@ -141,7 +141,6 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
     # Certificate of the highest optimal order.
     for row in reversed(result.rows):
         if row.report is not None and row.report.status == OPTIMAL:
-            extract = extract_cone if isinstance(row.program, relax.LinearProgram) else extract_sos
             result.certificate = extract(row.report, row.program)
             break
 

@@ -23,7 +23,8 @@ its block and weight from the side of its (mode, family), see
 :func:`recipe_side`.  The fifth variant, krivine, is a cone LP with scalar
 rows L_u(g^a (1-g)^b) >= 0 over the top shell of power pairs (see
 :func:`_power_pairs`); it needs constraints normalized into [0, 1] and uses
-the schmudgen row's order.
+the schmudgen row's order.  Every variant builds a :class:`ConicProgram`;
+krivine's, a :class:`LinearProgram`, has rows and no PSD block.
 
 Sparse assemblies never reference a moment index with simultaneously
 positive X and Z degree, because every block lives on (X,Y) or (Y,Z);
@@ -81,14 +82,19 @@ class BlockLabel:
         return f"{body}@{self.block}"
 
 
+#: Row label of the cone LP: (family, alpha powers, beta powers).
+RowKey = tuple[str, tuple[int, ...], tuple[int, ...]]
+
+
 @dataclass(frozen=True)
 class ConicProgram:
-    """Moment relaxation in block-PSD form.
+    """Moment relaxation: PSD blocks, then nonnegative scalar rows.
 
     ``variable_index`` lists every referenced moment index as an exponent
     tuple in graded-lex order; position 0 is the zero exponent, pinned to 1
-    (a probability measure's mass).  ``objective`` holds the exact
-    coefficients of f by packed exponent, as the blocks' terms do.
+    (a probability measure's mass).  ``objective``, the blocks' terms and
+    the row forms hold exact coefficients by packed exponent.  A row's
+    constraints are divided by ``scaling``, one divisor each, g family first.
     """
 
     layout: BlockLayout
@@ -96,7 +102,9 @@ class ConicProgram:
     order: int
     variable_index: tuple[Exponent, ...]
     objective: dict[int, Fraction]
-    psd_blocks: tuple[tuple[BlockLabel, SymbolicMatrix], ...]
+    psd_blocks: tuple[tuple[BlockLabel, SymbolicMatrix], ...] = ()
+    rows: tuple[tuple[RowKey, dict[int, Fraction]], ...] = ()
+    scaling: tuple[Fraction, ...] | None = None
 
     @property
     def num_blocks(self) -> int:
@@ -106,27 +114,17 @@ class ConicProgram:
     def max_block_size(self) -> int:
         return max((m.size for _, m in self.psd_blocks), default=0)
 
-
-#: Row label of the cone LP: (family, alpha powers, beta powers).
-RowKey = tuple[str, tuple[int, ...], tuple[int, ...]]
-
-
-@dataclass(frozen=True)
-class LinearProgram:
-    """Cone relaxation: rows demand L_u(g^a (1-g)^b) >= 0 for the top-shell
-    pairs only; row forms and ``objective`` are keyed as in
-    :class:`ConicProgram`."""
-
-    layout: BlockLayout
-    order: int
-    variable_index: tuple[Exponent, ...]
-    objective: dict[int, Fraction]
-    rows: tuple[tuple[RowKey, dict[int, Fraction]], ...]
-    scaling: tuple[Fraction, ...]
-
     @property
     def num_rows(self) -> int:
         return len(self.rows)
+
+
+@dataclass(frozen=True, kw_only=True)
+class LinearProgram(ConicProgram):
+    """The krivine cone LP, rows only; the name stays for callers that pick
+    it out by type (the benchmark's ladder does)."""
+
+    mode: str = "krivine"
 
 
 def enumerate_products(
@@ -267,7 +265,7 @@ def _objective(f: Polynomial) -> dict[int, Fraction]:
     return {p: Fraction(v, f.den) for p, v in f.nums.items()}
 
 
-def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram | LinearProgram:
+def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram:
     """Order-``r`` relaxation ``variant``: the cone LP for krivine, else one
     localizing block per weight of every side of the variant's recipe."""
     recipe = RECIPES.get(variant)

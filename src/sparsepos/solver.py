@@ -1,8 +1,8 @@
 """Self-contained primal-dual interior-point solver.
 
 Assembled programs arrive as linear matrix inequalities in the free moments:
-minimize f0 + c.u subject to F0 + sum_i u_i F_i being PSD blockwise (scalar
-rows in the linear-programming case).  Internally the solver works on the
+minimize f0 + c.u subject to F0 + sum_i u_i F_i being PSD blockwise, with
+the program's scalar rows as 1 x 1 blocks.  Internally the solver works on the
 equivalent conic pair
 
     (P)  min <C, X>   s.t.  <A_i, X> = b_i,   X PSD
@@ -13,13 +13,14 @@ and the (P) variable X collects the Gram multiplier blocks of the dual
 representation (the bound certificate), found by a Mehrotra
 predictor-corrector.
 
-``solve`` is the one entry point for both program kinds (``solve_sdp`` and
-``solve_lp`` are aliases, kept for the benchmark and the acceptance tests,
-which import those names), and ``_cones`` the one builder.  It places the
+``solve`` is the one entry point for the one program type, whose PSD
+blocks and rows go through the same code (``solve_sdp`` and ``solve_lp`` are
+aliases, kept for the benchmark and the acceptance tests, which import
+those names), and ``_cones`` the one builder.  It places the
 moments by side, X-side | Y-only | Z-side | X-Z mixed (the last class only
 in dense programs), so that each block of P(g)+P(h) reads one range of them
-and the Schur matrix H is block tridiagonal; makes each PSD block or LP
-constraint family one cone object, labelled with its multipliers; and
+and the Schur matrix H is block tridiagonal; makes each PSD block and each
+family of rows one cone object, labelled with its multipliers; and
 stacks their constraint data into one sparse (M, N) operator, N the entries
 of all blocks.  The loop holds X, S and the dual residual as flat length-N
 vectors with one view per cone, so each A x and A^T y is one sparse
@@ -73,7 +74,7 @@ from scipy.linalg.blas import dsyrk
 from scipy.sparse import csr_matrix, hstack
 
 from .moments import MomentVector
-from .relax import ConicProgram, LinearProgram
+from .relax import ConicProgram
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -101,8 +102,8 @@ class SolveReport:
     ``primal_objective`` is the relaxation bound (the minimized moment
     pairing); ``dual_objective`` is the certificate value lambda.  On optimal
     status the two agree up to the gap tolerance.  ``dual_blocks`` pairs each
-    block label with its Gram multiplier matrix (SDP) or each row label with
-    its nonnegative multiplier (LP).
+    PSD block's label with its Gram multiplier matrix, and then each row's
+    key with its nonnegative multiplier, both in program order.
     """
 
     status: str
@@ -521,19 +522,19 @@ def _ipm_loop(cones: list, A: csr_matrix, b: np.ndarray, tol: float, max_iter: i
 _PLACE = {(True, False): 0, (False, False): 1, (False, True): 2, (True, True): 3}
 
 
-def _cones(program: ConicProgram | LinearProgram) -> tuple[list, csr_matrix, dict]:
+def _cones(program: ConicProgram) -> tuple[list, csr_matrix, dict]:
     """The program's cones, each with the labels of its multipliers, their
     stacked (M, N) constraint operator, and the position of every free
     moment by packed exponent, in ``variable_index`` order.
 
     The moments are placed by side, X-side | Y-only | Z-side | X-Z mixed,
     each class in ``variable_index`` order, so that a block on one side
-    reads one range of them.  A PSD block gives one ``_PsdCone`` labelled by
-    its ``BlockLabel``; the LP rows give one ``_RowCone`` per constraint
-    family, in order of first appearance, labelled by the positions in
-    ``program.rows`` of its rows.  Only the entry loops read the program
-    kind: entry (i, j) of a k x k block fills slots i*k+j and j*k+i, row r
-    of a family fills slot r.
+    reads one range of them.  Each PSD block gives one ``_PsdCone`` labelled
+    by its ``BlockLabel``, and then the rows give one ``_RowCone`` per
+    constraint family, in order of first appearance, labelled by the
+    positions in ``program.rows`` of its rows.  The two entry loops differ
+    in their slots only: entry (i, j) of a k x k block fills slots i*k+j and
+    j*k+i, row r of a family fills slot r.
     """
     layout = program.layout
     if program.variable_index[0] != layout.zero_exponent:
@@ -555,55 +556,52 @@ def _cones(program: ConicProgram | LinearProgram) -> tuple[list, csr_matrix, dic
         cones.append((Cone(A, C), labels))
         columns.append(A)
 
-    if isinstance(program, LinearProgram):
-        families: dict[str, list[int]] = {}
-        for i, ((family, _, _), _) in enumerate(program.rows):
-            families.setdefault(family, []).append(i)
-        for rows in families.values():
-            C, moment, slot, value = np.zeros(len(rows)), array("q"), array("q"), array("d")
-            for col, i in enumerate(rows):
-                for p, coeff in program.rows[i][1].items():
-                    v = floats.get(id(coeff))
-                    if v is None:
-                        v = floats[id(coeff)] = float(coeff)
-                    if p == 0:
-                        C[col] += v
-                    else:
-                        moment.append(pos[p])
-                        slot.append(col)
-                        value.append(-v)
-            add(_RowCone, rows, C, moment, slot, value)
-    else:
-        for label, sym in program.psd_blocks:
-            k = sym.size
-            C, moment, slot, value = np.zeros((k, k)), array("q"), array("q"), array("d")
-            for i, j, coeff, p in sym.terms:
+    for label, sym in program.psd_blocks:
+        k = sym.size
+        C, moment, slot, value = np.zeros((k, k)), array("q"), array("q"), array("d")
+        for i, j, coeff, p in sym.terms:
+            v = floats.get(id(coeff))
+            if v is None:
+                v = floats[id(coeff)] = float(coeff)
+            if p == 0:
+                C[i, j] += v
+                if i != j:
+                    C[j, i] += v
+            else:
+                q = pos[p]
+                moment.append(q)
+                slot.append(i * k + j)
+                value.append(-v)
+                if i != j:
+                    moment.append(q)
+                    slot.append(j * k + i)
+                    value.append(-v)
+        add(_PsdCone, label, C, moment, slot, value)
+    families: dict[str, list[int]] = {}
+    for i, ((family, _, _), _) in enumerate(program.rows):
+        families.setdefault(family, []).append(i)
+    for rows in families.values():
+        C, moment, slot, value = np.zeros(len(rows)), array("q"), array("q"), array("d")
+        for col, i in enumerate(rows):
+            for p, coeff in program.rows[i][1].items():
                 v = floats.get(id(coeff))
                 if v is None:
                     v = floats[id(coeff)] = float(coeff)
                 if p == 0:
-                    C[i, j] += v
-                    if i != j:
-                        C[j, i] += v
+                    C[col] += v
                 else:
-                    q = pos[p]
-                    moment.append(q)
-                    slot.append(i * k + j)
+                    moment.append(pos[p])
+                    slot.append(col)
                     value.append(-v)
-                    if i != j:
-                        moment.append(q)
-                        slot.append(j * k + i)
-                        value.append(-v)
-            add(_PsdCone, label, C, moment, slot, value)
+        add(_RowCone, rows, C, moment, slot, value)
     return cones, hstack(columns, format="csr"), pos
 
 
-def solve(
-    program: ConicProgram | LinearProgram, tol: float = 1e-8, max_iter: int = 200
-) -> SolveReport:
-    """Solve a block-PSD moment relaxation or a cone (LP) relaxation.  On
-    optimal status the moments satisfy every block or row to tolerance with
-    the unit moment pinned at 1; LP duals follow program row order."""
+def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> SolveReport:
+    """Solve a moment relaxation: its PSD blocks and its nonnegative rows.
+    On optimal status the moments satisfy every block and row to tolerance
+    with the unit moment pinned at 1; the row duals follow program row
+    order, after the blocks' Gram matrices."""
     if not 1e-12 <= tol <= 1e-2:
         raise ValueError(f"tolerance must lie in [1e-12, 1e-2], got {tol}")
     cones, A, pos = _cones(program)
@@ -615,13 +613,12 @@ def solve(
     with _blas_on_one_thread():
         raw = _ipm_loop([cone for cone, _ in cones], A, -c, tol, max_iter)
 
-    if isinstance(program, LinearProgram):
-        multipliers = np.empty(len(program.rows))
-        for (_, rows), Xc in zip(cones, raw.X):
-            multipliers[rows] = Xc
-        dual_blocks = [(key, float(multipliers[i])) for i, (key, _) in enumerate(program.rows)]
-    else:
-        dual_blocks = [(label, Xc) for (_, label), Xc in zip(cones, raw.X)]
+    blocks = program.num_blocks
+    dual_blocks = [(label, Xc) for (_, label), Xc in zip(cones, raw.X[:blocks])]
+    multipliers = np.empty(program.num_rows)
+    for (_, rows), Xc in zip(cones[blocks:], raw.X[blocks:]):
+        multipliers[rows] = Xc
+    dual_blocks += [(key, v) for (key, _), v in zip(program.rows, multipliers.tolist())]
     values = dict(zip(program.variable_index, [1.0, *raw.y[list(pos.values())].tolist()]))
     primal = f0 + float(c @ raw.y)
     dual = f0 - raw.pobj

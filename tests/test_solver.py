@@ -15,14 +15,25 @@ from scipy.linalg import cho_factor
 from scipy.sparse import csr_matrix
 
 from sparsepos import cli, problems, solver
-from sparsepos.certify import extract_cone, extract_sos, verify
+from sparsepos.certify import (
+    ConeCertificate,
+    SOSCertificate,
+    certificate_from_json,
+    certificate_to_json,
+    extract,
+    extract_cone,
+    extract_sos,
+    verify,
+)
 from sparsepos.moments import SymbolicMatrix
-from sparsepos.poly import BlockLayout, Polynomial
+from sparsepos.poly import BlockLayout, Polynomial, grlex_key
 from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
+    VARIANTS,
     BlockLabel,
     ConicProgram,
     LinearProgram,
+    assemble,
     assemble_dense,
     assemble_krivine,
     assemble_sparse_putinar,
@@ -771,6 +782,59 @@ class TestConeKindsAgree:
         row, psd = self._pair()
         assert row.max_steps(np.array([0.5]), np.array([1.5])) == (np.inf, np.inf)
         assert psd.max_steps(np.array([[0.5]]), np.array([[1.5]])) == (np.inf, np.inf)
+
+
+class TestOneProgram:
+    """A program's PSD blocks and rows go through one solve, one extract and
+    one verify, whichever variant built it."""
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_blocks_and_rows_in_one_program(self, r):
+        inst = problems.twoballs()
+        sparse = assemble_sparse_schmudgen(inst, r)
+        lp = assemble_krivine(normalize_krivine(inst, [1, 1]), r)
+        union = {*sparse.variable_index, *lp.variable_index}
+        mixed = replace(
+            sparse,
+            variable_index=tuple(sorted(union, key=grlex_key)),
+            rows=lp.rows,
+            scaling=lp.scaling,
+        )
+        report = solve(mixed)
+        assert report.status == OPTIMAL
+        # The 4 Gram matrices first, then the row multipliers in row order.
+        labels = [label for label, _ in sparse.psd_blocks]
+        assert len(labels) == 4
+        assert [label for label, _ in report.dual_blocks] == labels + [k for k, _ in lp.rows]
+        assert all(np.shape(gram) == (m.size, m.size)
+                   for (_, gram), (_, m) in zip(report.dual_blocks, sparse.psd_blocks))
+        assert all(isinstance(v, float) for _, v in report.dual_blocks[4:])
+
+        cert = extract(report, mixed)
+        assert type(cert) is SOSCertificate
+        assert cert.terms and cert.xy_coeffs and cert.yz_coeffs
+        check = verify(cert, inst)
+        assert check.passed and check.coupling_free
+        alone = solve(sparse).dual_objective
+        assert abs(cert.lam - alone) <= 1e-8 * abs(alone)
+        # The JSON format has no kind for a certificate with both parts.
+        with pytest.raises(ValueError, match="both"):
+            certificate_to_json(cert)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_krivine_alone_has_the_lp_types(self, variant):
+        # Krivine's top-shell rows leave x free on the interval (every row is
+        # even in x), so it solves the affine one.
+        krivine = variant == "krivine"
+        inst = problems.interval_affine() if krivine else problems.interval()
+        program = assemble(normalize_krivine(inst, [1]) if krivine else inst, variant, 2)
+        assert isinstance(program, LinearProgram) == krivine
+        assert (program.num_blocks == 0) == krivine and (program.num_rows > 0) == krivine
+        cert = extract(solve(program), program)
+        assert isinstance(cert, ConeCertificate) == krivine
+        back = certificate_from_json(certificate_to_json(cert), inst)
+        assert type(back) is type(cert)
+        assert verify(back, inst).passed
 
 
 def _cholesky_step(P, D):

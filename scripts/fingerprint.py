@@ -7,8 +7,12 @@ goes through the public pipeline against the sources under ROOT: parse the
 generated problem text, assemble, solve, extract the certificate, verify it
 and write its JSON.  One JSON line per record gives the status, the
 iteration count, ``float.hex`` of both objectives, whether the certificate
-verifies, ``float.hex`` of its residual and the SHA-256 of its JSON (null
-where the solve is not optimal).
+verifies, ``float.hex`` of its residual, the SHA-256 of its JSON and the
+SHA-256 of its exact expansion (null where the solve is not optimal).  The
+expansion is hashed through the public ``terms`` view of
+``certify.expand``, in sorted exponent order, so the script also runs on
+older trees and the hash checks the whole polynomial, not only the
+max-norm behind the residual.
 
 Two checkouts print the same lines exactly when every one of those results
 is bit-identical, so running this on two trees and comparing the output
@@ -71,7 +75,7 @@ def _twins(names: list[str]) -> list:
 
 def record(rung, text: str) -> dict:
     from sparsepos import relax
-    from sparsepos.certify import certificate_to_json, extract_cone, extract_sos, verify
+    from sparsepos.certify import certificate_to_json, expand, extract_cone, extract_sos, verify
     from sparsepos.cli import parse_problem
     from sparsepos.solver import OPTIMAL, solve
 
@@ -90,16 +94,20 @@ def record(rung, text: str) -> dict:
         "passed": None,
         "residual": None,
         "json_sha256": None,
+        "expansion_sha256": None,
     }
     if report.status == OPTIMAL:
         extract = extract_cone if isinstance(program, relax.LinearProgram) else extract_sos
         cert = extract(report, program)
         check = verify(cert, instance)
         text = certificate_to_json(cert)
+        terms = sorted(expand(cert, instance).terms.items())
+        expansion = "".join(f"{list(e)} {c}\n" for e, c in terms)
         out.update(
             passed=check.passed,
             residual=float.hex(check.residual),
             json_sha256=hashlib.sha256(text.encode()).hexdigest(),
+            expansion_sha256=hashlib.sha256(expansion.encode()).hexdigest(),
         )
     return out
 

@@ -16,12 +16,12 @@ coefficient residual against f - lambda.  Every float is an exact dyadic
 rational, so nothing is rounded: an SOS term expands in Gram form,
 sum_ij G_ij * m_{a_i + a_j} * w, from the same Gram matrix that the PSD test
 reads (as in Peyrl and Parrilo, "Computing sum of squares decompositions
-with rational coefficients"), and a cone term expands as c * g^a (1-g)^b,
-with the products from the same walk that assembles the LP rows
-(:func:`relax.cone_products`).  The LP has top-shell rows only, but a cone
-term may name any power pair.  The walk starts from the instance's
-constraints and the certificate's divisors, never from the program, and
-refuses a divisor that is not positive.  Both parts feed one
+with rational coefficients"), and the cone terms c * g^a (1-g)^b of a
+family expand as one nested sum over the trie of their powers, walked as
+the LP rows are (:func:`relax.cone_sum`).  The LP has top-shell rows only,
+but a cone term may name any power pair.  The walk starts from the
+instance's constraints and the certificate's divisors, never from the
+program, and refuses a divisor that is not positive.  Both parts feed one
 :meth:`Polynomial.sum`, exact ints over a running common denominator.
 """
 
@@ -37,7 +37,7 @@ import numpy as np
 from .moments import half_degree, min_eigenvalue
 from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial
 from .problem import ProblemInstance
-from .relax import ConicProgram, cone_products, recipe_side
+from .relax import ConicProgram, cone_sum, recipe_side
 from .solver import OPTIMAL, SolveReport
 
 
@@ -209,11 +209,9 @@ def _pieces(cert, instance: ProblemInstance):
         raise ValueError("scaling record does not match the instance's constraints")
     scaled = [p.scale(1 / s) for p, s in zip(polys, _positive_scaling(cert.scaling))]
     for constraints, coeffs in ((scaled[:ng], cert.xy_coeffs), (scaled[ng:], cert.yz_coeffs)):
-        count = len(constraints)
-        pairs = [_cone_key(pair, count) for pair, value in coeffs.items() if value != 0.0]
-        for pair, product in cone_products(constraints, layout, pairs):
-            num, den = coeffs[pair].as_integer_ratio()
-            yield num, product.nums.items(), product.den * den
+        nonzero = {_cone_key(pair, len(constraints)): c for pair, c in coeffs.items() if c != 0.0}
+        total = cone_sum(constraints, layout, nonzero)
+        yield 1, total.nums.items(), total.den
 
 
 def expand(cert, instance: ProblemInstance) -> Polynomial:
@@ -267,15 +265,20 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     X and Z legitimately, so the coupling flag is reported but only gates
     the overall pass for sparse modes.
 
-    An SOS term whose weight is not the product of the instance's
-    constraints that its mode, family and subset name raises ``ValueError``.
-    A cone part whose ``scaling`` has the wrong length or an entry
-    that is not positive, or with a coefficient key that is not two
-    sequences of one nonnegative int per constraint of its family, raises
-    ``ValueError``.  A positive divisor below its constraint's maximum on
-    the feasible set stays the caller's precondition: verification checks
-    the identity, not the bound.
+    ``ValueError`` refuses a lambda, Gram entry or cone coeff that is not
+    finite (naming it, before any expansion), an SOS term whose weight is
+    not the product of the instance's constraints that its mode, family and
+    subset name, and a cone part with a ``scaling`` of the wrong length or
+    with an entry that is not positive, or with a coefficient key that is not
+    two sequences of one nonnegative int per constraint of its family.  A
+    positive divisor below its constraint's maximum on the feasible set is
+    the caller's precondition: verification checks the identity, not the bound.
     """
+    _finite(cert.lam, "lambda")
+    for term in cert.terms:  # the largest |entry| is nan or inf when any entry is
+        _finite(float(np.max(np.abs(term.gram), initial=0.0)), "gram entry")
+    for value in (*cert.xy_coeffs.values(), *cert.yz_coeffs.values()):
+        _finite(value, "coeff")
     expansion = expand(cert, instance)
     diff = instance.objective - Polynomial.constant(instance.layout, Fraction(cert.lam))
     diff = diff - expansion
@@ -343,7 +346,7 @@ def _finite(value, field: str):
 
 def _cone_key(subset, count: int):
     """The (alpha, beta) powers of a cone term, refusing anything but two
-    sequences of ``count`` nonnegative ints (``cone_products`` would zip a
+    sequences of ``count`` nonnegative ints (the cone walk would zip a
     longer one down to another key, and recurse without end on a negative or
     fractional power)."""
     if not (
@@ -370,9 +373,10 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     weights are recomputed from the stored subsets.  ``ValueError``, naming
     the field, is raised for an unknown kind, mode or family; a lambda, Gram
     entry, cone coeff or scaling entry that is not finite; a scaling entry
-    that is not positive (as :func:`verify` would); a cone subset
-    that is not two lists of one nonnegative int per constraint of its
-    family; an SOS subset that is not a list of int indices into its side's
+    that is not positive (as :func:`verify` would); a cone subset that is
+    not two lists of one nonnegative int per constraint of its family, or
+    that its family lists twice (SOS terms may repeat: each counts in the
+    sum); an SOS subset that is not a list of int indices into its side's
     constraints; a term that :class:`SOSTerm` refuses (a basis exponent
     that is not a list of one nonnegative int per variable, a Gram matrix
     that is not len(basis) x len(basis)); a ``layout`` whose n, m, p or
@@ -402,6 +406,8 @@ def certificate_from_json(text: str, instance: ProblemInstance):
             if t["family"] not in coeffs:
                 raise ValueError(f"unknown cone certificate family {t['family']!r}")
             key = _cone_key(t["subset"], len(degs[t["family"]]))
+            if key in coeffs[t["family"]]:  # the file would state another identity
+                raise ValueError(f"cone term {t['family']} {key} is listed twice")
             coeffs[t["family"]][key] = float(_finite(t["coeff"], "coeff"))
             top = max(top, sum((a + b) * d for a, b, d in zip(*key, degs[t["family"]])))
         if order < (top + 1) // 2:  # every product's degree is at most 2 * order

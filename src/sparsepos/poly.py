@@ -191,6 +191,18 @@ def monomial_basis(layout: BlockLayout, block: str, r: int) -> tuple[Exponent, .
     return tuple(exps)
 
 
+def mul_nums(a: Mapping[int, int], b: Mapping[int, int], sums: dict[int, int]) -> dict[int, int]:
+    """Add the numerators of the product of ``a`` and ``b`` into ``sums`` and
+    return it; packed exponents add.  The caller checks the degree cap."""
+    get = sums.get
+    items = b.items()
+    for p, u in a.items():
+        for q, v in items:
+            s = p + q
+            sums[s] = get(s, 0) + u * v
+    return sums
+
+
 def _coerce_coeff(value) -> Fraction:
     if isinstance(value, (Fraction, int, float, str)):
         return Fraction(value)
@@ -336,15 +348,7 @@ class Polynomial:
         degree = self.degree + other.degree
         if degree > MAX_DEGREE:
             raise LayoutError(f"product of degree {degree} is above {MAX_DEGREE}")
-        # One int multiply-add per term pair; packed exponents add.
-        sums: dict[int, int] = {}
-        get = sums.get
-        n2 = other.nums.items()
-        for p, u in self.nums.items():
-            for q, v in n2:
-                s = p + q
-                sums[s] = get(s, 0) + u * v
-        return Polynomial(self.layout, sums, self.den * other.den)
+        return Polynomial(self.layout, mul_nums(self.nums, other.nums, {}), self.den * other.den)
 
     __rmul__ = __mul__
 

@@ -36,10 +36,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from itertools import groupby
+from math import lcm, prod
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .moments import SymbolicMatrix, half_degree, localizing_matrix
-from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial, grlex_key
+from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial, grlex_key, mul_nums
 from .problem import ProblemInstance
 
 
@@ -358,6 +360,26 @@ def _interleaved(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ..
     return tuple(k for ab in zip(*pair) for k in ab)
 
 
+def _cone_walk(constraints: Sequence[Polynomial], layout: BlockLayout, pairs: Iterable):
+    """The sort, degree check and power cache of both cone walkers; power(t, k)
+    is factor t of the interleaved order (g_j at t = 2j, else 1 - g_j) to the k."""
+    walk = sorted((_interleaved(pair), pair) for pair in pairs)
+    degs = [g.degree for g in constraints for _ in "ab"]  # of each factor
+    for ks, pair in walk:
+        if (degree := sum(k * d for k, d in zip(ks, degs))) > MAX_DEGREE:
+            raise LayoutError(f"cone product {pair} has degree {degree} above {MAX_DEGREE}")
+    one = Polynomial.constant(layout, 1)
+
+    @cache
+    def power(t: int, k: int) -> Polynomial:
+        if k != 1:
+            return power(t, k - 1) * power(t, 1) if k else one
+        g = constraints[t // 2]
+        return one - g if t % 2 else g
+
+    return walk, power
+
+
 def cone_products(
     constraints: Sequence[Polynomial],
     layout: BlockLayout,
@@ -372,23 +394,8 @@ def cone_products(
     partial products are alive at once.  A pair of degree above
     ``MAX_DEGREE`` raises ``LayoutError`` before any product is formed.
     """
-    walk = sorted((_interleaved(pair), pair) for pair in pairs)
-    degs = [g.degree for g in constraints for _ in "ab"]  # of each factor
-    for ks, pair in walk:
-        if (degree := sum(k * d for k, d in zip(ks, degs))) > MAX_DEGREE:
-            raise LayoutError(f"cone product {pair} has degree {degree} above {MAX_DEGREE}")
-    one = Polynomial.constant(layout, 1)
-
-    @cache
-    def power(t: int, k: int) -> Polynomial:
-        """Factor t of the interleaved order, g_j at t = 2j and 1 - g_j at
-        t = 2j + 1, to the k >= 1."""
-        if k > 1:
-            return power(t, k - 1) * power(t, 1)
-        g = constraints[t // 2]
-        return one - g if t % 2 else g
-
-    stack = [one]  # stack[t]: product of the first t factors of ``prefix``
+    walk, power = _cone_walk(constraints, layout, pairs)
+    stack = [power(0, 0)]  # stack[t]: product of the first t factors of ``prefix``, 1 at t = 0
     prefix: tuple[int, ...] = ()
     for ks, pair in walk:
         shared = 0
@@ -401,6 +408,29 @@ def cone_products(
             stack.append(stack[-1] * power(t, ks[t]) if ks[t] else stack[-1])
         prefix = ks
         yield pair, stack[-1]
+
+
+def cone_sum(constraints: Sequence[Polynomial], layout: BlockLayout, coeffs: Mapping):
+    """Exactly ``sum c * prod_j g_j^a_j (1 - g_j)^b_j`` over ``coeffs``' ``(alpha, beta): c``,
+    as one nested sum over the trie of :func:`cone_products`' walk: a node at depth t
+    sums F_t^k * S(child), so deep factors multiply partial sums in later variables."""
+    walk, power = _cone_walk(constraints, layout, coeffs)
+    dens = (prod(power(t, k).den for t, k in enumerate(ks)) for ks, _ in walk)
+    den = lcm(*(coeffs[pair].as_integer_ratio()[1] * d for (_, pair), d in zip(walk, dens)))
+
+    def node(t: int, items: list, scale: int) -> dict[int, int]:
+        if t == 2 * len(constraints):  # a leaf; ``scale`` is its factors' denominator
+            num, d = coeffs[items[0][1]].as_integer_ratio()
+            return {0: num * (den // (d * scale))}
+        sums: dict[int, int] = {}
+        for k, group in groupby(items, key=lambda item: item[0][t]):
+            factor = power(t, k)
+            mul_nums(factor.nums, node(t + 1, list(group), scale * factor.den), sums)
+        return sums
+
+    total = node(0, walk, 1) if walk else {}
+    del node  # it calls itself, so free it (and ``coeffs``) now, not at a full collection
+    return Polynomial(layout, total, den)
 
 
 def _cone_rows(

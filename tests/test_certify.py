@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import random
 import runpy
@@ -33,6 +34,7 @@ from sparsepos.relax import (
     assemble_krivine,
     assemble_sparse_schmudgen,
     cone_products,
+    cone_sum,
     normalize_krivine,
 )
 from sparsepos.solver import solve_lp, solve_sdp
@@ -306,6 +308,27 @@ class TestVerify:
         vr = verify(certificate_from_json(certificate_to_json(cert), inst), inst)
         assert not vr.passed and vr.residual >= 1
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["lambda", "gram entry", "coeff"])
+    def test_non_finite_values_refused(self, field, value):
+        # Without the check these escaped from the exact expansion as
+        # "cannot convert NaN to integer ratio", or as an OverflowError.
+        if field == "coeff":
+            inst, cert = _sign_flipped_cone(1)
+            cert = replace(cert, xy_coeffs={**cert.xy_coeffs, ((0,), (2,)): value})
+        else:
+            inst = problems.twoballs()
+            prog, report = _solved(inst, 1)
+            cert = extract_sos(report, prog)
+            if field == "lambda":
+                cert = replace(cert, lam=value)
+            else:
+                gram = cert.terms[-1].gram.copy()
+                gram[-1, 0] = value
+                cert = replace(cert, terms=cert.terms[:-1] + (replace(cert.terms[-1], gram=gram),))
+        with pytest.raises(ValueError, match=f"certificate {field} {value} is not finite"):
+            verify(cert, inst)
+
     def test_pointwise_soundness(self):
         # A certificate never exceeds f on the feasible set: each term is a
         # square times a product of constraints, all nonnegative there.
@@ -501,6 +524,30 @@ class TestSerialization:
             data["scaling"][0] = "inf"
         with pytest.raises(ValueError, match=field):
             certificate_from_json(json.dumps(data), inst)
+
+    def test_duplicate_cone_pair_refused(self):
+        # A second listing of a pair with another coeff used to replace the
+        # first, so the loaded certificate was not the identity the file
+        # states.
+        inst = problems.interval_affine()
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 2)
+        data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+        first = data["terms"][0]
+        assert first["family"] == "xy"
+        data["terms"].append(dict(first, coeff="5"))
+        key = tuple(map(tuple, first["subset"]))
+        with pytest.raises(ValueError, match=re.escape(f"cone term xy {key} is listed twice")):
+            certificate_from_json(json.dumps(data), inst)
+
+    def test_repeated_sos_term_counts_twice(self, twoballs_r1_json):
+        inst = problems.twoballs()
+        data = json.loads(twoballs_r1_json)
+        once = certificate_from_json(twoballs_r1_json, inst)
+        data["terms"].append(data["terms"][0])
+        twice = certificate_from_json(json.dumps(data), inst)
+        assert len(twice.terms) == len(once.terms) + 1
+        extra = replace(once, terms=once.terms[:1])
+        assert expand(twice, inst) == expand(once, inst) + expand(extra, inst)
 
     @pytest.mark.parametrize(
         "subset",
@@ -752,6 +799,31 @@ def _cone_walks(draw):
     return constraints, pairs
 
 
+# Dyadic floats from 2^-1074 (the smallest subnormal) to about 2^980,
+# zero included: every one is exact as its integer ratio.
+_DYADIC = st.builds(math.ldexp, st.integers(-(2**20), 2**20), st.integers(-1074, 960))
+
+
+@st.composite
+def _cone_sums(draw):
+    """A :func:`_cone_walks` family with a coefficient per pair, plus pairs
+    that differ from a drawn one only in their last power, so that they
+    share all earlier factors with it."""
+    constraints, pairs = draw(_cone_walks())
+    for alpha, beta in list(pairs):
+        for b in draw(st.sets(st.integers(0, 3), max_size=3)):
+            pairs.append((alpha, beta[:-1] + (b,)))
+    extremes = st.sampled_from([0.0, -0.0, 2.0**-1074, -(2.0**-1074), 2.0**1023, -(2.0**1023)])
+    return constraints, {pair: draw(st.one_of(_DYADIC, extremes)) for pair in pairs}
+
+
+def _reference_sum(constraints, layout, coeffs):
+    """sum c * product, one product of :func:`cone_products` at a time."""
+    products = cone_products(constraints, layout, coeffs)
+    return Polynomial.sum(layout, ((Fraction(coeffs[pair]), p.nums.items(), p.den)
+                                   for pair, p in products))
+
+
 class TestConeProducts:
     R = 3
 
@@ -774,6 +846,22 @@ class TestConeProducts:
             assert product.terms == _reference_product(constraints, *pair, WALK_LAYOUT).terms
             seen.append(pair)
         assert sorted(seen) == sorted(pairs)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_cone_sums())
+    def test_nested_sum_matches_products(self, family):
+        constraints, coeffs = family
+        total = cone_sum(constraints, WALK_LAYOUT, coeffs)
+        assert total == _reference_sum(constraints, WALK_LAYOUT, coeffs)
+
+    @pytest.mark.parametrize("c", [0.0, -0.375, 2.0**-1074, 2.0**1023])
+    def test_nested_sum_of_the_unit_pair(self, c):
+        # A family with no constraints has one pair, ((), ()), at depth 0.
+        coeffs = {((), ()): c}
+        total = cone_sum([], WALK_LAYOUT, coeffs)
+        assert total == Polynomial.constant(WALK_LAYOUT, Fraction(c))
+        assert total == _reference_sum([], WALK_LAYOUT, coeffs)
+        assert cone_sum([], WALK_LAYOUT, {}) == Polynomial.zero(WALK_LAYOUT)
 
     def test_rows_match_reference_enumeration(self, solved):
         _, normed, prog, _ = solved

@@ -28,7 +28,8 @@ def test_smoke_prints_one_record_per_rung():
         assert type(r["iterations"]) is int and r["iterations"] > 0
         for field in ("primal", "dual", "residual"):
             assert float.hex(float.fromhex(r[field])) == r[field]
-        assert len(r["json_sha256"]) == 64 and int(r["json_sha256"], 16) >= 0
+        for field in ("json_sha256", "expansion_sha256"):
+            assert len(r[field]) == 64 and int(r[field], 16) >= 0
 
 
 def _write(path, records):

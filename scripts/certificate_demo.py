@@ -3,9 +3,12 @@
 
 Solves the chosen relaxation, re-expands the dual Gram blocks in exact
 rational arithmetic, and reports the coefficient residual of the identity
-f - lambda = sum of certified nonnegative terms.  Exits 3 when the solve is
-not optimal or the certificate does not verify; ``--out`` is written only for
-a certificate that verifies.
+f - lambda = sum of certified nonnegative terms.  A variant with cone rows
+(krivine) first normalizes the constraints into [0, 1] with automatic upper
+bounds; the certificate is verified against the unnormalized instance.  Exits 2
+when the variant cannot be assembled at the order (or no bound is found), 3
+when the solve is not optimal or the certificate does not verify; ``--out`` is
+written only for a certificate that verifies.
 
 Usage: python scripts/certificate_demo.py [instance] [--variant V] [--order R] [--out F]
 """
@@ -24,7 +27,17 @@ if not os.path.abspath(sparsepos.__file__).startswith(SRC + os.sep):
 
 from sparsepos import problems
 from sparsepos.certify import certificate_to_json, expand, extract, verify
-from sparsepos.relax import RECIPES, CapacityError, ModeError, OrderError, assemble, min_order
+from sparsepos.relax import (
+    RECIPES,
+    BoundError,
+    CapacityError,
+    ModeError,
+    NormalizationError,
+    OrderError,
+    assemble,
+    min_order,
+    normalize_krivine,
+)
 from sparsepos.solver import solve
 
 
@@ -41,8 +54,9 @@ def main(argv=None) -> int:
     r = args.order if args.order is not None else min_order(instance, args.variant)
 
     try:
-        program = assemble(instance, args.variant, r)
-    except (OrderError, CapacityError, ModeError) as exc:
+        normed = normalize_krivine(instance) if RECIPES[args.variant].rows else instance
+        program = assemble(normed, args.variant, r)
+    except (OrderError, CapacityError, ModeError, NormalizationError, BoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     report = solve(program)
@@ -52,7 +66,9 @@ def main(argv=None) -> int:
         return 3
 
     cert = extract(report, program)
-    print(f"certificate: mode={cert.mode} order={cert.order} terms={len(cert.terms)}")
+    cone_terms = len(cert.xy_coeffs) + len(cert.yz_coeffs)
+    print(f"certificate: mode={cert.mode} order={cert.order} "
+          f"terms={len(cert.terms) + cone_terms}")
     for term in cert.terms:
         weight = str(term.weight) if term.weight.degree else "1"
         print(f"  [{term.family}] weight {weight} on {len(term.basis)} monomials")

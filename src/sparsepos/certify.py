@@ -37,7 +37,7 @@ import numpy as np
 from .moments import half_degree, min_eigenvalue
 from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial
 from .problem import ProblemInstance
-from .relax import ConicProgram, cone_sum, recipe_side
+from .relax import RECIPES, ConicProgram, cone_sum, recipe_side
 from .solver import OPTIMAL, SolveReport
 
 
@@ -115,8 +115,8 @@ class VerificationReport:
 
 def extract(report: SolveReport, program: ConicProgram) -> SOSCertificate:
     """Turn the duals of an optimal solve into a certificate: a
-    :class:`ConeCertificate` for a krivine program, else an
-    :class:`SOSCertificate`.
+    :class:`ConeCertificate` for a program with rows and no PSD block (a
+    :class:`relax.LinearProgram`), else an :class:`SOSCertificate`.
 
     Each Gram matrix must match its block's basis.  It is symmetrized;
     eigenvalues in [-clip, 0) are projected to zero, anything below -clip
@@ -162,11 +162,10 @@ def extract(report: SolveReport, program: ConicProgram) -> SOSCertificate:
                 f"row dual for {family} powers {alpha}/{beta} is {value:.3e} < 0"
             )
         coeffs[family][(alpha, beta)] = max(0.0, value)
-    shared = dict(lam=report.dual_objective, order=program.order, layout=program.layout,
-                  xy_coeffs=coeffs["xy"], yz_coeffs=coeffs["yz"], scaling=program.scaling)
-    if program.mode == "krivine":
-        return ConeCertificate(**shared)
-    return SOSCertificate(terms=tuple(terms), mode=program.mode, **shared)
+    certificate = ConeCertificate if program.num_rows and not program.num_blocks else SOSCertificate
+    return certificate(lam=report.dual_objective, terms=tuple(terms), mode=program.mode,
+                       order=program.order, layout=program.layout, xy_coeffs=coeffs["xy"],
+                       yz_coeffs=coeffs["yz"], scaling=program.scaling)
 
 
 # The earlier names, one per program kind.
@@ -369,23 +368,24 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     """Rebuild a certificate against ``instance``.
 
     Each term's block and the constraints its weight multiplies come from
-    the relaxation side of its (mode, family) (see :func:`relax.recipe_side`);
-    weights are recomputed from the stored subsets.  ``ValueError``, naming
-    the field, is raised for an unknown kind, mode or family; a lambda, Gram
-    entry, cone coeff or scaling entry that is not finite; a scaling entry
-    that is not positive (as :func:`verify` would); a cone subset that is
-    not two lists of one nonnegative int per constraint of its family, or
-    that its family lists twice (SOS terms may repeat: each counts in the
-    sum); an SOS subset that is not a list of int indices into its side's
-    constraints; a term that :class:`SOSTerm` refuses (a basis exponent
-    that is not a list of one nonnegative int per variable, a Gram matrix
-    that is not len(basis) x len(basis)); a ``layout`` whose n, m, p or
-    names differ from the instance's; an ``order`` that is not a
-    nonnegative int; an SOS ``order`` other than the largest
-    deg(basis) + ceil(deg w / 2) over the terms, which every recipe builds
-    to; and a cone ``order`` below ceil(max sum_j (a_j + b_j) deg g_j / 2)
-    over the power pairs (not bounded above: a degree-4 constraint gives
-    the same rows at orders 2 and 3).
+    the relaxation side of its (mode, family) (see
+    :func:`relax.recipe_side`); weights are recomputed from the stored
+    subsets.  ``ValueError``, naming the field, is raised for an unknown
+    kind or family; a mode whose recipe builds no certificate of that kind
+    (even with no term); a lambda, Gram entry, cone coeff or scaling entry
+    that is not finite; a scaling entry that is not positive (as
+    :func:`verify` would); a cone subset that is not two lists of one
+    nonnegative int per constraint of its family, or that its family lists
+    twice (SOS terms may repeat: each counts in the sum); an SOS subset that
+    is not a list of int indices into its side's constraints; a term that
+    :class:`SOSTerm` refuses (a basis exponent that is not a list of one
+    nonnegative int per variable, a Gram matrix that is not len(basis) x
+    len(basis)); a ``layout`` whose n, m, p or names differ from the
+    instance's; an ``order`` that is not a nonnegative int; an SOS ``order``
+    other than the largest deg(basis) + ceil(deg w / 2) over the terms,
+    which every recipe builds to; and a cone ``order`` below ceil(max sum_j
+    (a_j + b_j) deg g_j / 2) over the power pairs (not bounded above: a
+    degree-4 constraint gives the same rows at orders 2 and 3).
     """
     data = json.loads(text)
     layout = instance.layout
@@ -396,9 +396,11 @@ def certificate_from_json(text: str, instance: ProblemInstance):
         raise ValueError(f"certificate order {order!r}; expected a nonnegative int")
     lam = float(_finite(data["lambda"], "lambda"))
     kind, mode = data["kind"], data["mode"]
+    if kind not in ("sos", "cone"):
+        raise ValueError(f"unknown certificate kind {kind!r}")
+    if not any(r.mode == mode and bool(r.sides) == (kind == "sos") for r in RECIPES.values()):
+        raise ValueError(f"no relaxation of mode {mode!r} has {kind} certificates")
     if kind == "cone":
-        if mode != "krivine":
-            raise ValueError(f"unknown cone certificate mode {mode!r}")
         coeffs: dict = {"xy": {}, "yz": {}}
         g, h = instance.g_constraints, instance.h_constraints
         degs, top = {"xy": [p.degree for p in g], "yz": [p.degree for p in h]}, 0
@@ -414,10 +416,8 @@ def certificate_from_json(text: str, instance: ProblemInstance):
             raise ValueError(f"certificate order {order} is below {(top + 1) // 2}: "
                              f"it has a cone product of degree {top}")
         scaling = _positive_scaling(_finite(s, "scaling") for s in data["scaling"])
-        return ConeCertificate(lam=lam, order=order, layout=layout, xy_coeffs=coeffs["xy"],
-                               yz_coeffs=coeffs["yz"], scaling=scaling)
-    if kind != "sos":
-        raise ValueError(f"unknown certificate kind {kind!r}")
+        return ConeCertificate(lam=lam, mode=mode, order=order, layout=layout,
+                               xy_coeffs=coeffs["xy"], yz_coeffs=coeffs["yz"], scaling=scaling)
 
     terms = []
     for t in data["terms"]:

@@ -7,7 +7,8 @@ side.  Rows that fail to assemble (order too low, capacity guards) or to
 solve are recorded and the remaining orders still run.  A variant that does
 not apply to the instance (product with a g that touches Y) raises
 ``relax.ModeError`` at the first order, before any row; an unusable oracle
-grid, or krivine bounds for another variant, is refused before any solve.
+grid, or krivine bounds for a variant without cone rows, is refused before
+any solve; an instance is normalized first for a variant with cone rows.
 Bounds should be nondecreasing in the order; violations beyond tolerance
 are flagged on the row.
 """
@@ -85,11 +86,12 @@ class HierarchyResult:
 def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResult:
     if config.variant not in VARIANTS:
         raise ConfigError(f"unknown variant {config.variant!r}; expected one of {VARIANTS}")
-    if config.krivine_bounds is not None and config.variant != "krivine":
-        raise ConfigError("krivine bounds apply to the krivine variant only")
+    rows = relax.RECIPES[config.variant].rows
+    if config.krivine_bounds is not None and not rows:
+        raise ConfigError(f"krivine bounds apply to cone rows; {config.variant} has none")
     if config.oracle_box is not None and config.oracle_step is not None:
         check_grid(instance, config.oracle_box, config.oracle_step)
-    if config.variant == "krivine" and instance.krivine_scaling is None:
+    if rows and instance.krivine_scaling is None:
         instance = relax.normalize_krivine(instance, config.krivine_bounds)
 
     r0 = relax.min_order(instance, config.variant)

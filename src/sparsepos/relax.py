@@ -1,14 +1,16 @@
 """Assembly of the relaxation hierarchy variants.
 
-Each sum-of-squares variant is a sum of cones, one per side, written as one
-row of :data:`RECIPES`: the program ``mode`` and the ordered sides.  A
-:class:`Side` names its block label family, the constraints it multiplies
-(g, h, both or none), the variable block its PSD blocks live on, and its
-weights: all subset products of those constraints, the nonempty ones, or the
-empty product plus the singletons.  Each weight w gets a localizing matrix on
-the side's block at order r - ceil(deg w / 2), so every constraint a side
-multiplies must be supported on the side's block; :func:`assemble` checks
-this and raises :class:`ModeError` otherwise.
+Each variant is a sum of cones, one per side, written as one row of
+:data:`RECIPES`: the program ``mode``, its PSD sides and its row sides.  A
+:class:`Side` names its label family, the constraints it multiplies (g, h,
+both or none), its variable block, and its weights: all subset products of
+those constraints, the nonempty ones, or the empty product plus the
+singletons.  A PSD side gives each weight w a localizing matrix on its block
+at order r - ceil(deg w / 2); a row side gives scalar rows
+L_u(g^a (1-g)^b) >= 0 over the top shell of power pairs (see
+:func:`_power_pairs`), valid once its constraints are normalized into
+[0, 1].  Every constraint a side multiplies must be supported on the side's
+block; :func:`assemble` checks this and raises :class:`ModeError` otherwise.
 
   schmudgen-sparse  P(g) on (X,Y) + P(h) on (Y,Z): all subset products
   putinar-sparse    Q(g) on (X,Y) + Q(h) on (Y,Z): empty set and singletons
@@ -16,27 +18,25 @@ this and raises :class:`ModeError` otherwise.
                     variables jointly (the unstructured baseline)
   product           an unweighted (X,Y) moment block + nonempty g-products
                     on X alone + P(h) on (Y,Z); applies when every g is in X
+  krivine           rows of g^a (1-g)^b on (X,Y) + h^a (1-h)^b on (Y,Z)
 
 :func:`assemble` builds every program from its row, :func:`min_order` reads
 the smallest admissible order off the same row, and a certificate term gets
-its block and weight from the side of its (mode, family), see
-:func:`recipe_side`.  The fifth variant, krivine, is a cone LP with scalar
-rows L_u(g^a (1-g)^b) >= 0 over the top shell of power pairs (see
-:func:`_power_pairs`); it needs constraints normalized into [0, 1] and uses
-the schmudgen row's order.  Every variant builds a :class:`ConicProgram`;
-krivine's, a :class:`LinearProgram`, has rows and no PSD block.
+its block and weight from the PSD side of its (mode, family), see
+:func:`recipe_side`.  A program with rows and no PSD block, krivine's cone
+LP, is a :class:`LinearProgram`.
 
 Sparse assemblies never reference a moment index with simultaneously
-positive X and Z degree, because every block lives on (X,Y) or (Y,Z);
-pure-Y moments are shared between the two sides through the global index.
+positive X and Z degree, because every block and row lives on (X,Y) or
+(Y,Z); pure-Y moments are shared between the two sides through the global
+index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
-from itertools import groupby
+from itertools import chain, groupby
 from math import lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -123,8 +123,9 @@ class ConicProgram:
 
 @dataclass(frozen=True, kw_only=True)
 class LinearProgram(ConicProgram):
-    """The krivine cone LP, rows only; the name stays for callers that pick
-    it out by type (the benchmark's ladder does)."""
+    """A program with rows and no PSD block, such as krivine's cone LP; the
+    name stays for callers that pick it out by type (the benchmark's ladder
+    does)."""
 
     mode: str = "krivine"
 
@@ -156,7 +157,8 @@ def enumerate_products(
 
 @dataclass(frozen=True)
 class Side:
-    """One cone of a relaxation: weighted PSD blocks on one variable block."""
+    """One cone of a relaxation on one variable block: weighted PSD blocks,
+    or, as a row side, the scalar cone rows of its constraints."""
 
     family: str  # BlockLabel family: "xy" | "yz" | "sigma_xy" | "dense"
     constraints: str  # families multiplied: "g", "h", "gh" or "" (none)
@@ -183,7 +185,8 @@ class Side:
         return products[1:] if self.weights == "nonempty" else products
 
     def min_order(self, instance: ProblemInstance) -> int:
-        """Largest half-degree among the weights, read off the degrees."""
+        """Largest half-degree among the weights, read off the degrees (for
+        a row side, with "all" weights, that of the full product)."""
         degs = [g.degree for g in self.constraint_list(instance)]
         if self.weights == "singletons":
             return max(((d + 1) // 2 for d in degs), default=0)
@@ -202,10 +205,11 @@ class Side:
 
 @dataclass(frozen=True)
 class Recipe:
-    """A relaxation: program mode and sides in block order."""
+    """A relaxation: program mode, PSD sides in block order, then row sides."""
 
     mode: str
     sides: tuple[Side, ...]
+    rows: tuple[Side, ...] = ()
 
 
 RECIPES: dict[str, Recipe] = {
@@ -227,34 +231,38 @@ RECIPES: dict[str, Recipe] = {
         Side("xy", "g", "x", "nonempty"),
         Side("yz", "h", "yz", "all"),
     )),
+    # Rows of the top-shell products, the lower ones adding nothing since
+    # g + (1 - g) = 1; they reach the degree of the full subset products.
+    "krivine": Recipe("krivine", (), rows=(
+        Side("xy", "g", "xy", "all"),
+        Side("yz", "h", "yz", "all"),
+    )),
 }
 
-VARIANTS = (*RECIPES, "krivine")
+VARIANTS = tuple(RECIPES)
 
 
 def recipe_side(mode: str, family: str) -> Side:
-    """The side that builds the ``family`` blocks of a ``mode`` program."""
+    """The PSD side that builds the ``family`` blocks of a ``mode`` program;
+    a mode with no PSD side (krivine) has no SOS terms to build."""
     for recipe in RECIPES.values():
-        if recipe.mode == mode:
+        if recipe.mode == mode and recipe.sides:
             for side in recipe.sides:
                 if side.family == family:
                     return side
             raise ValueError(f"no {family!r} family in {mode!r} relaxations")
-    raise ValueError(f"unknown relaxation mode {mode!r}")
+    raise ValueError(f"no sum-of-squares relaxation has mode {mode!r}")
 
 
 def min_order(instance: ProblemInstance, variant: str = "schmudgen-sparse") -> int:
-    """Smallest admissible relaxation order for ``variant``.
-
-    The order must cover half the objective degree and the half-degree of
-    every weight of the variant's recipe.  Krivine uses the schmudgen row:
-    its rows reach the degree of the full subset products.
-    """
-    recipe = RECIPES.get("schmudgen-sparse" if variant == "krivine" else variant)
-    if recipe is None:
+    """Smallest admissible relaxation order for ``variant``: it must cover
+    half the objective degree and the half-degree of every weight of every
+    side, PSD or row, of the variant's recipe."""
+    if variant not in RECIPES:
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    recipe = RECIPES[variant]
     fdeg = (instance.objective.degree + 1) // 2
-    return max([fdeg] + [side.min_order(instance) for side in recipe.sides])
+    return max([fdeg] + [side.min_order(instance) for side in (*recipe.sides, *recipe.rows)])
 
 
 def _moment_index(instance: ProblemInstance, forms: Iterable) -> tuple[Exponent, ...]:
@@ -268,26 +276,28 @@ def _objective(f: Polynomial) -> dict[int, Fraction]:
 
 
 def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram:
-    """Order-``r`` relaxation ``variant``: the cone LP for krivine, else one
-    localizing block per weight of every side of the variant's recipe."""
-    recipe = RECIPES.get(variant)
-    if variant == "krivine" and instance.krivine_scaling is None:
+    """Order-``r`` relaxation ``variant`` from its recipe: one localizing
+    block per weight of every PSD side, then the top-shell rows of every row
+    side, on one moment index.  A program with rows and no block is a
+    :class:`LinearProgram`; rows carry the instance's normalization divisors."""
+    r0 = min_order(instance, variant)  # refuses an unknown variant
+    recipe = RECIPES[variant]
+    if recipe.rows and instance.krivine_scaling is None:
+        # A row is a valid inequality for moments of measures on K only when
+        # 0 <= g <= 1 holds there.
         raise NormalizationError(
             "cone assembly requires normalize_krivine to run first "
             "(constraints must be scaled into [0, 1] on the feasible set)"
         )
-    for side in recipe.sides if recipe else ():
+    for side in (*recipe.sides, *recipe.rows):
         # Only the product variant's X side can fail: g is validated on (X,Y).
         if not all(c.is_supported_on(side.block) for c in side.constraint_list(instance)):
             raise ModeError(
                 f"{variant} assembly needs every {side.constraints} constraint "
                 f"supported on the {side.block} block"
             )
-    r0 = min_order(instance, variant)
     if r < r0:
         raise OrderError(f"order {r} below the minimum admissible order {r0} for {variant}")
-    if recipe is None:
-        return _cone_program(instance, r)
     blocks = [
         (
             BlockLabel(side.family, subset, side.block),
@@ -296,13 +306,22 @@ def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram:
         for side in recipe.sides
         for subset, weight, half in side.products(instance)
     ]
-    return ConicProgram(
+    rows = [
+        row
+        for side in recipe.rows
+        for row in _cone_rows(side.family, side.constraint_list(instance), instance.layout, r)
+    ]
+    forms = chain(((t[3] for t in m.terms) for _, m in blocks), (form for _, form in rows))
+    program = LinearProgram if rows and not blocks else ConicProgram
+    return program(
         layout=instance.layout,
         mode=recipe.mode,
         order=r,
-        variable_index=_moment_index(instance, ((t[3] for t in m.terms) for _, m in blocks)),
+        variable_index=_moment_index(instance, forms),
         objective=_objective(instance.objective),
         psd_blocks=tuple(blocks),
+        rows=tuple(rows),
+        scaling=instance.krivine_scaling if rows else None,
     )
 
 
@@ -331,28 +350,26 @@ def assemble_krivine(instance: ProblemInstance, r: int) -> LinearProgram:
     return assemble(instance, "krivine", r)
 
 
-def _power_pairs(degs: Sequence[int], budget: int):
+def _power_pairs(degs: Sequence[int], budget: int, floor: int | None = None):
     """The top shell of (alpha, beta) power pairs: sum_j (alpha_j + beta_j)
-    deg_j <= budget with a leftover below min(degs), so no factor fits.
+    deg_j <= budget with a leftover below ``floor``, min(degs) by default,
+    so no factor fits.
 
     A product P with room for g_j is P g_j + P (1 - g_j), so every lower
     pair is a nonnegative integer combination of top-shell pairs.  With no
     constraints the shell is the unit pair."""
-    floor = min(degs, default=budget + 1)
-
-    def rec(j: int, remaining: int):
-        if j == len(degs):
-            if remaining < floor:
-                yield ((), ())
-            return
-        d = degs[j]
-        top = remaining // d
-        for a in range(top + 1):
-            for b in range(top - a + 1):
-                for alpha, beta in rec(j + 1, remaining - (a + b) * d):
-                    yield ((a,) + alpha, (b,) + beta)
-
-    return rec(0, budget)
+    if floor is None:
+        floor = min(degs, default=budget + 1)
+    if not degs:
+        if budget < floor:
+            yield ((), ())
+        return
+    d, rest = degs[0], degs[1:]
+    top = budget // d
+    for a in range(top + 1):
+        for b in range(top - a + 1):
+            for alpha, beta in _power_pairs(rest, budget - (a + b) * d, floor):
+                yield ((a,) + alpha, (b,) + beta)
 
 
 def _interleaved(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
@@ -361,23 +378,23 @@ def _interleaved(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ..
 
 
 def _cone_walk(constraints: Sequence[Polynomial], layout: BlockLayout, pairs: Iterable):
-    """The sort, degree check and power cache of both cone walkers; power(t, k)
-    is factor t of the interleaved order (g_j at t = 2j, else 1 - g_j) to the k."""
+    """The sort, degree check and power table of both cone walkers; powers[t][k]
+    is factor t of the interleaved order (g_j at t = 2j, else 1 - g_j) to the k,
+    for every k up to the largest the walk uses."""
     walk = sorted((_interleaved(pair), pair) for pair in pairs)
     degs = [g.degree for g in constraints for _ in "ab"]  # of each factor
     for ks, pair in walk:
         if (degree := sum(k * d for k, d in zip(ks, degs))) > MAX_DEGREE:
             raise LayoutError(f"cone product {pair} has degree {degree} above {MAX_DEGREE}")
     one = Polynomial.constant(layout, 1)
-
-    @cache
-    def power(t: int, k: int) -> Polynomial:
-        if k != 1:
-            return power(t, k - 1) * power(t, 1) if k else one
+    powers = []
+    for t, top in enumerate(map(max, zip(*(ks for ks, _ in walk)))):
         g = constraints[t // 2]
-        return one - g if t % 2 else g
-
-    return walk, power
+        table = [one, one - g if t % 2 else g]
+        while len(table) <= top:
+            table.append(table[-1] * table[1])
+        powers.append(table)
+    return walk, powers
 
 
 def cone_products(
@@ -394,8 +411,8 @@ def cone_products(
     partial products are alive at once.  A pair of degree above
     ``MAX_DEGREE`` raises ``LayoutError`` before any product is formed.
     """
-    walk, power = _cone_walk(constraints, layout, pairs)
-    stack = [power(0, 0)]  # stack[t]: product of the first t factors of ``prefix``, 1 at t = 0
+    walk, powers = _cone_walk(constraints, layout, pairs)
+    stack = [Polynomial.constant(layout, 1)]  # stack[t]: the first t factors of ``prefix``
     prefix: tuple[int, ...] = ()
     for ks, pair in walk:
         shared = 0
@@ -405,7 +422,7 @@ def cone_products(
             shared += 1
         del stack[shared + 1 :]
         for t in range(shared, len(ks)):
-            stack.append(stack[-1] * power(t, ks[t]) if ks[t] else stack[-1])
+            stack.append(stack[-1] * powers[t][ks[t]] if ks[t] else stack[-1])
         prefix = ks
         yield pair, stack[-1]
 
@@ -414,8 +431,8 @@ def cone_sum(constraints: Sequence[Polynomial], layout: BlockLayout, coeffs: Map
     """Exactly ``sum c * prod_j g_j^a_j (1 - g_j)^b_j`` over ``coeffs``' ``(alpha, beta): c``,
     as one nested sum over the trie of :func:`cone_products`' walk: a node at depth t
     sums F_t^k * S(child), so deep factors multiply partial sums in later variables."""
-    walk, power = _cone_walk(constraints, layout, coeffs)
-    dens = (prod(power(t, k).den for t, k in enumerate(ks)) for ks, _ in walk)
+    walk, powers = _cone_walk(constraints, layout, coeffs)
+    dens = (prod(powers[t][k].den for t, k in enumerate(ks)) for ks, _ in walk)
     den = lcm(*(coeffs[pair].as_integer_ratio()[1] * d for (_, pair), d in zip(walk, dens)))
 
     def node(t: int, items: list, scale: int) -> dict[int, int]:
@@ -424,7 +441,7 @@ def cone_sum(constraints: Sequence[Polynomial], layout: BlockLayout, coeffs: Map
             return {0: num * (den // (d * scale))}
         sums: dict[int, int] = {}
         for k, group in groupby(items, key=lambda item: item[0][t]):
-            factor = power(t, k)
+            factor = powers[t][k]
             mul_nums(factor.nums, node(t + 1, list(group), scale * factor.den), sums)
         return sums
 
@@ -456,26 +473,6 @@ def _cone_rows(
         rows.append(((family, alpha, beta), form))
     rows.sort(key=lambda row: (sum(row[0][1]) + sum(row[0][2]), row[0][1], row[0][2]))
     return rows
-
-
-def _cone_program(instance: ProblemInstance, r: int) -> LinearProgram:
-    """Cone (LP) relaxation over the top-shell products g^a (1-g)^b and
-    h^a (1-h)^b; the lower ones add nothing, since g + (1-g) = 1.
-
-    Requires a normalized instance (see :func:`normalize_krivine`): each
-    constraint must satisfy 0 <= g <= 1 on the feasible set, otherwise the
-    rows are not valid inequalities for moments of measures on it.
-    """
-    rows = _cone_rows("xy", instance.g_constraints, instance.layout, r)
-    rows += _cone_rows("yz", instance.h_constraints, instance.layout, r)
-    return LinearProgram(
-        layout=instance.layout,
-        order=r,
-        variable_index=_moment_index(instance, (form for _, form in rows)),
-        objective=_objective(instance.objective),
-        rows=tuple(rows),
-        scaling=instance.krivine_scaling,
-    )
 
 
 def normalize_krivine(

@@ -480,6 +480,24 @@ class TestSerialization:
         with pytest.raises(ValueError, match=value):
             certificate_from_json(json.dumps(data), problems.interval())
 
+    @pytest.mark.parametrize("source", ["schmudgen", "cone", "no-terms"])
+    def test_sos_kind_with_krivine_mode_refused(self, source):
+        # Krivine's recipe has row sides only, so no SOS certificate, not
+        # even one with no term, can claim it.
+        inst = problems.constant5()
+        if source == "cone":
+            prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
+            cert = extract_cone(solve_lp(prog), prog)
+        else:
+            prog, report = _solved(inst, 1)
+            cert = extract_sos(report, prog)
+        data = json.loads(certificate_to_json(cert))
+        data["kind"], data["mode"] = "sos", "krivine"
+        if source == "no-terms":
+            data["terms"], data["order"] = [], 0
+        with pytest.raises(ValueError, match="krivine"):
+            certificate_from_json(json.dumps(data), inst)
+
     def test_gram_must_match_basis(self):
         prog, report = _solved(problems.interval(), 1)
         data = json.loads(certificate_to_json(extract_sos(report, prog)))

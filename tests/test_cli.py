@@ -233,6 +233,21 @@ class TestCertificateDemo:
         assert demo.main(["twoballs", "--variant", "product"]) == 2
         assert "x block" in capsys.readouterr().err
 
+    def test_krivine_normalizes_and_writes_a_cone_certificate(self, tmp_path, capsys):
+        demo = _load_script("certificate_demo")
+        out_path = tmp_path / "cert.json"
+        assert demo.main(["constant5", "--variant", "krivine", "--out", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "status=optimal" in out and "mode=krivine" in out and "terms=3" in out
+        cert = certificate_from_json(out_path.read_text(), problems.get("constant5"))
+        assert len(cert.xy_coeffs) + len(cert.yz_coeffs) == 3
+        assert verify(cert, problems.get("constant5")).passed
+
+    def test_krivine_without_automatic_bounds_exits_2(self, capsys):
+        demo = _load_script("certificate_demo")
+        assert demo.main(["interval-affine", "--variant", "krivine"]) == 2
+        assert "explicit upper bounds are needed" in capsys.readouterr().err
+
     def test_unverified_certificate_not_written(self, tmp_path, capsys, monkeypatch):
         demo = _load_script("certificate_demo")
         monkeypatch.setattr(demo, "verify", lambda cert, instance: FAILING)

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import runpy
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepos import problems
-from sparsepos.certify import extract_sos, verify
+from sparsepos.certify import ConeCertificate, extract, extract_sos, verify
 from sparsepos.cli import parse_problem
 from sparsepos.moments import moments_of_dirac, min_eigenvalue
 from sparsepos.poly import BlockLayout, Polynomial, grlex_key, monomial_basis
@@ -20,10 +21,14 @@ from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
     BoundError,
     CapacityError,
+    LinearProgram,
     ModeError,
     NormalizationError,
     OrderError,
+    RECIPES,
+    VARIANTS,
     _power_pairs,
+    assemble,
     assemble_dense,
     assemble_krivine,
     assemble_product,
@@ -33,7 +38,7 @@ from sparsepos.relax import (
     min_order,
     normalize_krivine,
 )
-from sparsepos.solver import solve_sdp
+from sparsepos.solver import solve, solve_sdp
 
 LAYOUT = BlockLayout(1, 1, 1)
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -99,6 +104,36 @@ class TestMinOrder:
 
     def test_dense_covers_joint_product(self):
         assert min_order(problems.twoballs(), "dense") == 2
+
+    @pytest.mark.parametrize("name", sorted(problems.REGISTRY))
+    def test_krivine_rows_need_the_schmudgen_order(self, name):
+        # Both reach the degree of the full subset products of each family.
+        inst = problems.get(name)
+        assert min_order(inst, "krivine") == min_order(inst, "schmudgen-sparse")
+
+
+class TestRecipeTable:
+    def test_variants_are_the_recipes_in_order(self):
+        assert VARIANTS == ("schmudgen-sparse", "putinar-sparse", "dense", "product", "krivine")
+
+    def test_unknown_variant_named(self):
+        with pytest.raises(ValueError, match="'nope'"):
+            assemble(problems.twoballs(), "nope", 1)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_program_and_certificate_follow_the_structure(self, variant):
+        # Rows and no PSD block make a LinearProgram, whose certificate is a
+        # ConeCertificate; every other program is neither.
+        inst = problems.constant5()
+        if RECIPES[variant].rows:
+            inst = normalize_krivine(inst, [1] * len(inst.g_constraints))
+        prog = assemble(inst, variant, 2)
+        rows_only = prog.num_rows > 0 and prog.num_blocks == 0
+        assert rows_only == (variant == "krivine")
+        assert isinstance(prog, LinearProgram) == rows_only
+        report = solve(prog)
+        assert report.status == "optimal"
+        assert isinstance(extract(report, prog), ConeCertificate) == rows_only
 
 
 class TestEnumerateProducts:
@@ -314,6 +349,30 @@ class TestKrivineAssembly:
         inst = parse_problem(text("box212", 1))
         inst = normalize_krivine(inst, [1] * (len(inst.g_constraints) + len(inst.h_constraints)))
         assert [assemble_krivine(inst, r).num_rows for r in (2, 3, 4)] == [252, 924, 2574]
+
+    def test_box212_pipeline_leaves_no_reference_cycles(self):
+        # Every step frees what it made by reference counting alone, so with
+        # the collector off a collection after each finds nothing.  (JSON is
+        # left out: the pure-Python encoder of json.dumps(indent=2) leaves
+        # cycles of its own.)
+        text = runpy.run_path(os.path.join(ROOT, "perfbench", "gen.py"))["instance_text"]
+        inst = parse_problem(text("box212", 1))
+        normed = normalize_krivine(inst, [1] * (len(inst.g_constraints) + len(inst.h_constraints)))
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            prog = assemble_krivine(normed, 2)
+            assert gc.collect() == 0
+            report = solve(prog)
+            assert gc.collect() == 0
+            cert = extract(report, prog)
+            assert gc.collect() == 0
+            assert verify(cert, inst).passed
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_rows_nonnegative_at_feasible_dirac(self):
         inst = normalize_krivine(problems.twoballs(), [1, 1])

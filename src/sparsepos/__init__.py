@@ -38,7 +38,6 @@ from .relax import (
     assemble_product,
     assemble_sparse_putinar,
     assemble_sparse_schmudgen,
-    enumerate_products,
     min_order,
     normalize_krivine,
 )

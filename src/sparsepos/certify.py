@@ -19,9 +19,11 @@ reads (as in Peyrl and Parrilo, "Computing sum of squares decompositions
 with rational coefficients"), and the cone terms c * g^a (1-g)^b of a
 family expand as one nested sum over the trie of their powers, walked as
 the LP rows are (:func:`relax.cone_sum`).  The LP has top-shell rows only,
-but a cone term may name any power pair.  The walk starts from the
-instance's constraints and the certificate's divisors, never from the
-program, and refuses a divisor that is not positive.  Both parts feed one
+but a cone term may name any power pair.  Each factor is rebuilt from the
+instance, never from the program, by the call that built it for assembly:
+an SOS weight by :meth:`relax.Side.weight`, the scaled constraints of the
+cone part by :func:`relax.normalize_krivine` on the certificate's divisors,
+which refuses one that is not positive.  Both parts feed one
 :meth:`Polynomial.sum`, exact ints over a running common denominator.
 """
 
@@ -37,7 +39,7 @@ import numpy as np
 from .moments import half_degree, min_eigenvalue
 from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial
 from .problem import ProblemInstance
-from .relax import RECIPES, ConicProgram, cone_sum, recipe_side
+from .relax import RECIPES, ConicProgram, cone_sum, normalize_krivine, recipe_side
 from .solver import OPTIMAL, SolveReport
 
 
@@ -203,11 +205,11 @@ def _pieces(cert, instance: ProblemInstance):
         yield 1, product.nums.items(), product.den
     if cert.scaling is None:
         return  # no cone part
-    polys, ng = instance.g_constraints + instance.h_constraints, len(instance.g_constraints)
-    if len(cert.scaling) != len(polys):
-        raise ValueError("scaling record does not match the instance's constraints")
-    scaled = [p.scale(1 / s) for p, s in zip(polys, _positive_scaling(cert.scaling))]
-    for constraints, coeffs in ((scaled[:ng], cert.xy_coeffs), (scaled[ng:], cert.yz_coeffs)):
+    # The constraints as assembly scaled them; refuses a scaling of the wrong
+    # length or with an entry that is not a positive finite number.
+    normed = normalize_krivine(instance, cert.scaling)
+    for constraints, coeffs in ((normed.g_constraints, cert.xy_coeffs),
+                                (normed.h_constraints, cert.yz_coeffs)):
         nonzero = {_cone_key(pair, len(constraints)): c for pair, c in coeffs.items() if c != 0.0}
         total = cone_sum(constraints, layout, nonzero)
         yield 1, total.nums.items(), total.den
@@ -222,17 +224,6 @@ def expand(cert, instance: ProblemInstance) -> Polynomial:
     passes the unnormalized instance.
     """
     return Polynomial.sum(instance.layout, _pieces(cert, instance))
-
-
-def _positive_scaling(scaling) -> tuple[Fraction, ...]:
-    """The normalization divisors as Fractions, refusing any that is not
-    positive: s < 0 turns g >= 0 into g/s <= 0, so the identity would rest
-    on a constraint of the wrong sign, and s = 0 divides by zero."""
-    divisors = tuple(Fraction(s) for s in scaling)
-    for s in divisors:
-        if s <= 0:
-            raise ValueError(f"certificate scaling entry {s} is not positive")
-    return divisors
 
 
 def _coupling_free(cert, expansion: Polynomial, layout: BlockLayout) -> bool:
@@ -267,9 +258,10 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     ``ValueError`` refuses a lambda, Gram entry or cone coeff that is not
     finite (naming it, before any expansion), an SOS term whose weight is
     not the product of the instance's constraints that its mode, family and
-    subset name, and a cone part with a ``scaling`` of the wrong length or
-    with an entry that is not positive, or with a coefficient key that is not
-    two sequences of one nonnegative int per constraint of its family.  A
+    subset name, a cone part with a ``scaling`` of the wrong length or with
+    an entry that is not a positive finite number (:class:`relax.BoundError`,
+    from :func:`relax.normalize_krivine`), and a cone coefficient key that is
+    not two sequences of one nonnegative int per constraint of its family.  A
     positive divisor below its constraint's maximum on the feasible set is
     the caller's precondition: verification checks the identity, not the bound.
     """
@@ -369,16 +361,18 @@ def certificate_from_json(text: str, instance: ProblemInstance):
 
     Each term's block and the constraints its weight multiplies come from
     the relaxation side of its (mode, family) (see
-    :func:`relax.recipe_side`); weights are recomputed from the stored
-    subsets.  ``ValueError``, naming the field, is raised for an unknown
-    kind or family; a mode whose recipe builds no certificate of that kind
-    (even with no term); a lambda, Gram entry, cone coeff or scaling entry
-    that is not finite; a scaling entry that is not positive (as
-    :func:`verify` would); a cone subset that is not two lists of one
-    nonnegative int per constraint of its family, or that its family lists
-    twice (SOS terms may repeat: each counts in the sum); an SOS subset that
-    is not a list of int indices into its side's constraints; a term that
-    :class:`SOSTerm` refuses (a basis exponent that is not a list of one
+    :func:`relax.recipe_side`); weights are rebuilt from the stored subsets
+    by :meth:`relax.Side.weight`, as assembly built them.  ``ValueError``,
+    naming the field, is raised for an unknown kind or family; a mode whose
+    recipe builds no certificate of that kind (even with no term); a lambda,
+    Gram entry, cone coeff or scaling entry that is not finite; a
+    ``scaling`` of the wrong length or with an entry that is not positive,
+    refused at load time as :func:`verify` refuses it
+    (:class:`relax.BoundError`, from :func:`relax.normalize_krivine`); a cone
+    subset that is not two lists of one nonnegative int per constraint of
+    its family, or that its family lists twice (SOS terms may repeat: each
+    counts in the sum); an SOS subset that is not a list of int indices
+    into its side's constraints; a term that :class:`SOSTerm` refuses (a basis exponent that is not a list of one
     nonnegative int per variable, a Gram matrix that is not len(basis) x
     len(basis)); a ``layout`` whose n, m, p or names differ from the
     instance's; an ``order`` that is not a nonnegative int; an SOS ``order``
@@ -415,7 +409,8 @@ def certificate_from_json(text: str, instance: ProblemInstance):
         if order < (top + 1) // 2:  # every product's degree is at most 2 * order
             raise ValueError(f"certificate order {order} is below {(top + 1) // 2}: "
                              f"it has a cone product of degree {top}")
-        scaling = _positive_scaling(_finite(s, "scaling") for s in data["scaling"])
+        divisors = [_finite(s, "scaling") for s in data["scaling"]]
+        scaling = normalize_krivine(instance, divisors).krivine_scaling
         return ConeCertificate(lam=lam, mode=mode, order=order, layout=layout,
                                xy_coeffs=coeffs["xy"], yz_coeffs=coeffs["yz"], scaling=scaling)
 

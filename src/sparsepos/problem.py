@@ -37,35 +37,26 @@ class ProblemInstance:
     krivine_scaling: tuple[Fraction, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "g_constraints", tuple(self.g_constraints))
-        object.__setattr__(self, "h_constraints", tuple(self.h_constraints))
-        if not self.g_names:
-            object.__setattr__(
-                self, "g_names", tuple(f"g{i + 1}" for i in range(len(self.g_constraints)))
+        if self.objective.layout != self.layout:
+            raise LayoutError("all polynomials must share the instance layout")
+        for family, block in (("g", "xy"), ("h", "yz")):
+            polys = tuple(getattr(self, f"{family}_constraints"))
+            names = getattr(self, f"{family}_names") or tuple(
+                f"{family}{i + 1}" for i in range(len(polys))
             )
-        if not self.h_names:
-            object.__setattr__(
-                self, "h_names", tuple(f"h{i + 1}" for i in range(len(self.h_constraints)))
-            )
-        if len(self.g_names) != len(self.g_constraints):
-            raise LayoutError("one name per g constraint required")
-        if len(self.h_names) != len(self.h_constraints):
-            raise LayoutError("one name per h constraint required")
-
-        for poly in (self.objective, *self.g_constraints, *self.h_constraints):
-            if poly.layout != self.layout:
-                raise LayoutError("all polynomials must share the instance layout")
-
-        for name, g in zip(self.g_names, self.g_constraints):
-            if g.degree < 1:
-                raise BlockSupportError(f"constraint {name} is constant")
-            if not g.is_supported_on("xy"):
-                raise BlockSupportError(f"constraint {name} must be supported on the xy block")
-        for name, h in zip(self.h_names, self.h_constraints):
-            if h.degree < 1:
-                raise BlockSupportError(f"constraint {name} is constant")
-            if not h.is_supported_on("yz"):
-                raise BlockSupportError(f"constraint {name} must be supported on the yz block")
+            object.__setattr__(self, f"{family}_constraints", polys)
+            object.__setattr__(self, f"{family}_names", names)
+            if len(names) != len(polys):
+                raise LayoutError(f"one name per {family} constraint required")
+            for name, poly in zip(names, polys):
+                if poly.layout != self.layout:
+                    raise LayoutError("all polynomials must share the instance layout")
+                if poly.degree < 1:
+                    raise BlockSupportError(f"constraint {name} is constant")
+                if not poly.is_supported_on(block):
+                    raise BlockSupportError(
+                        f"constraint {name} must be supported on the {block} block"
+                    )
 
         # Raises CouplingError when the objective mixes X and Z.
         check_sparsity(self.objective)

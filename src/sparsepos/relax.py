@@ -5,10 +5,13 @@ Each variant is a sum of cones, one per side, written as one row of
 :class:`Side` names its label family, the constraints it multiplies (g, h,
 both or none), its variable block, and its weights: all subset products of
 those constraints, the nonempty ones, or the empty product plus the
-singletons.  A PSD side gives each weight w a localizing matrix on its block
-at order r - ceil(deg w / 2); a row side gives scalar rows
-L_u(g^a (1-g)^b) >= 0 over the top shell of power pairs (see
-:func:`_power_pairs`), valid once its constraints are normalized into
+singletons.  :meth:`Side.subsets` lists a side's weight subsets in block
+order and :meth:`Side.weight` builds each weight; assembly and certificate
+verification both weight through that one call, and both scale a row side's
+constraints with :func:`normalize_krivine`.  A PSD side gives each weight w
+a localizing matrix on its block at order r - ceil(deg w / 2); a row side
+gives scalar rows L_u(g^a (1-g)^b) >= 0 over the top shell of power pairs
+(see :func:`_power_pairs`), valid once its constraints are normalized into
 [0, 1].  Every constraint a side multiplies must be supported on the side's
 block; :func:`assemble` checks this and raises :class:`ModeError` otherwise.
 
@@ -36,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, groupby
+from itertools import chain, combinations, groupby
 from math import lcm, prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -62,7 +65,7 @@ class NormalizationError(ValueError):
 
 
 class BoundError(ValueError):
-    """A normalization bound is unusable (nonpositive or wrong count)."""
+    """A normalization bound is unusable (not a positive finite number, or wrong count)."""
 
 
 @dataclass(frozen=True)
@@ -130,31 +133,6 @@ class LinearProgram(ConicProgram):
     mode: str = "krivine"
 
 
-def enumerate_products(
-    constraints: Sequence[Polynomial], layout: BlockLayout
-) -> list[tuple[tuple[int, ...], Polynomial, int]]:
-    """All subset products of ``constraints`` with their half-degrees.
-
-    The empty subset yields the constant 1 with half-degree 0.  Refuses more
-    than 12 constraints (4096 products); the quadratic-module
-    (putinar) variant is the escape hatch at that scale.
-    """
-    if len(constraints) > 12:
-        raise CapacityError(
-            f"{len(constraints)} constraints would enumerate 2^{len(constraints)} "
-            f"subset products; use the putinar variant instead"
-        )
-    products: dict[tuple[int, ...], Polynomial] = {(): Polynomial.constant(layout, 1)}
-    for j, g in enumerate(constraints):
-        for subset in list(products):
-            products[subset + (j,)] = products[subset] * g
-    out = []
-    for subset in sorted(products, key=lambda s: (len(s), s)):
-        poly = products[subset]
-        out.append((subset, poly, half_degree(poly)))
-    return out
-
-
 @dataclass(frozen=True)
 class Side:
     """One cone of a relaxation on one variable block: weighted PSD blocks,
@@ -170,19 +148,21 @@ class Side:
         families = {"g": instance.g_constraints, "h": instance.h_constraints}
         return tuple(p for c in self.constraints for p in families[c])
 
-    def products(
-        self, instance: ProblemInstance
-    ) -> list[tuple[tuple[int, ...], Polynomial, int]]:
-        """(subset, weight, half-degree) of every weight, in block order."""
-        constraints = self.constraint_list(instance)
+    def subsets(self, instance: ProblemInstance) -> list[tuple[int, ...]]:
+        """The subsets of :meth:`constraint_list` that weight the side's
+        blocks, in block order: by size, then lexicographically.  Refuses
+        more than 12 constraints (4096 products) unless the weights are the
+        singletons, the escape hatch at that scale."""
+        count = len(self.constraint_list(instance))
         if self.weights == "singletons":
-            # Never enumerates the subsets: this is the escape hatch at scale.
-            one = Polynomial.constant(instance.layout, 1)
-            return [((), one, 0)] + [
-                ((j,), g, half_degree(g)) for j, g in enumerate(constraints)
-            ]
-        products = enumerate_products(constraints, instance.layout)
-        return products[1:] if self.weights == "nonempty" else products
+            return [()] + [(j,) for j in range(count)]
+        if count > 12:
+            raise CapacityError(
+                f"{count} constraints would enumerate 2^{count} "
+                f"subset products; use the putinar variant instead"
+            )
+        first = 1 if self.weights == "nonempty" else 0
+        return [s for k in range(first, count + 1) for s in combinations(range(count), k)]
 
     def min_order(self, instance: ProblemInstance) -> int:
         """Largest half-degree among the weights, read off the degrees (for
@@ -277,8 +257,9 @@ def _objective(f: Polynomial) -> dict[int, Fraction]:
 
 def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram:
     """Order-``r`` relaxation ``variant`` from its recipe: one localizing
-    block per weight of every PSD side, then the top-shell rows of every row
-    side, on one moment index.  A program with rows and no block is a
+    block per weight of every PSD side (:meth:`Side.subsets`, each built by
+    :meth:`Side.weight`), then the top-shell rows of every row side, on one
+    moment index.  A program with rows and no block is a
     :class:`LinearProgram`; rows carry the instance's normalization divisors."""
     r0 = min_order(instance, variant)  # refuses an unknown variant
     recipe = RECIPES[variant]
@@ -298,14 +279,12 @@ def assemble(instance: ProblemInstance, variant: str, r: int) -> ConicProgram:
             )
     if r < r0:
         raise OrderError(f"order {r} below the minimum admissible order {r0} for {variant}")
-    blocks = [
-        (
-            BlockLabel(side.family, subset, side.block),
-            localizing_matrix(weight, side.block, r - half),
-        )
-        for side in recipe.sides
-        for subset, weight, half in side.products(instance)
-    ]
+    blocks = []
+    for side in recipe.sides:
+        for subset in side.subsets(instance):
+            weight = side.weight(instance, subset)
+            matrix = localizing_matrix(weight, side.block, r - half_degree(weight))
+            blocks.append((BlockLabel(side.family, subset, side.block), matrix))
     rows = [
         row
         for side in recipe.rows
@@ -499,22 +478,17 @@ def normalize_krivine(
             frac = b if isinstance(b, Fraction) else Fraction(b)
         except (OverflowError, ValueError) as exc:  # inf, nan
             raise BoundError(f"normalization bound must be a finite number, got {b}") from exc
+        # b < 0 turns g >= 0 into g/b <= 0, so a certificate would rest on a
+        # constraint of the wrong sign; b = 0 divides by zero.
         if frac <= 0:
             raise BoundError(f"normalization bound must be positive, got {b}")
         bounds.append(frac)
-    ng = len(instance.g_constraints)
-    scaled_g = tuple(
-        g.scale(Fraction(1, 1) / b) for g, b in zip(instance.g_constraints, bounds[:ng])
-    )
-    scaled_h = tuple(
-        h.scale(Fraction(1, 1) / b) for h, b in zip(instance.h_constraints, bounds[ng:])
-    )
-    return replace(
-        instance,
-        g_constraints=scaled_g,
-        h_constraints=scaled_h,
-        krivine_scaling=tuple(bounds),
-    )
+    divisors = iter(bounds)  # g family first
+    scaled = {
+        family: tuple(p.scale(1 / next(divisors)) for p in getattr(instance, family))
+        for family in ("g_constraints", "h_constraints")
+    }
+    return replace(instance, **scaled, krivine_scaling=tuple(bounds))
 
 
 def _auto_upper_bounds(instance: ProblemInstance) -> list[Fraction]:

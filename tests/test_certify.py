@@ -30,6 +30,7 @@ from sparsepos.cli import parse_problem
 from sparsepos.poly import BlockLayout, LayoutError, Polynomial
 from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
+    BoundError,
     _moment_index,
     assemble_krivine,
     assemble_sparse_schmudgen,
@@ -391,9 +392,25 @@ class TestCone:
         # g = 1 - x^2 divided by -1 is x^2 - 1, and 1 * (x^2 - 1) = f - 1 for
         # f = x^2: it would "prove" min x^2 >= 1 on [-1, 1], where it is 0.
         inst, cert = _sign_flipped_cone(divisor)
-        with pytest.raises(ValueError, match="scaling"):
+        with pytest.raises(BoundError, match="bound must be positive"):
             verify(cert, inst)
-        with pytest.raises(ValueError, match="scaling"):
+        with pytest.raises(BoundError, match="bound must be positive"):
+            certificate_from_json(certificate_to_json(cert), inst)
+
+    @pytest.mark.parametrize(
+        "scaling",
+        [(math.inf,), (math.nan,), (Fraction(1), Fraction(1))],
+        ids=["inf", "nan", "wrong-length"],
+    )
+    def test_unusable_scaling_refused(self, scaling):
+        # A hand-built certificate skips the JSON reader; verification scales
+        # the constraints as assembly did, so it refuses what
+        # normalize_krivine refuses.  The reader refuses the same scalings.
+        inst, cert = _sign_flipped_cone(1)
+        cert = replace(cert, scaling=scaling)
+        with pytest.raises(BoundError):
+            verify(cert, inst)
+        with pytest.raises(ValueError, match="scaling|bound"):
             certificate_from_json(certificate_to_json(cert), inst)
 
     @pytest.mark.parametrize(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sparsepos import problems
 from sparsepos.certify import ConeCertificate, extract, extract_sos, verify
 from sparsepos.cli import parse_problem
-from sparsepos.moments import moments_of_dirac, min_eigenvalue
+from sparsepos.moments import half_degree, moments_of_dirac, min_eigenvalue
 from sparsepos.poly import BlockLayout, Polynomial, grlex_key, monomial_basis
 from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
@@ -34,7 +34,6 @@ from sparsepos.relax import (
     assemble_product,
     assemble_sparse_putinar,
     assemble_sparse_schmudgen,
-    enumerate_products,
     min_order,
     normalize_krivine,
 )
@@ -136,28 +135,58 @@ class TestRecipeTable:
         assert isinstance(extract(report, prog), ConeCertificate) == rows_only
 
 
-class TestEnumerateProducts:
+class TestSideSubsets:
+    ALL = RECIPES["schmudgen-sparse"].sides[0]  # every subset product of g on (X,Y)
+
     def test_single_constraint(self):
         x, _, _ = _vars(LAYOUT)
         g = 1 - x**2
-        out = enumerate_products([g], LAYOUT)
-        assert [(s, hd) for s, _, hd in out] == [((), 0), ((0,), 1)]
-        assert out[0][1] == Polynomial.constant(LAYOUT, 1)
-        assert out[1][1] == g
+        inst = _instance(x, [g], [])
+        assert self.ALL.subsets(inst) == [(), (0,)]
+        weights = [self.ALL.weight(inst, s) for s in self.ALL.subsets(inst)]
+        assert weights == [Polynomial.constant(LAYOUT, 1), g]
+        assert [half_degree(w) for w in weights] == [0, 1]
 
     def test_half_degrees_of_mixed_products(self):
         x, y, _ = _vars(LAYOUT)
-        out = enumerate_products([1 - x**2, 1 - y], LAYOUT)
-        assert [hd for _, _, hd in out] == [0, 1, 1, 2]
+        inst = _instance(x, [1 - x**2, 1 - y], [])
+        subsets = self.ALL.subsets(inst)
+        assert subsets == [(), (0,), (1,), (0, 1)]
+        assert [half_degree(self.ALL.weight(inst, s)) for s in subsets] == [0, 1, 1, 2]
 
     def test_empty_list(self):
-        out = enumerate_products([], LAYOUT)
-        assert len(out) == 1 and out[0][2] == 0
+        x, _, _ = _vars(LAYOUT)
+        inst = _instance(x, [], [])
+        assert self.ALL.subsets(inst) == [()]
+        assert half_degree(self.ALL.weight(inst, ())) == 0
 
     def test_capacity_guard(self):
         x, y, _ = _vars(LAYOUT)
+        inst = _instance(x, [1 - x**2] * 13, [])
         with pytest.raises(CapacityError):
-            enumerate_products([1 - x**2] * 13, LAYOUT)
+            self.ALL.subsets(inst)
+        # The singletons never enumerate the subsets, so they are not guarded.
+        assert len(RECIPES["putinar-sparse"].sides[0].subsets(inst)) == 14
+
+    def test_subsets_in_size_then_lex_order(self):
+        x, y, _ = _vars(LAYOUT)
+        inst = _instance(x, [1 - x**2, 1 - y**2, 1 - x * y, 2 - x], [])
+        subsets = self.ALL.subsets(inst)
+        assert subsets == sorted(subsets, key=lambda s: (len(s), s))
+        assert len(subsets) == 16
+        assert RECIPES["product"].sides[1].subsets(inst) == subsets[1:]
+
+    def test_assemble_refuses_13_preordering_constraints(self):
+        # Thirteen constraints on one side: the preordering would enumerate
+        # 2^13 products and is refused at its smallest order, 13; the
+        # quadratic module, the escape hatch, gives 1 + 13 blocks on (X,Y)
+        # and the unit block on (Y,Z) at order 1.
+        x, _, _ = _vars(LAYOUT)
+        inst = _instance(x, [1 - x**2] * 13, [])
+        with pytest.raises(CapacityError):
+            assemble(inst, "schmudgen-sparse", min_order(inst, "schmudgen-sparse"))
+        prog = assemble(inst, "putinar-sparse", 1)
+        assert prog.num_blocks == 15
 
 
 class TestSchmudgenAssembly:

@@ -8,7 +8,10 @@ f - lambda = sum of certified nonnegative terms.  A variant with cone rows
 bounds; the certificate is verified against the unnormalized instance.  Exits 2
 when the variant cannot be assembled at the order (or no bound is found), 3
 when the solve is not optimal or the certificate does not verify; ``--out`` is
-written only for a certificate that verifies.
+written only for a certificate that verifies.  The written file is read back
+with ``certificate_from_json``; unless that copy verifies and has the same
+lambda and the same normalization divisors, the file is removed and the exit
+code is 3.
 
 Usage: python scripts/certificate_demo.py [instance] [--variant V] [--order R] [--out F]
 """
@@ -26,7 +29,7 @@ if not os.path.abspath(sparsepos.__file__).startswith(SRC + os.sep):
     raise SystemExit(f"sparsepos imported from {sparsepos.__file__}, not from {SRC}")
 
 from sparsepos import problems
-from sparsepos.certify import certificate_to_json, expand, extract, verify
+from sparsepos.certify import certificate_from_json, certificate_to_json, expand, extract, verify
 from sparsepos.relax import (
     RECIPES,
     BoundError,
@@ -87,8 +90,14 @@ def main(argv=None) -> int:
 
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(certificate_to_json(cert))
-            handle.write("\n")
+            handle.write(certificate_to_json(cert) + "\n")
+        with open(args.out, encoding="utf-8") as handle:
+            back = certificate_from_json(handle.read(), instance)
+        if not (verify(back, instance).passed and (back.lam, back.scaling) == (cert.lam, cert.scaling)):
+            os.remove(args.out)
+            print(f"error: {args.out} does not read back as the certificate written; "
+                  f"removed", file=sys.stderr)
+            return 3
         print(f"wrote {args.out}")
     return 0
 

@@ -6,10 +6,10 @@ sum c_ab * g^a (1-g)^b + sum c_ab * h^a (1-h)^b: SOS terms, each a monomial
 basis v over one variable block, a PSD Gram matrix G and a weight w (a
 product of constraints), and cone terms with nonnegative scalars.  One
 :class:`SOSCertificate` holds both parts, and every function here reads
-both; krivine's certificates (:class:`ConeCertificate`) have cone terms
-only, the others SOS terms only.  Both parts keep the two variable sides
-separate, so sparse-mode certificates never produce a monomial coupling X
-with Z.
+both, the JSON form too, which the recipe of the certificate's mode reads
+back; krivine ones (:class:`ConeCertificate`) have cone terms only.  A sparse
+certificate keeps each term's basis and weight on (X,Y) or on (Y,Z), so
+no monomial couples X with Z.
 
 Verification expands the right-hand side exactly and measures the
 coefficient residual against f - lambda.  Every float is an exact dyadic
@@ -226,21 +226,12 @@ def expand(cert, instance: ProblemInstance) -> Polynomial:
     return Polynomial.sum(instance.layout, _pieces(cert, instance))
 
 
-def _coupling_free(cert, expansion: Polynomial, layout: BlockLayout) -> bool:
-    x, z = layout.outside("yz"), layout.outside("xy")
-
-    def clean(poly: Polynomial) -> bool:
-        return not any(p & x and p & z for p in poly.nums)
-
-    if not clean(expansion):
-        return False
+def _coupling_free(cert, layout: BlockLayout) -> bool:
+    """Whether each SOS term has basis and weight both on (X,Y) or both on
+    (Y,Z); cone terms multiply constraints of one side each."""
     for term in cert.terms:
-        basis = Polynomial.from_terms(layout, dict.fromkeys(term.basis, 1))
-        if term.block == "xyz":
-            mixed = not basis.is_supported_on("xy") and not basis.is_supported_on("yz")
-            if mixed or not clean(term.weight):
-                return False
-        elif not all(p.is_supported_on(term.block) for p in (basis, term.weight)):
+        support = [*map(layout.pack, term.basis), *term.weight.nums]
+        if all(any(p & mask for p in support) for mask in map(layout.outside, ("xy", "yz"))):
             return False
     return True
 
@@ -274,7 +265,7 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     diff = instance.objective - Polynomial.constant(instance.layout, Fraction(cert.lam))
     diff = diff - expansion
     residual = float(diff.max_norm())
-    coupling = _coupling_free(cert, expansion, instance.layout)
+    coupling = _coupling_free(cert, instance.layout)
 
     psd_ok = not any(
         min_eigenvalue(t.gram) < -tol * (1.0 + float(np.max(np.abs(t.gram), initial=0.0)))
@@ -303,36 +294,38 @@ def _layout_json(layout: BlockLayout) -> dict:
 
 
 def certificate_to_json(cert) -> str:
-    """The certificate as JSON: kind ``sos`` with its SOS terms, or kind
-    ``cone`` with its cone coefficients and scaling.  A certificate with
-    both parts raises ``ValueError``; the format has no kind for it yet."""
-    cone = cert.scaling is not None
-    if cone and cert.terms:
-        raise ValueError("a certificate with both SOS terms and a cone part has no JSON form")
-    head = {
-        "mode": cert.mode,
-        "order": cert.order,
-        "lambda": _fmt(cert.lam),
-        "layout": _layout_json(cert.layout),
-        "kind": "cone" if cone else "sos",
-    }
-    head["terms"] = [
+    """The certificate as JSON ``{mode, order, lambda, layout, terms,
+    scaling}``: its cone terms, then its SOS terms; ``scaling`` holds the
+    divisors as exact ``p/q`` strings (null with no cone part), and other
+    numbers are 17-digit decimal strings, which give every float back."""
+    cone = [
         {"family": family, "subset": [list(alpha), list(beta)], "coeff": _fmt(value)}
         for family, coeffs in (("xy", cert.xy_coeffs), ("yz", cert.yz_coeffs))
         for (alpha, beta), value in sorted(coeffs.items())
-    ] + [
+    ]
+    sos = [
         {"family": t.family, "subset": list(t.subset), "basis": [list(e) for e in t.basis],
          "gram": [[_fmt(v) for v in row] for row in t.gram]}
         for t in cert.terms
     ]
-    head["scaling"] = [_fmt(s) for s in cert.scaling] if cone else None
-    return json.dumps(head, indent=2)
+    scaling = None if cert.scaling is None else [str(_exact(s, "scaling")) for s in cert.scaling]
+    return json.dumps({"mode": cert.mode, "order": cert.order, "lambda": _fmt(cert.lam),
+                       "layout": _layout_json(cert.layout), "terms": cone + sos,
+                       "scaling": scaling}, indent=2)
 
 
 def _finite(value, field: str):
     if not isfinite(float(value)):
         raise ValueError(f"certificate {field} {value!r} is not finite")
     return value
+
+
+def _exact(value, field: str) -> Fraction:
+    """``value`` (a number or a decimal or ``p/q`` string) as an exact Fraction."""
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, OverflowError, ZeroDivisionError):
+        raise ValueError(f"certificate {field} {value!r} is not a finite number") from None
 
 
 def _cone_key(subset, count: int):
@@ -357,28 +350,28 @@ def _cone_key(subset, count: int):
 
 
 def certificate_from_json(text: str, instance: ProblemInstance):
-    """Rebuild a certificate against ``instance``.
+    """Rebuild a certificate against ``instance`` through the recipe of its
+    ``mode`` (:data:`relax.RECIPES`), ignoring the ``kind`` of older files.
+    A term with a ``coeff`` is a cone term of a row side; any other is an
+    SOS term of the PSD side of its (mode, family) (:func:`relax.recipe_side`),
+    its weight rebuilt by :meth:`relax.Side.weight`, as assembly built it.
+    ``scaling`` is read, and required, exactly when the recipe has rows.  As
+    from :func:`extract`, the result is a :class:`ConeCertificate` when the
+    recipe has rows and no PSD side, else an :class:`SOSCertificate`.
 
-    Each term's block and the constraints its weight multiplies come from
-    the relaxation side of its (mode, family) (see
-    :func:`relax.recipe_side`); weights are rebuilt from the stored subsets
-    by :meth:`relax.Side.weight`, as assembly built them.  ``ValueError``,
-    naming the field, is raised for an unknown kind or family; a mode whose
-    recipe builds no certificate of that kind (even with no term); a lambda,
-    Gram entry, cone coeff or scaling entry that is not finite; a
-    ``scaling`` of the wrong length or with an entry that is not positive,
-    refused at load time as :func:`verify` refuses it
-    (:class:`relax.BoundError`, from :func:`relax.normalize_krivine`); a cone
-    subset that is not two lists of one nonnegative int per constraint of
-    its family, or that its family lists twice (SOS terms may repeat: each
-    counts in the sum); an SOS subset that is not a list of int indices
-    into its side's constraints; a term that :class:`SOSTerm` refuses (a basis exponent that is not a list of one
-    nonnegative int per variable, a Gram matrix that is not len(basis) x
-    len(basis)); a ``layout`` whose n, m, p or names differ from the
-    instance's; an ``order`` that is not a nonnegative int; an SOS ``order``
-    other than the largest deg(basis) + ceil(deg w / 2) over the terms,
-    which every recipe builds to; and a cone ``order`` below ceil(max sum_j
-    (a_j + b_j) deg g_j / 2) over the power pairs (not bounded above: a
+    ``ValueError``, naming the field, refuses: an unknown mode, or a family
+    with no side of its term's sort; a missing ``scaling``; a lambda, Gram
+    entry, coeff or scaling entry that is not a finite number; a ``scaling``
+    that :func:`relax.normalize_krivine` refuses (wrong length, an entry not
+    positive), as :func:`verify` does; a cone subset that is not two lists
+    of one nonnegative int per constraint of its side, or that its family
+    lists twice (SOS terms may repeat: each counts in the sum); an SOS
+    subset that is not a list of int indices into its side's constraints; a
+    term that :class:`SOSTerm` refuses; a ``layout`` other than the
+    instance's (n, m, p, names); an ``order`` that is not a nonnegative int,
+    or, with PSD sides, not the largest deg(basis) + ceil(deg w / 2) over the
+    SOS terms, which every recipe builds to, or below ceil(max sum_j (a_j +
+    b_j) deg g_j / 2) over the cone power pairs (not bounded above: a
     degree-4 constraint gives the same rows at orders 2 and 3).
     """
     data = json.loads(text)
@@ -389,34 +382,25 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     if type(order) is not int or order < 0:
         raise ValueError(f"certificate order {order!r}; expected a nonnegative int")
     lam = float(_finite(data["lambda"], "lambda"))
-    kind, mode = data["kind"], data["mode"]
-    if kind not in ("sos", "cone"):
-        raise ValueError(f"unknown certificate kind {kind!r}")
-    if not any(r.mode == mode and bool(r.sides) == (kind == "sos") for r in RECIPES.values()):
-        raise ValueError(f"no relaxation of mode {mode!r} has {kind} certificates")
-    if kind == "cone":
-        coeffs: dict = {"xy": {}, "yz": {}}
-        g, h = instance.g_constraints, instance.h_constraints
-        degs, top = {"xy": [p.degree for p in g], "yz": [p.degree for p in h]}, 0
-        for t in data["terms"]:
-            if t["family"] not in coeffs:
-                raise ValueError(f"unknown cone certificate family {t['family']!r}")
-            key = _cone_key(t["subset"], len(degs[t["family"]]))
-            if key in coeffs[t["family"]]:  # the file would state another identity
-                raise ValueError(f"cone term {t['family']} {key} is listed twice")
-            coeffs[t["family"]][key] = float(_finite(t["coeff"], "coeff"))
-            top = max(top, sum((a + b) * d for a, b, d in zip(*key, degs[t["family"]])))
-        if order < (top + 1) // 2:  # every product's degree is at most 2 * order
-            raise ValueError(f"certificate order {order} is below {(top + 1) // 2}: "
-                             f"it has a cone product of degree {top}")
-        divisors = [_finite(s, "scaling") for s in data["scaling"]]
-        scaling = normalize_krivine(instance, divisors).krivine_scaling
-        return ConeCertificate(lam=lam, mode=mode, order=order, layout=layout,
-                               xy_coeffs=coeffs["xy"], yz_coeffs=coeffs["yz"], scaling=scaling)
-
-    terms = []
+    mode = data["mode"]
+    recipe = next((r for r in RECIPES.values() if r.mode == mode), None)
+    if recipe is None:
+        raise ValueError(f"no relaxation has mode {mode!r}")
+    degs = {side.family: [p.degree for p in side.constraint_list(instance)] for side in recipe.rows}
+    coeffs: dict = {family: {} for family in degs}
+    terms, top = [], 0
     for t in data["terms"]:
-        side = recipe_side(mode, t["family"])
+        family = t["family"]
+        if "coeff" in t:
+            if family not in degs:
+                raise ValueError(f"no {family!r} cone family in {mode!r} relaxations")
+            key = _cone_key(t["subset"], len(degs[family]))
+            if key in coeffs[family]:  # the file would state another identity
+                raise ValueError(f"cone term {family} {key} is listed twice")
+            coeffs[family][key] = float(_finite(t["coeff"], "coeff"))
+            top = max(top, sum((a + b) * d for a, b, d in zip(*key, degs[family])))
+            continue
+        side = recipe_side(mode, family)
         subset = t["subset"]
         if not isinstance(subset, list) or any(type(j) is not int for j in subset):
             raise ValueError(f"term subset {subset!r}; expected a list of constraint indices")
@@ -424,8 +408,19 @@ def certificate_from_json(text: str, instance: ProblemInstance):
         basis = tuple(tuple(e) if isinstance(e, list) else e for e in t["basis"])
         gram = np.array([[float(_finite(v, "gram entry")) for v in row] for row in t["gram"]])
         weight = side.weight(instance, subset)  # refuses an index out of range
-        terms.append(SOSTerm(t["family"], tuple(subset), side.block, weight, basis, gram))
+        terms.append(SOSTerm(family, tuple(subset), side.block, weight, basis, gram))
     built = (max(map(sum, t.basis), default=0) + half_degree(t.weight) for t in terms)
-    if order != (r := max(built, default=0)):
+    if recipe.sides and order != (r := max(built, default=0)):
         raise ValueError(f"certificate order {order} is not {r}, the order its terms are built to")
-    return SOSCertificate(lam, tuple(terms), mode, order, layout)
+    if order < (top + 1) // 2:  # every product's degree is at most 2 * order
+        raise ValueError(f"certificate order {order} is below {(top + 1) // 2}: "
+                         f"it has a cone product of degree {top}")
+    scaling = None
+    if recipe.rows:
+        if (divisors := data["scaling"]) is None:
+            raise ValueError(f"a {mode!r} certificate needs a scaling record")
+        divisors = [_exact(s, "scaling") for s in divisors]
+        scaling = normalize_krivine(instance, divisors).krivine_scaling
+    certificate = ConeCertificate if recipe.rows and not recipe.sides else SOSCertificate
+    return certificate(lam=lam, terms=tuple(terms), mode=mode, order=order, layout=layout,
+                       scaling=scaling, **{f"{family}_coeffs": c for family, c in coeffs.items()})

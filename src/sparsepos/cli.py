@@ -13,9 +13,10 @@ arithmetic with ``^`` powers and exact rational literals (``3/4``, ``0.25``).
 Constraints are ``name: poly >= 0`` with block membership inferred from the
 variables they touch and validated.
 
-Exit codes: 0 all orders solved to optimality, 2 usage/config/parse errors,
-3 a solver failure on some order, or a ``--certificate`` that does not verify
-against the parsed problem (no file is written then).
+Exit codes: 0 all orders solved to optimality, 2 usage/config/parse errors
+or a file that cannot be read or written, 3 a solver failure on some order,
+or a ``--certificate`` that does not verify against the parsed problem (no
+file is written then).
 """
 
 from __future__ import annotations
@@ -425,9 +426,12 @@ def main(argv: list[str] | None = None) -> int:
                   f"{check.residual:.3e}, psd_ok={check.psd_ok}, "
                   f"coupling_free={check.coupling_free}", file=sys.stderr)
             return EXIT_SOLVER
-        with open(args.certificate, "w", encoding="utf-8") as handle:
-            handle.write(certificate_to_json(result.certificate))
-            handle.write("\n")
+        try:
+            with open(args.certificate, "w", encoding="utf-8") as handle:
+                handle.write(certificate_to_json(result.certificate) + "\n")
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
 
     return result.exit_code
 

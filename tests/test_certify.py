@@ -22,6 +22,7 @@ from sparsepos.certify import (
     certificate_from_json,
     certificate_to_json,
     expand,
+    extract,
     extract_cone,
     extract_sos,
     verify,
@@ -30,15 +31,18 @@ from sparsepos.cli import parse_problem
 from sparsepos.poly import BlockLayout, LayoutError, Polynomial
 from sparsepos.problem import ProblemInstance
 from sparsepos.relax import (
+    RECIPES,
     BoundError,
+    Recipe,
     _moment_index,
+    assemble,
     assemble_krivine,
     assemble_sparse_schmudgen,
     cone_products,
     cone_sum,
     normalize_krivine,
 )
-from sparsepos.solver import solve_lp, solve_sdp
+from sparsepos.solver import solve, solve_lp, solve_sdp
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 UNIVARIATE = BlockLayout(1, 0, 0)
@@ -285,6 +289,20 @@ class TestVerify:
         assert not vr.coupling_free
         assert not vr.passed
 
+    def test_term_coupling_through_its_weight_flagged(self):
+        # x^2 * h1 + x^2 * h2 = x^2 (1 - y^2 - z^2) + x^2 z^2 = f exactly, with
+        # the true weights of putinar's (Y,Z) side; each term multiplies an
+        # X basis by a (Y,Z) weight, whatever block it declares.
+        layout = BlockLayout(1, 1, 1)
+        x, y, z = (Polynomial.variable(layout, n) for n in "xyz")
+        inst = ProblemInstance(layout, x**2 - x**2 * y**2, (1 - x**2 - y**2,),
+                               (1 - y**2 - z**2, z**2))
+        terms = tuple(SOSTerm("yz", (j,), "xyz", w, ((1, 0, 0),), np.eye(1))
+                      for j, w in enumerate(inst.h_constraints))
+        vr = verify(SOSCertificate(0.0, terms, "putinar", 2, layout), inst)
+        assert vr.residual == 0.0 and vr.psd_ok
+        assert not vr.coupling_free and not vr.passed
+
     @pytest.mark.parametrize("mode", ["schmudgen", "dense"])
     def test_forged_weight_refused(self, mode):
         # 1^2 * (f - 100) is f - lambda at lambda = 100 with residual 0, but
@@ -460,8 +478,35 @@ class TestSerialization:
         normed = normalize_krivine(inst, [1])
         prog = assemble_krivine(normed, 2)
         cert = extract_cone(solve_lp(prog), prog)
-        back = certificate_from_json(certificate_to_json(cert), inst)
+        text = certificate_to_json(cert)
+        assert json.loads(text)["scaling"] == ["1"]  # an integer divisor stays an integer
+        back = certificate_from_json(text, inst)
         assert isinstance(back, ConeCertificate)
+        assert verify(back, inst).passed
+
+    def test_non_dyadic_scaling_round_trips_exactly(self):
+        # Automatic bounds are fractions such as 942934745/942934726, which a
+        # 17-digit decimal would only approximate.
+        inst = problems.constant5()
+        prog = assemble_krivine(normalize_krivine(inst), 1)
+        cert = extract(solve(prog), prog)
+        assert any(s.denominator & (s.denominator - 1) for s in cert.scaling)
+        text = certificate_to_json(cert)
+        assert json.loads(text)["scaling"] == [f"{s.numerator}/{s.denominator}" for s in cert.scaling]
+        back = certificate_from_json(text, inst)
+        assert back.scaling == cert.scaling
+        assert verify(back, inst).passed
+
+    @pytest.mark.parametrize("kind", ["sos", "cone", "zonal"])
+    def test_kind_of_older_files_ignored(self, twoballs_r1_json, kind):
+        # Files written before the format was keyed by mode alone carry a
+        # kind; its value no longer decides anything.
+        inst = problems.twoballs()
+        data = json.loads(twoballs_r1_json)
+        assert "kind" not in data
+        data["kind"] = kind
+        back = certificate_from_json(json.dumps(data), inst)
+        assert expand(back, inst) == expand(certificate_from_json(twoballs_r1_json, inst), inst)
         assert verify(back, inst).passed
 
     def test_suite_round_trips_bit_identical(self, suite):
@@ -484,9 +529,7 @@ class TestSerialization:
             count += 1
         assert count == 45  # every SOS solve of the suite
 
-    @pytest.mark.parametrize(
-        "field,value", [("family", "zz"), ("mode", "sideways"), ("kind", "zonal")]
-    )
+    @pytest.mark.parametrize("field,value", [("family", "zz"), ("mode", "sideways")])
     def test_unknown_sos_names_rejected(self, field, value):
         prog, report = _solved(problems.interval(), 1)
         data = json.loads(certificate_to_json(extract_sos(report, prog)))
@@ -497,19 +540,14 @@ class TestSerialization:
         with pytest.raises(ValueError, match=value):
             certificate_from_json(json.dumps(data), problems.interval())
 
-    @pytest.mark.parametrize("source", ["schmudgen", "cone", "no-terms"])
+    @pytest.mark.parametrize("source", ["schmudgen", "no-terms"])
     def test_sos_kind_with_krivine_mode_refused(self, source):
         # Krivine's recipe has row sides only, so no SOS certificate, not
-        # even one with no term, can claim it.
+        # even one with no term (and so no scaling), can claim it.
         inst = problems.constant5()
-        if source == "cone":
-            prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
-            cert = extract_cone(solve_lp(prog), prog)
-        else:
-            prog, report = _solved(inst, 1)
-            cert = extract_sos(report, prog)
-        data = json.loads(certificate_to_json(cert))
-        data["kind"], data["mode"] = "sos", "krivine"
+        prog, report = _solved(inst, 1)
+        data = json.loads(certificate_to_json(extract_sos(report, prog)))
+        data["mode"] = "krivine"
         if source == "no-terms":
             data["terms"], data["order"] = [], 0
         with pytest.raises(ValueError, match="krivine"):
@@ -632,6 +670,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match=value):
             certificate_from_json(json.dumps(data), inst)
 
+    @pytest.mark.parametrize("edit", ["sigma_xy", "dense", "no-coeff"])
+    def test_krivine_term_without_a_side_refused(self, edit):
+        # Krivine's recipe has the xy and yz row sides and no PSD side: a
+        # cone term of another family has no constraints to multiply, and a
+        # term with no coeff is read as an SOS term, which it cannot build.
+        inst = problems.interval_affine()
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
+        data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+        if edit == "no-coeff":
+            del data["terms"][0]["coeff"]
+            match = "no sum-of-squares relaxation has mode 'krivine'"
+        else:
+            data["terms"][0]["family"] = edit
+            match = f"no '{edit}' cone family in 'krivine' relaxations"
+        with pytest.raises(ValueError, match=match):
+            certificate_from_json(json.dumps(data), inst)
+
+    def test_krivine_file_without_scaling_refused(self):
+        inst = problems.interval_affine()
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
+        data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+        data["scaling"] = None
+        with pytest.raises(ValueError, match="'krivine' certificate needs a scaling"):
+            certificate_from_json(json.dumps(data), inst)
+
     @pytest.mark.parametrize(
         "layout",
         [{"n": 2, "m": 0, "p": 1, "names": ["a", "b", "c"]},
@@ -678,6 +741,51 @@ class TestSerialization:
         assert '"lambda": "-' in text
         lam = float(text.split('"lambda": "')[1].split('"')[0])
         assert abs(lam - report.dual_objective) == 0.0
+
+
+class TestBothParts:
+    """A recipe with PSD sides and row sides, added here for the test only,
+    builds a certificate with both parts; one JSON file holds and checks
+    both."""
+
+    @pytest.fixture
+    def mixed(self, monkeypatch):
+        sides, rows = RECIPES["schmudgen-sparse"].sides, RECIPES["krivine"].rows
+        monkeypatch.setitem(RECIPES, "mixed", Recipe("mixed", sides, rows))
+        inst = problems.twoballs()
+        prog = assemble(normalize_krivine(inst, [1, 1]), "mixed", 1)
+        report = solve(prog)
+        assert report.status == "optimal"
+        return inst, extract(report, prog)
+
+    def test_round_trip(self, mixed):
+        inst, cert = mixed
+        assert cert.terms and cert.xy_coeffs and cert.yz_coeffs
+        back = certificate_from_json(certificate_to_json(cert), inst)
+        assert type(back) is SOSCertificate
+        assert (back.lam, back.mode, back.order, back.scaling) == (
+            cert.lam, cert.mode, cert.order, cert.scaling
+        )
+        assert (back.xy_coeffs, back.yz_coeffs) == (cert.xy_coeffs, cert.yz_coeffs)
+        assert [t.subset for t in back.terms] == [t.subset for t in cert.terms]
+        assert all(np.array_equal(s.gram, t.gram) for s, t in zip(cert.terms, back.terms))
+        check = verify(back, inst)
+        assert check.passed and check.coupling_free
+
+    @pytest.mark.parametrize("field", ["lambda", "gram", "coeff"])
+    def test_tampered_copy_fails(self, mixed, field):
+        inst, cert = mixed
+        data = json.loads(certificate_to_json(cert))
+        if field == "lambda":
+            data["lambda"] = repr(float(data["lambda"]) + 0.1)
+        elif field == "gram":
+            gram = next(t for t in data["terms"] if "gram" in t)["gram"]
+            gram[0][0] = repr(float(gram[0][0]) + 0.1)
+        else:
+            term = max((t for t in data["terms"] if "coeff" in t), key=lambda t: float(t["coeff"]))
+            term["coeff"] = repr(float(term["coeff"]) + 0.1)
+        check = verify(certificate_from_json(json.dumps(data), inst), inst)
+        assert not check.passed and check.residual >= 0.05
 
 
 class TestTwoFamilyCone:

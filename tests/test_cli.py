@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import re
+from dataclasses import replace
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -168,9 +170,16 @@ class TestMain:
         code = main([problem_file, "--order", "2", "--certificate", str(cert_path)])
         assert code == 0
         data = json.loads(cert_path.read_text())
-        assert data["kind"] == "sos" and data["mode"] == "schmudgen"
+        assert "kind" not in data and data["mode"] == "schmudgen"
         cert = certificate_from_json(cert_path.read_text(), problems.twoballs())
         assert verify(cert, problems.twoballs()).passed
+
+    def test_unwritable_certificate_path_exits_2(self, problem_file, tmp_path, capsys):
+        cert_path = tmp_path / "missing" / "cert.json"
+        code = main([problem_file, "--order", "1", "--certificate", str(cert_path)])
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+        assert not cert_path.exists()
 
     def test_unverified_certificate_not_written(self, problem_file, tmp_path, capsys,
                                                 monkeypatch):
@@ -242,6 +251,21 @@ class TestCertificateDemo:
         cert = certificate_from_json(out_path.read_text(), problems.get("constant5"))
         assert len(cert.xy_coeffs) + len(cert.yz_coeffs) == 3
         assert verify(cert, problems.get("constant5")).passed
+
+    def test_file_that_reads_back_otherwise_removed(self, tmp_path, capsys, monkeypatch):
+        # Read back as the 17-digit divisors of the earlier format were.
+        demo = _load_script("certificate_demo")
+        load = demo.certificate_from_json
+
+        def rounded(text, instance):
+            cert = load(text, instance)
+            return replace(cert, scaling=tuple(Fraction(float(s)) for s in cert.scaling))
+
+        monkeypatch.setattr(demo, "certificate_from_json", rounded)
+        out_path = tmp_path / "cert.json"
+        assert demo.main(["constant5", "--variant", "krivine", "--out", str(out_path)]) == 3
+        assert not out_path.exists()
+        assert "does not read back" in capsys.readouterr().err
 
     def test_krivine_without_automatic_bounds_exits_2(self, capsys):
         demo = _load_script("certificate_demo")

@@ -1,5 +1,6 @@
 import ctypes
 import functools
+import json
 import os
 import runpy
 import sys
@@ -817,9 +818,12 @@ class TestOneProgram:
         assert check.passed and check.coupling_free
         alone = solve(sparse).dual_objective
         assert abs(cert.lam - alone) <= 1e-8 * abs(alone)
-        # The JSON format has no kind for a certificate with both parts.
-        with pytest.raises(ValueError, match="both"):
-            certificate_to_json(cert)
+        # Both parts are written, but a schmudgen recipe has no row side for
+        # the cone terms to be read into.
+        data = json.loads(certificate_to_json(cert))
+        assert {"coeff", "gram"} <= {key for term in data["terms"] for key in term}
+        with pytest.raises(ValueError, match="no 'xy' cone family in 'schmudgen'"):
+            certificate_from_json(json.dumps(data), inst)
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_krivine_alone_has_the_lp_types(self, variant):

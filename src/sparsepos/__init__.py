@@ -35,7 +35,6 @@ from .relax import (
     assemble,
     assemble_dense,
     assemble_krivine,
-    assemble_product,
     assemble_sparse_putinar,
     assemble_sparse_schmudgen,
     min_order,

@@ -21,10 +21,10 @@ family expand as one nested sum over the trie of their powers, walked as
 the LP rows are (:func:`relax.cone_sum`).  The LP has top-shell rows only,
 but a cone term may name any power pair.  Each factor is rebuilt from the
 instance, never from the program, by the call that built it for assembly:
-an SOS weight by :meth:`relax.Side.weight`, the scaled constraints of the
-cone part by :func:`relax.normalize_krivine` on the certificate's divisors,
-which refuses one that is not positive.  Both parts feed one
-:meth:`Polynomial.sum`, exact ints over a running common denominator.
+the cone part's constraints by :func:`relax.normalize_krivine` on the
+certificate's divisors, and from them too each SOS weight by
+:meth:`relax.Side.weight`.  Both parts feed one :meth:`Polynomial.sum`,
+exact ints over a running common denominator.
 """
 
 from __future__ import annotations
@@ -178,14 +178,16 @@ def _pieces(cert, instance: ProblemInstance):
     """The certificate's right-hand side as :meth:`Polynomial.sum` pieces:
     its SOS terms, then its cone terms."""
     layout = instance.layout
+    # The constraints as assembly scaled them, for both parts; refuses a
+    # scaling of the wrong length or with an entry that is not positive.
+    source = instance if cert.scaling is None else normalize_krivine(instance, cert.scaling)
     for term in cert.terms:
         # Each term checked its Gram shape and basis against its weight's
         # layout when it was built.
         if term.weight.layout != layout:
             raise LayoutError(f"{term.family} term lives on another layout")
-        # Like the cone terms, start from the instance's constraints.
         weight = term.weight
-        if weight != recipe_side(cert.mode, term.family).weight(instance, term.subset):
+        if weight != recipe_side(cert.mode, term.family).weight(source, term.subset):
             raise ValueError(
                 f"{term.family} term over subset {term.subset} has a weight that is "
                 f"not the product of those constraints"
@@ -205,11 +207,8 @@ def _pieces(cert, instance: ProblemInstance):
         yield 1, product.nums.items(), product.den
     if cert.scaling is None:
         return  # no cone part
-    # The constraints as assembly scaled them; refuses a scaling of the wrong
-    # length or with an entry that is not a positive finite number.
-    normed = normalize_krivine(instance, cert.scaling)
-    for constraints, coeffs in ((normed.g_constraints, cert.xy_coeffs),
-                                (normed.h_constraints, cert.yz_coeffs)):
+    for constraints, coeffs in ((source.g_constraints, cert.xy_coeffs),
+                                (source.h_constraints, cert.yz_coeffs)):
         nonzero = {_cone_key(pair, len(constraints)): c for pair, c in coeffs.items() if c != 0.0}
         total = cone_sum(constraints, layout, nonzero)
         yield 1, total.nums.items(), total.den
@@ -219,9 +218,9 @@ def expand(cert, instance: ProblemInstance) -> Polynomial:
     """Exact polynomial expansion of the certificate's right-hand side
     (without lambda): the object that should coefficient-match f - lambda.
 
-    Cone terms are expanded against the instance's original constraints
-    with the recorded normalization divisors re-applied, so the caller
-    passes the unnormalized instance.
+    Cone terms and SOS weights are built from the instance's original
+    constraints with the recorded normalization divisors re-applied, so the
+    caller passes the unnormalized instance.
     """
     return Polynomial.sum(instance.layout, _pieces(cert, instance))
 
@@ -248,11 +247,12 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
 
     ``ValueError`` refuses a lambda, Gram entry or cone coeff that is not
     finite (naming it, before any expansion), an SOS term whose weight is
-    not the product of the instance's constraints that its mode, family and
-    subset name, a cone part with a ``scaling`` of the wrong length or with
-    an entry that is not a positive finite number (:class:`relax.BoundError`,
-    from :func:`relax.normalize_krivine`), and a cone coefficient key that is
-    not two sequences of one nonnegative int per constraint of its family.  A
+    not the product of the constraints (scaled, with a cone part) that its
+    mode, family and subset name, a cone part with a ``scaling`` of the wrong
+    length or with an entry that is not a positive finite number
+    (:class:`relax.BoundError`, from :func:`relax.normalize_krivine`), and a
+    cone coefficient key that is not two sequences of one nonnegative int
+    per constraint of its family.  A
     positive divisor below its constraint's maximum on the feasible set is
     the caller's precondition: verification checks the identity, not the bound.
     """
@@ -355,24 +355,26 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     A term with a ``coeff`` is a cone term of a row side; any other is an
     SOS term of the PSD side of its (mode, family) (:func:`relax.recipe_side`),
     its weight rebuilt by :meth:`relax.Side.weight`, as assembly built it.
-    ``scaling`` is read, and required, exactly when the recipe has rows.  As
-    from :func:`extract`, the result is a :class:`ConeCertificate` when the
-    recipe has rows and no PSD side, else an :class:`SOSCertificate`.
+    ``scaling`` is read first, and required, exactly when the recipe has
+    rows; the weights and cone degrees come from the constraints it scales.
+    As from :func:`extract`, the result is a :class:`ConeCertificate` when
+    the recipe has rows and no PSD side, else an :class:`SOSCertificate`.
 
     ``ValueError``, naming the field, refuses: an unknown mode, or a family
-    with no side of its term's sort; a missing ``scaling``; a lambda, Gram
-    entry, coeff or scaling entry that is not a finite number; a ``scaling``
-    that :func:`relax.normalize_krivine` refuses (wrong length, an entry not
-    positive), as :func:`verify` does; a cone subset that is not two lists
-    of one nonnegative int per constraint of its side, or that its family
-    lists twice (SOS terms may repeat: each counts in the sum); an SOS
-    subset that is not a list of int indices into its side's constraints; a
-    term that :class:`SOSTerm` refuses; a ``layout`` other than the
-    instance's (n, m, p, names); an ``order`` that is not a nonnegative int,
-    or, with PSD sides, not the largest deg(basis) + ceil(deg w / 2) over the
-    SOS terms, which every recipe builds to, or below ceil(max sum_j (a_j +
-    b_j) deg g_j / 2) over the cone power pairs (not bounded above: a
-    degree-4 constraint gives the same rows at orders 2 and 3).
+    with no side of its term's sort; a ``scaling`` that is null or not a
+    JSON list; a lambda, Gram entry, coeff or scaling entry that is
+    not a finite number; a ``scaling`` that :func:`relax.normalize_krivine`
+    refuses (wrong length, an entry not positive), as :func:`verify` does; a
+    cone subset that is not two lists of one nonnegative int per constraint
+    of its side, or that its family lists twice (SOS terms may repeat: each
+    counts in the sum); an SOS subset that is not a list of int indices into
+    its side's constraints; a term that :class:`SOSTerm` refuses; a
+    ``layout`` other than the instance's (n, m, p, names); an ``order`` that
+    is not a nonnegative int, or, with PSD sides, not the largest
+    deg(basis) + ceil(deg w / 2) over the SOS terms, which every recipe
+    builds to, or below ceil(max sum_j (a_j + b_j) deg g_j / 2) over the
+    cone power pairs (not bounded above: a degree-4 constraint gives the
+    same rows at orders 2 and 3).
     """
     data = json.loads(text)
     layout = instance.layout
@@ -386,7 +388,14 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     recipe = next((r for r in RECIPES.values() if r.mode == mode), None)
     if recipe is None:
         raise ValueError(f"no relaxation has mode {mode!r}")
-    degs = {side.family: [p.degree for p in side.constraint_list(instance)] for side in recipe.rows}
+    source, scaling = instance, None
+    if recipe.rows:
+        # Not any iterable: the characters of a string would read as divisors.
+        if not isinstance(divisors := data["scaling"], list):
+            raise ValueError(f"a {mode!r} certificate needs a scaling list, not {divisors!r}")
+        source = normalize_krivine(instance, [_exact(s, "scaling") for s in divisors])
+        scaling = source.krivine_scaling
+    degs = {side.family: [p.degree for p in side.constraint_list(source)] for side in recipe.rows}
     coeffs: dict = {family: {} for family in degs}
     terms, top = [], 0
     for t in data["terms"]:
@@ -407,7 +416,7 @@ def certificate_from_json(text: str, instance: ProblemInstance):
         # SOSTerm refuses whatever is not a list of ints here.
         basis = tuple(tuple(e) if isinstance(e, list) else e for e in t["basis"])
         gram = np.array([[float(_finite(v, "gram entry")) for v in row] for row in t["gram"]])
-        weight = side.weight(instance, subset)  # refuses an index out of range
+        weight = side.weight(source, subset)  # refuses an index out of range
         terms.append(SOSTerm(family, tuple(subset), side.block, weight, basis, gram))
     built = (max(map(sum, t.basis), default=0) + half_degree(t.weight) for t in terms)
     if recipe.sides and order != (r := max(built, default=0)):
@@ -415,12 +424,6 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     if order < (top + 1) // 2:  # every product's degree is at most 2 * order
         raise ValueError(f"certificate order {order} is below {(top + 1) // 2}: "
                          f"it has a cone product of degree {top}")
-    scaling = None
-    if recipe.rows:
-        if (divisors := data["scaling"]) is None:
-            raise ValueError(f"a {mode!r} certificate needs a scaling record")
-        divisors = [_exact(s, "scaling") for s in divisors]
-        scaling = normalize_krivine(instance, divisors).krivine_scaling
     certificate = ConeCertificate if recipe.rows and not recipe.sides else SOSCertificate
     return certificate(lam=lam, terms=tuple(terms), mode=mode, order=order, layout=layout,
                        scaling=scaling, **{f"{family}_coeffs": c for family, c in coeffs.items()})

@@ -319,11 +319,6 @@ def assemble_dense(instance: ProblemInstance, r: int) -> ConicProgram:
     return assemble(instance, "dense", r)
 
 
-def assemble_product(instance: ProblemInstance, r: int) -> ConicProgram:
-    """Cartesian-product relaxation; every g constraint must lie in X."""
-    return assemble(instance, "product", r)
-
-
 def assemble_krivine(instance: ProblemInstance, r: int) -> LinearProgram:
     """Cone (LP) relaxation; needs a normalized instance."""
     return assemble(instance, "krivine", r)

@@ -695,6 +695,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="'krivine' certificate needs a scaling"):
             certificate_from_json(json.dumps(data), inst)
 
+    @pytest.mark.parametrize("scaling", [5, "1"])
+    def test_scaling_that_is_not_a_list_refused(self, scaling):
+        # A string would be read as its characters: "12" as the divisors 1, 2.
+        inst = problems.interval_affine()
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
+        data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+        data["scaling"] = scaling
+        with pytest.raises(ValueError, match="'krivine' certificate needs a scaling list, not"):
+            certificate_from_json(json.dumps(data), inst)
+
     @pytest.mark.parametrize(
         "layout",
         [{"n": 2, "m": 0, "p": 1, "names": ["a", "b", "c"]},
@@ -748,15 +758,31 @@ class TestBothParts:
     builds a certificate with both parts; one JSON file holds and checks
     both."""
 
-    @pytest.fixture
-    def mixed(self, monkeypatch):
+    @staticmethod
+    def _extracted(monkeypatch, divisors):
         sides, rows = RECIPES["schmudgen-sparse"].sides, RECIPES["krivine"].rows
         monkeypatch.setitem(RECIPES, "mixed", Recipe("mixed", sides, rows))
         inst = problems.twoballs()
-        prog = assemble(normalize_krivine(inst, [1, 1]), "mixed", 1)
+        prog = assemble(normalize_krivine(inst, divisors), "mixed", 1)
         report = solve(prog)
         assert report.status == "optimal"
         return inst, extract(report, prog)
+
+    @pytest.fixture
+    def mixed(self, monkeypatch):
+        return self._extracted(monkeypatch, [1, 1])
+
+    def test_psd_sides_weighted_by_the_scaled_constraints(self, monkeypatch):
+        # Assembly weights the PSD sides by the constraints divided by 2, so
+        # verification and the loader must rebuild those weights, not the
+        # instance's own.
+        inst, cert = self._extracted(monkeypatch, [2, 2])
+        assert cert.scaling == (2, 2) and cert.terms
+        weights = [t.weight for t in cert.terms if t.subset == (0,)]
+        assert weights and all(w.max_norm() == Fraction(1, 2) for w in weights)
+        for copy in (cert, certificate_from_json(certificate_to_json(cert), inst)):
+            check = verify(copy, inst)
+            assert check.passed and check.residual <= 1e-9
 
     def test_round_trip(self, mixed):
         inst, cert = mixed

@@ -100,6 +100,17 @@ class TestMain:
         assert "optimal" in out
         assert "-1.52034519" in out
 
+    @pytest.mark.parametrize("name", sorted(problems.TEXTS))
+    def test_every_builtin_runs_as_a_file(self, name, tmp_path, capsys):
+        path = tmp_path / f"{name}.sp"
+        path.write_text(problems.TEXTS[name])
+        # Under schmudgen-sparse the affine interval ends unbounded (exit 3).
+        krivine = ["--variant", "krivine", "--krivine-bounds", "1"]
+        code = main([str(path), *(krivine if name == "interval-affine" else [])])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert re.search(r"^ +\d+ +\S+ +optimal ", out, re.M), out
+
     def test_csv_format(self, problem_file, capsys):
         code = main([problem_file, "--format", "csv", "--order", "1"])
         out = capsys.readouterr().out

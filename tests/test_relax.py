@@ -31,7 +31,6 @@ from sparsepos.relax import (
     assemble,
     assemble_dense,
     assemble_krivine,
-    assemble_product,
     assemble_sparse_putinar,
     assemble_sparse_schmudgen,
     min_order,
@@ -295,7 +294,7 @@ class TestDenseAssembly:
 
 class TestProductAssembly:
     def test_block_structure(self):
-        prog = assemble_product(problems.product_twoballs(), 1)
+        prog = assemble(problems.product_twoballs(), "product", 1)
         assert [(lab.family, m.size) for lab, m in prog.psd_blocks] == [
             ("sigma_xy", 3), ("xy", 1), ("yz", 3), ("yz", 1),
         ]
@@ -305,13 +304,13 @@ class TestProductAssembly:
         # The support check runs before the order check.
         for r in (0, 1):
             with pytest.raises(ModeError):
-                assemble_product(problems.twoballs(), r)
+                assemble(problems.twoballs(), "product", r)
 
     def test_g_touching_y_rejected_at_assembly(self):
         x, y, z = _vars(LAYOUT)
         inst = _instance(x + z, [1 - x**2 - y**2], [1 - y**2 - z**2])
         with pytest.raises(ModeError, match="product assembly .* on the x block"):
-            assemble_product(inst, 1)
+            assemble(inst, "product", 1)
 
 
 class TestKrivineAssembly:
@@ -506,7 +505,7 @@ class TestProgramInvariants:
                     assert m.entries[i][j] == tuple(upper[min(i, j), max(i, j)])
 
     def test_product_program_never_couples(self):
-        prog = assemble_product(problems.product_twoballs(), 2)
+        prog = assemble(problems.product_twoballs(), "product", 2)
         for exp in prog.variable_index:
             assert not (exp[0] > 0 and exp[2] > 0)
 
@@ -537,7 +536,7 @@ class TestProgramInvariants:
     def test_feasibility_of_dirac_moments_product(self):
         rng = np.random.default_rng(12)
         inst = problems.product_twoballs()
-        prog = assemble_product(inst, 2)
+        prog = assemble(inst, "product", 2)
         found = 0
         while found < 10:
             pt = rng.uniform(-1, 1, 3)

@@ -17,13 +17,13 @@ rational, so nothing is rounded: an SOS term expands in Gram form,
 sum_ij G_ij * m_{a_i + a_j} * w, from the same Gram matrix that the PSD test
 reads (as in Peyrl and Parrilo, "Computing sum of squares decompositions
 with rational coefficients"), and the cone terms c * g^a (1-g)^b of a
-family expand as one nested sum over the trie of their powers, walked as
-the LP rows are (:func:`relax.cone_sum`).  The LP has top-shell rows only,
-but a cone term may name any power pair.  Each factor is rebuilt from the
-instance, never from the program, by the call that built it for assembly:
-the cone part's constraints by :func:`relax.normalize_krivine` on the
-certificate's divisors, and from them too each SOS weight by
-:meth:`relax.Side.weight`.  Both parts feed one :meth:`Polynomial.sum`,
+family expand as one nested sum over the trie of their powers
+(:func:`relax.cone_sum`), the recursion that builds the LP rows.  The LP
+has top-shell rows only, but a cone term may name any power pair.  Each
+factor is rebuilt from the instance, never from the program, by the call
+that built it for assembly: the cone part's constraints by
+:func:`relax.normalize_krivine` on the certificate's divisors, and from
+them too each SOS weight by :meth:`relax.Side.weight`.  Both parts feed one :meth:`Polynomial.sum`,
 exact ints over a running common denominator.
 """
 
@@ -241,30 +241,29 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     The residual is the max-norm of the coefficients of
     f - lambda - expand(cert), computed exactly from the same Gram matrices
     or cone coefficients that the PSD or nonnegativity test reads; it passes
-    when below tol * (1 + max |coefficient of f|).  Dense-mode certificates may couple
-    X and Z legitimately, so the coupling flag is reported but only gates
-    the overall pass for sparse modes.
+    when below tol * (1 + max |coefficient of f|).  The coupling flag gates
+    the pass unless the recipe of the certificate's mode has a side on the
+    joint block ``xyz`` (dense), whose terms may couple X and Z.
 
-    ``ValueError`` refuses a lambda, Gram entry or cone coeff that is not
-    finite (naming it, before any expansion), an SOS term whose weight is
-    not the product of the constraints (scaled, with a cone part) that its
-    mode, family and subset name, a cone part with a ``scaling`` of the wrong
-    length or with an entry that is not a positive finite number
-    (:class:`relax.BoundError`, from :func:`relax.normalize_krivine`), and a
-    cone coefficient key that is not two sequences of one nonnegative int
-    per constraint of its family.  A
-    positive divisor below its constraint's maximum on the feasible set is
-    the caller's precondition: verification checks the identity, not the bound.
+    ``ValueError`` refuses: a mode that no recipe has, as the loader does; a
+    lambda, Gram entry or cone coeff that is not finite (naming it, before
+    any expansion); an SOS term whose weight is not the product of the
+    constraints (scaled, with a cone part) that its mode, family and subset
+    name; a ``scaling`` that :func:`relax.normalize_krivine` refuses
+    (:class:`relax.BoundError`: wrong length, an entry not a positive finite
+    number); and a cone key that is not two sequences of one nonnegative int
+    per constraint of its family.  A positive divisor below its constraint's
+    maximum on the feasible set is the caller's precondition: verification
+    checks the identity, not the bound.
     """
+    recipe = _recipe(cert.mode)
     _finite(cert.lam, "lambda")
     for term in cert.terms:  # the largest |entry| is nan or inf when any entry is
         _finite(float(np.max(np.abs(term.gram), initial=0.0)), "gram entry")
     for value in (*cert.xy_coeffs.values(), *cert.yz_coeffs.values()):
         _finite(value, "coeff")
-    expansion = expand(cert, instance)
     diff = instance.objective - Polynomial.constant(instance.layout, Fraction(cert.lam))
-    diff = diff - expansion
-    residual = float(diff.max_norm())
+    residual = float((diff - expand(cert, instance)).max_norm())
     coupling = _coupling_free(cert, instance.layout)
 
     psd_ok = not any(
@@ -273,14 +272,10 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     ) and all(v >= -tol for coeffs in (cert.xy_coeffs, cert.yz_coeffs) for v in coeffs.values())
 
     bound = tol * (1.0 + float(instance.objective.max_norm()))
-    passed = residual <= bound and psd_ok and (coupling or cert.mode == "dense")
-    return VerificationReport(
-        residual=residual,
-        coupling_free=coupling,
-        psd_ok=psd_ok,
-        lam=cert.lam,
-        passed=passed,
-    )
+    joint = any(side.block == "xyz" for side in recipe.sides)  # may couple X and Z
+    passed = residual <= bound and psd_ok and (coupling or joint)
+    return VerificationReport(residual=residual, coupling_free=coupling, psd_ok=psd_ok,
+                              lam=cert.lam, passed=passed)
 
 
 # -- serialization ----------------------------------------------------------
@@ -328,6 +323,23 @@ def _exact(value, field: str) -> Fraction:
         raise ValueError(f"certificate {field} {value!r} is not a finite number") from None
 
 
+def _recipe(mode: str):
+    """The recipe of a certificate's ``mode``, refusing a mode no recipe has."""
+    recipe = next((r for r in RECIPES.values() if r.mode == mode), None)
+    if recipe is None:
+        raise ValueError(f"no relaxation has mode {mode!r}")
+    return recipe
+
+
+def _field(data, key: str):
+    """``data[key]`` of a certificate document or term, refusing its absence
+    (from a JSON value that is not an object too)."""
+    try:
+        return data[key]
+    except (KeyError, TypeError):
+        raise ValueError(f"certificate has no {key!r} field") from None
+
+
 def _cone_key(subset, count: int):
     """The (alpha, beta) powers of a cone term, refusing anything but two
     sequences of ``count`` nonnegative ints (the cone walk would zip a
@@ -360,7 +372,9 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     As from :func:`extract`, the result is a :class:`ConeCertificate` when
     the recipe has rows and no PSD side, else an :class:`SOSCertificate`.
 
-    ``ValueError``, naming the field, refuses: an unknown mode, or a family
+    ``ValueError``, naming the field, refuses: a document or term without a
+    field it needs (a document that is not a JSON object has none); a
+    ``terms`` that is not a list; an unknown mode, or a family
     with no side of its term's sort; a ``scaling`` that is null or not a
     JSON list; a lambda, Gram entry, coeff or scaling entry that is
     not a finite number; a ``scaling`` that :func:`relax.normalize_krivine`
@@ -378,44 +392,44 @@ def certificate_from_json(text: str, instance: ProblemInstance):
     """
     data = json.loads(text)
     layout = instance.layout
-    if data["layout"] != _layout_json(layout):
-        raise ValueError(f"certificate layout {data['layout']!r} is not the instance's")
-    order = data["order"]
+    if (stated := _field(data, "layout")) != _layout_json(layout):
+        raise ValueError(f"certificate layout {stated!r} is not the instance's")
+    order = _field(data, "order")
     if type(order) is not int or order < 0:
         raise ValueError(f"certificate order {order!r}; expected a nonnegative int")
-    lam = float(_finite(data["lambda"], "lambda"))
-    mode = data["mode"]
-    recipe = next((r for r in RECIPES.values() if r.mode == mode), None)
-    if recipe is None:
-        raise ValueError(f"no relaxation has mode {mode!r}")
+    lam = float(_finite(_field(data, "lambda"), "lambda"))
+    mode = _field(data, "mode")
+    recipe = _recipe(mode)
     source, scaling = instance, None
     if recipe.rows:
         # Not any iterable: the characters of a string would read as divisors.
-        if not isinstance(divisors := data["scaling"], list):
+        if not isinstance(divisors := _field(data, "scaling"), list):
             raise ValueError(f"a {mode!r} certificate needs a scaling list, not {divisors!r}")
         source = normalize_krivine(instance, [_exact(s, "scaling") for s in divisors])
         scaling = source.krivine_scaling
     degs = {side.family: [p.degree for p in side.constraint_list(source)] for side in recipe.rows}
     coeffs: dict = {family: {} for family in degs}
     terms, top = [], 0
-    for t in data["terms"]:
-        family = t["family"]
+    if not isinstance(stated := _field(data, "terms"), list):
+        raise ValueError(f"certificate terms {stated!r}; expected a list")
+    for t in stated:
+        family = _field(t, "family")
         if "coeff" in t:
             if family not in degs:
                 raise ValueError(f"no {family!r} cone family in {mode!r} relaxations")
-            key = _cone_key(t["subset"], len(degs[family]))
+            key = _cone_key(_field(t, "subset"), len(degs[family]))
             if key in coeffs[family]:  # the file would state another identity
                 raise ValueError(f"cone term {family} {key} is listed twice")
             coeffs[family][key] = float(_finite(t["coeff"], "coeff"))
             top = max(top, sum((a + b) * d for a, b, d in zip(*key, degs[family])))
             continue
         side = recipe_side(mode, family)
-        subset = t["subset"]
+        subset = _field(t, "subset")
         if not isinstance(subset, list) or any(type(j) is not int for j in subset):
             raise ValueError(f"term subset {subset!r}; expected a list of constraint indices")
         # SOSTerm refuses whatever is not a list of ints here.
-        basis = tuple(tuple(e) if isinstance(e, list) else e for e in t["basis"])
-        gram = np.array([[float(_finite(v, "gram entry")) for v in row] for row in t["gram"]])
+        basis = tuple(tuple(e) if isinstance(e, list) else e for e in _field(t, "basis"))
+        gram = np.array([[float(_finite(v, "gram entry")) for v in row] for row in _field(t, "gram")])
         weight = side.weight(source, subset)  # refuses an index out of range
         terms.append(SOSTerm(family, tuple(subset), side.block, weight, basis, gram))
     built = (max(map(sum, t.basis), default=0) + half_degree(t.weight) for t in terms)

@@ -12,8 +12,10 @@ constraints with :func:`normalize_krivine`.  A PSD side gives each weight w
 a localizing matrix on its block at order r - ceil(deg w / 2); a row side
 gives scalar rows L_u(g^a (1-g)^b) >= 0 over the top shell of power pairs
 (see :func:`_power_pairs`), valid once its constraints are normalized into
-[0, 1].  Every constraint a side multiplies must be supported on the side's
-block; :func:`assemble` checks this and raises :class:`ModeError` otherwise.
+[0, 1]; the rows and a certificate's cone sum (:func:`cone_sum`) come from
+one recursion over the trie of those powers.  Every constraint a side
+multiplies must be supported on the side's block; :func:`assemble` checks
+this and raises :class:`ModeError` otherwise.
 
   schmudgen-sparse  P(g) on (X,Y) + P(h) on (Y,Z): all subset products
   putinar-sparse    Q(g) on (X,Y) + Q(h) on (Y,Z): empty set and singletons
@@ -41,7 +43,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, combinations, groupby
 from math import lcm, prod
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .moments import SymbolicMatrix, half_degree, localizing_matrix
 from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial, grlex_key, mul_nums
@@ -346,16 +348,12 @@ def _power_pairs(degs: Sequence[int], budget: int, floor: int | None = None):
                 yield ((a,) + alpha, (b,) + beta)
 
 
-def _interleaved(pair: tuple[tuple[int, ...], tuple[int, ...]]) -> tuple[int, ...]:
-    """Powers of a pair in factor order: (a_1, b_1, a_2, b_2, ...)."""
-    return tuple(k for ab in zip(*pair) for k in ab)
-
-
 def _cone_walk(constraints: Sequence[Polynomial], layout: BlockLayout, pairs: Iterable):
-    """The sort, degree check and power table of both cone walkers; powers[t][k]
-    is factor t of the interleaved order (g_j at t = 2j, else 1 - g_j) to the k,
-    for every k up to the largest the walk uses."""
-    walk = sorted((_interleaved(pair), pair) for pair in pairs)
+    """The trie of both cone recursions: ``(ks, pair)`` sorted by the powers in factor
+    order, ks = (a_1, b_1, a_2, b_2, ...), each pair refused by ``LayoutError`` above
+    ``MAX_DEGREE``, and powers[t][k], factor t (g_j at t = 2j, else 1 - g_j) to the
+    k, for every k up to the largest the walk uses."""
+    walk = sorted((tuple(k for ab in zip(*pair) for k in ab), pair) for pair in pairs)
     degs = [g.degree for g in constraints for _ in "ab"]  # of each factor
     for ks, pair in walk:
         if (degree := sum(k * d for k, d in zip(ks, degs))) > MAX_DEGREE:
@@ -371,40 +369,10 @@ def _cone_walk(constraints: Sequence[Polynomial], layout: BlockLayout, pairs: It
     return walk, powers
 
 
-def cone_products(
-    constraints: Sequence[Polynomial],
-    layout: BlockLayout,
-    pairs: Iterable[tuple[tuple[int, ...], tuple[int, ...]]],
-) -> Iterator[tuple[tuple[tuple[int, ...], tuple[int, ...]], Polynomial]]:
-    """Yield ``((alpha, beta), prod_j g_j^a_j (1 - g_j)^b_j)`` for each pair.
-
-    The pairs are walked depth-first, in lexicographic order of their
-    interleaved powers, so consecutive pairs share their leading factors: a
-    stack holds the partial product of every factor of the current prefix,
-    and each power of g_j and 1 - g_j is computed once.  Only O(depth)
-    partial products are alive at once.  A pair of degree above
-    ``MAX_DEGREE`` raises ``LayoutError`` before any product is formed.
-    """
-    walk, powers = _cone_walk(constraints, layout, pairs)
-    stack = [Polynomial.constant(layout, 1)]  # stack[t]: the first t factors of ``prefix``
-    prefix: tuple[int, ...] = ()
-    for ks, pair in walk:
-        shared = 0
-        for old, new in zip(prefix, ks):
-            if old != new:
-                break
-            shared += 1
-        del stack[shared + 1 :]
-        for t in range(shared, len(ks)):
-            stack.append(stack[-1] * powers[t][ks[t]] if ks[t] else stack[-1])
-        prefix = ks
-        yield pair, stack[-1]
-
-
 def cone_sum(constraints: Sequence[Polynomial], layout: BlockLayout, coeffs: Mapping):
     """Exactly ``sum c * prod_j g_j^a_j (1 - g_j)^b_j`` over ``coeffs``' ``(alpha, beta): c``,
-    as one nested sum over the trie of :func:`cone_products`' walk: a node at depth t
-    sums F_t^k * S(child), so deep factors multiply partial sums in later variables."""
+    as one nested sum over the trie of :func:`_cone_walk`: a node at depth t sums
+    F_t^k * S(child), so deep factors multiply partial sums in later variables."""
     walk, powers = _cone_walk(constraints, layout, coeffs)
     dens = (prod(powers[t][k].den for t, k in enumerate(ks)) for ks, _ in walk)
     den = lcm(*(coeffs[pair].as_integer_ratio()[1] * d for (_, pair), d in zip(walk, dens)))
@@ -427,24 +395,33 @@ def cone_sum(constraints: Sequence[Polynomial], layout: BlockLayout, coeffs: Map
 def _cone_rows(
     family: str, constraints: Sequence[Polynomial], layout: BlockLayout, r: int
 ) -> list[tuple[RowKey, dict[int, Fraction]]]:
-    """One family's rows: the top-shell products of budget 2r, as forms."""
-    degs = [g.degree for g in constraints]
+    """One family's rows: the top-shell products of budget 2r, as forms, over the
+    trie that :func:`cone_sum` sums: a node at depth t multiplies its partial
+    product by F_t^k once for all its children."""
+    pairs = _power_pairs([g.degree for g in constraints], 2 * r)
+    walk, powers = _cone_walk(constraints, layout, pairs)
     # Rows repeat few distinct coefficients and monomials: one Fraction per
     # (den, numerator) and one int object per packed exponent.
     fractions: dict[int, dict[int, Fraction]] = {}
     exps: dict[int, int] = {}
     rows = []
-    walk = cone_products(constraints, layout, _power_pairs(degs, 2 * r))
-    for (alpha, beta), product in walk:
-        den = product.den
-        over = fractions.setdefault(den, {})
-        form = {}
-        for p, v in product.nums.items():
-            c = over.get(v)
-            if c is None:
-                c = over[v] = Fraction(v, den)
-            form[exps.setdefault(p, p)] = c
-        rows.append(((family, alpha, beta), form))
+
+    def node(t: int, items: list, product: Polynomial) -> None:
+        if t == 2 * len(constraints):  # a leaf: one pair, one row
+            over = fractions.setdefault(product.den, {})
+            form = {}
+            for p, v in product.nums.items():
+                c = over.get(v)
+                if c is None:
+                    c = over[v] = Fraction(v, product.den)
+                form[exps.setdefault(p, p)] = c
+            rows.append(((family, *items[0][1]), form))
+            return
+        for k, group in groupby(items, key=lambda item: item[0][t]):
+            node(t + 1, list(group), product * powers[t][k] if k else product)
+
+    node(0, walk, Polynomial.constant(layout, 1))
+    del node  # it calls itself, so free it now, not at a full collection
     rows.sort(key=lambda row: (sum(row[0][1]) + sum(row[0][2]), row[0][1], row[0][2]))
     return rows
 

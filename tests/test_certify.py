@@ -34,11 +34,12 @@ from sparsepos.relax import (
     RECIPES,
     BoundError,
     Recipe,
+    _cone_rows,
     _moment_index,
+    _power_pairs,
     assemble,
     assemble_krivine,
     assemble_sparse_schmudgen,
-    cone_products,
     cone_sum,
     normalize_krivine,
 )
@@ -453,6 +454,26 @@ class TestCone:
         with pytest.raises(LayoutError, match="degree 10000"):
             verify(cert, inst)
 
+    def test_unknown_mode_refused(self):
+        # A cone-only certificate has no SOS term whose side would name the
+        # mode, so verify looks the mode's recipe up itself, as the loader does.
+        inst, cert = _sign_flipped_cone(1)
+        with pytest.raises(ValueError, match="no relaxation has mode 'zonal'"):
+            verify(replace(cert, mode="zonal"), inst)
+
+    def test_negative_row_dual_refused(self):
+        inst = problems.interval_affine()
+        prog = assemble_krivine(normalize_krivine(inst, [1]), 2)
+        report = solve_lp(prog)
+        (key, _), *rest = report.dual_blocks
+        report = replace(report, dual_blocks=[(key, -1e-6), *rest])
+        with pytest.raises(ExtractionError, match=r"row dual for xy powers .* is -1\.000e-06 < 0"):
+            extract(report, prog)
+
+    def test_cone_coefficients_need_a_scaling(self):
+        with pytest.raises(ValueError, match="cone coefficients need a scaling record"):
+            SOSCertificate(0.0, (), "krivine", 1, UNIVARIATE, xy_coeffs={((1,), (0,)): 1.0})
+
 
 @pytest.fixture(scope="module")
 def twoballs_r1_json():
@@ -686,6 +707,38 @@ class TestSerialization:
             match = f"no '{edit}' cone family in 'krivine' relaxations"
         with pytest.raises(ValueError, match=match):
             certificate_from_json(json.dumps(data), inst)
+
+    @pytest.mark.parametrize("source,in_term,field", [
+        *(("cone", False, f) for f in ("scaling", "order", "lambda", "mode", "layout", "terms")),
+        ("cone", True, "family"),
+        ("cone", True, "subset"),
+        ("sos", True, "subset"),
+        ("sos", True, "basis"),
+        ("sos", True, "gram"),
+    ])
+    def test_missing_field_refused_by_name(self, twoballs_r1_json, source, in_term, field):
+        if source == "cone":
+            inst = problems.interval_affine()
+            prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
+            data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+        else:
+            inst, data = problems.twoballs(), json.loads(twoballs_r1_json)
+        del (data["terms"][0] if in_term else data)[field]
+        with pytest.raises(ValueError, match=f"certificate has no '{field}' field"):
+            certificate_from_json(json.dumps(data), inst)
+
+    @pytest.mark.parametrize("document", [[1, 2], "twoballs", 5, None],
+                             ids=["list", "string", "number", "null"])
+    def test_document_that_is_not_an_object_refused(self, document):
+        with pytest.raises(ValueError, match="certificate has no 'layout' field"):
+            certificate_from_json(json.dumps(document), problems.twoballs())
+
+    @pytest.mark.parametrize("terms", [5, {"family": "xy"}], ids=["number", "object"])
+    def test_terms_that_are_not_a_list_refused(self, twoballs_r1_json, terms):
+        data = json.loads(twoballs_r1_json)
+        data["terms"] = terms
+        with pytest.raises(ValueError, match="certificate terms .*; expected a list"):
+            certificate_from_json(json.dumps(data), problems.twoballs())
 
     def test_krivine_file_without_scaling_refused(self):
         inst = problems.interval_affine()
@@ -950,6 +1003,10 @@ WALK_LAYOUT = BlockLayout(1, 1, 1)
 _WALK_COEFFS = st.sampled_from(
     [Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(1, 3), Fraction(-5, 3)]
 )
+# The terms of one constraint: up to three monomials of degree up to 6.
+_WALK_TERMS = st.dictionaries(
+    st.tuples(*[st.integers(0, 2)] * 3), _WALK_COEFFS, min_size=1, max_size=3
+)
 
 
 @st.composite
@@ -957,9 +1014,7 @@ def _cone_walks(draw):
     """Up to two random constraints (denominators 2 and 3, degree up to 6)
     and a constant one, with power pairs of total degree up to 72, far above
     the 2r of any assembled row."""
-    exps = st.tuples(*[st.integers(0, 2)] * 3)
-    terms = st.dictionaries(exps, _WALK_COEFFS, min_size=1, max_size=3)
-    drawn = draw(st.lists(terms, min_size=1, max_size=2))
+    drawn = draw(st.lists(_WALK_TERMS, min_size=1, max_size=2))
     constraints = [Polynomial.from_terms(WALK_LAYOUT, t) for t in drawn]
     constant = Polynomial.constant(WALK_LAYOUT, draw(_WALK_COEFFS))
     constraints.insert(draw(st.integers(0, len(constraints))), constant)
@@ -987,10 +1042,9 @@ def _cone_sums(draw):
 
 
 def _reference_sum(constraints, layout, coeffs):
-    """sum c * product, one product of :func:`cone_products` at a time."""
-    products = cone_products(constraints, layout, coeffs)
-    return Polynomial.sum(layout, ((Fraction(coeffs[pair]), p.nums.items(), p.den)
-                                   for pair, p in products))
+    """sum c * product, one :func:`_reference_product` at a time."""
+    products = ((c, _reference_product(constraints, *pair, layout)) for pair, c in coeffs.items())
+    return Polynomial.sum(layout, ((Fraction(c), p.nums.items(), p.den) for c, p in products))
 
 
 class TestConeProducts:
@@ -1006,15 +1060,21 @@ class TestConeProducts:
         return inst, normed, prog, extract_cone(report, prog)
 
     @settings(max_examples=60, deadline=None)
-    @given(_cone_walks())
-    def test_walk_matches_reference_products(self, walk):
-        constraints, pairs = walk
-        seen = []
-        for pair, product in cone_products(constraints, WALK_LAYOUT, pairs):
-            assert product.den > 0 and all(product.nums.values())
-            assert product.terms == _reference_product(constraints, *pair, WALK_LAYOUT).terms
-            seen.append(pair)
-        assert sorted(seen) == sorted(pairs)
+    @given(
+        st.lists(_WALK_TERMS.filter(lambda t: any(map(any, t))), min_size=1, max_size=2),
+        st.integers(0, 4),
+    )
+    def test_walk_matches_reference_products(self, drawn, r):
+        # Non-constant constraints only: the top shell divides the budget by
+        # each degree, and the parser refuses a constant constraint.
+        constraints = [Polynomial.from_terms(WALK_LAYOUT, t) for t in drawn]
+        rows = _cone_rows("yz", constraints, WALK_LAYOUT, r)
+        pairs = _power_pairs([c.degree for c in constraints], 2 * r)
+        assert sorted(key for key, _ in rows) == sorted(("yz", *pair) for pair in pairs)
+        for (_, alpha, beta), form in rows:
+            product = _reference_product(constraints, alpha, beta, WALK_LAYOUT)
+            assert all(form.values())
+            assert form == {WALK_LAYOUT.pack(e): c for e, c in product.terms.items()}
 
     @settings(max_examples=60, deadline=None)
     @given(_cone_sums())

@@ -11,6 +11,7 @@ from sparsepos import problems
 from sparsepos.certify import VerificationReport, certificate_from_json, verify
 from sparsepos.cli import ProblemFileError, main, parse_problem
 from sparsepos.poly import Polynomial
+from sparsepos.relax import assemble
 
 
 class TestParseProblem:
@@ -59,6 +60,33 @@ class TestParseProblem:
         inst = parse_problem("vars x : X; minimize −x; st g: 1 − x^2 >= 0;")
         x = Polynomial.variable(inst.layout, "x")
         assert inst.objective == -x
+
+    @pytest.mark.parametrize("text,message,line,col", [
+        ("# nothing but a comment\n", "empty problem file", 1, 1),
+        ("vars;", "empty vars declaration", 1, 1),
+        ("vars x : X;\nminimize x;\nfoo bar;", "unexpected statement starting with 'foo'", 3, 1),
+        ("vars x X;", "variable declaration must look like 'x : X'", 1, 6),
+        ("vars x : W;", "block must be X, Y or Z, got 'W'", 1, 10),
+        ("minimize 1;", "no variable declarations", 1, 1),
+        ("vars x : X;\nminimize x;\nminimize -x;", "multiple minimize statements", 3, 1),
+        ("vars x : X; minimize x; st 1 - x >= 0;",
+         "constraint must look like 'st name: poly >= 0'", 1, 25),
+        ("vars x : X; minimize x; st g: 1 - x;", "constraint needs '>= 0'", 1, 25),
+        ("vars x : X;\nminimize x;\nst g: 1 - x >= 1;", "right-hand side must be 0", 3, 16),
+        ("vars x : X; minimize x +;", "unexpected end of expression", 1, 24),
+        ("vars x : X; minimize x x;", "unexpected token 'x'", 1, 24),
+        ("vars x : X; minimize 1/x;", "division is only allowed by a nonzero constant", 1, 23),
+        ("vars x : X; minimize x^1.5;", "exponent must be a nonnegative integer", 1, 24),
+        ("vars x : X; minimize (x x);", "expected ')'", 1, 25),
+    ], ids=["empty-file", "empty-vars", "unexpected-statement", "bad-declaration",
+            "bad-block", "no-declarations", "two-minimize", "bad-st", "missing-ge",
+            "nonzero-rhs", "end-of-expression", "trailing-token", "division",
+            "fractional-exponent", "missing-paren"])
+    def test_refusal_names_its_position(self, text, message, line, col):
+        with pytest.raises(ProblemFileError) as info:
+            parse_problem(text)
+        assert str(info.value) == f"line {line}, col {col}: {message}"
+        assert (info.value.line, info.value.col) == (line, col)
 
     def test_constraint_block_split(self):
         text = (
@@ -175,6 +203,28 @@ class TestMain:
         code = main([problem_file, "--order", "1", f"--oracle-box={box}", "--oracle-step", step])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("options,message", [
+        (["--oracle-box=-1,-1:1,-1:1"], "bad interval '-1'; expected lo:hi"),
+        (["--oracle-step", "0.05"], "--oracle-step requires --oracle-box"),
+    ], ids=["bad-interval", "step-without-box"])
+    def test_unusable_oracle_options_exit_2(self, problem_file, capsys, monkeypatch, options,
+                                            message):
+        monkeypatch.setattr("sparsepos.hierarchy.solve", _no_solve)
+        assert main([problem_file, "--order", "1", *options]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_program_with_no_free_moment(self, tmp_path, capsys):
+        # At r = 0 the one block is 1 x 1 on the pinned unit moment: the IPM
+        # has no free moment to move and returns at once.
+        path, cert_path = tmp_path / "five.sp", tmp_path / "cert.json"
+        path.write_text("vars x : X; minimize 5;")
+        inst = parse_problem(path.read_text())
+        assert len(assemble(inst, "schmudgen-sparse", 0).variable_index) == 1
+        assert main([str(path), "--order", "0", "--certificate", str(cert_path)]) == 0
+        assert re.search(r"^ +0 +5 +optimal ", capsys.readouterr().out, re.M)
+        cert = certificate_from_json(cert_path.read_text(), inst)
+        assert cert.lam == 5.0 and verify(cert, inst).passed
 
     def test_certificate_file(self, problem_file, tmp_path, capsys):
         cert_path = tmp_path / "cert.json"

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from sparsepos import problems
+from sparsepos.cli import render_text
 from sparsepos.hierarchy import (
     ConfigError,
     EXIT_CONFIG,
@@ -11,6 +13,7 @@ from sparsepos.hierarchy import (
     RunConfig,
     run_hierarchy,
 )
+from sparsepos.solver import solve
 
 # Golden bounds from the embedded solver on the two-disk instance; the grid
 # reference at step 0.005 lands exactly on (-0.8, -0.6, -0.8).
@@ -47,6 +50,21 @@ class TestRunHierarchy:
         config = RunConfig(variant="putinar-sparse", r_min=1, r_max=3)
         result = run_hierarchy(problems.constant5(), config)
         assert all(5.0 - 1e-7 <= row.bound <= 5.0 for row in result.rows)
+
+    def test_decreasing_bound_flagged(self, monkeypatch):
+        # Each order's bound is lowered by 1 more than the last one's.
+        lowered = iter(range(3))
+
+        def decreasing(program, **kwargs):
+            report = solve(program, **kwargs)
+            return replace(report, dual_objective=report.dual_objective - next(lowered))
+
+        monkeypatch.setattr("sparsepos.hierarchy.solve", decreasing)
+        result = run_hierarchy(problems.constant5(), RunConfig(r_min=1, r_max=3))
+        assert [row.monotonicity_violated for row in result.rows] == [False, True, True]
+        text = render_text(result).splitlines()
+        assert ["optimal *" in line for line in text[2:5]] == [False, True, True]
+        assert text[-1] == "  (*) bound decreased from the previous order beyond tolerance"
 
     def test_default_order_is_minimum(self):
         result = run_hierarchy(problems.twoballs(), RunConfig())

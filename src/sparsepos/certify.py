@@ -40,7 +40,7 @@ from .moments import half_degree, min_eigenvalue
 from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial
 from .problem import ProblemInstance
 from .relax import RECIPES, ConicProgram, cone_sum, normalize_krivine, recipe_side
-from .solver import OPTIMAL, SolveReport
+from .solver import OPTIMAL, SolveReport, _blas_on_one_thread
 
 
 class ExtractionError(ValueError):
@@ -115,6 +115,7 @@ class VerificationReport:
     passed: bool
 
 
+@_blas_on_one_thread()
 def extract(report: SolveReport, program: ConicProgram) -> SOSCertificate:
     """Turn the duals of an optimal solve into a certificate: a
     :class:`ConeCertificate` for a program with rows and no PSD block (a
@@ -235,6 +236,7 @@ def _coupling_free(cert, layout: BlockLayout) -> bool:
     return True
 
 
+@_blas_on_one_thread()
 def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationReport:
     """Check the representation identity, PSD/nonnegativity, and sparsity.
 
@@ -306,7 +308,7 @@ def certificate_to_json(cert) -> str:
     scaling = None if cert.scaling is None else [str(_exact(s, "scaling")) for s in cert.scaling]
     return json.dumps({"mode": cert.mode, "order": cert.order, "lambda": _fmt(cert.lam),
                        "layout": _layout_json(cert.layout), "terms": cone + sos,
-                       "scaling": scaling}, indent=2)
+                       "scaling": scaling})
 
 
 def _finite(value, field: str):

@@ -43,19 +43,22 @@ contradictions, divergence of the certificate value with small residuals is
 reported as infeasible, and iterates that overflow end in numerical failure.
 
 numpy and scipy wheels each bundle their own OpenBLAS, with one thread pool
-each.  While an IPM runs, both pools are put on the calling thread: on a
-2-vCPU machine a second BLAS thread nearly doubled the CPU time of the
-dense ladder and bought no wall time, once the Schur kernels stopped doing
-work that it had been hiding (one GEMM per PSD block, SYRK for LP rows,
-step lengths from the scaling already in hand).  That was measured on 2
-vCPUs only; wall time on rungs larger than the ladders' and on machines
-with more cores, where big PSD products lose their other threads, is
-unverified.  Each library's previous
-thread count is restored when the last running solve ends, so the caller
-sees the same counts before and after.  The count is process-wide in
-OpenBLAS, so BLAS calls made by other threads during a solve also run on
-one thread.  Where the symbol is missing (another BLAS), nothing is
-changed.
+each.  While ``solve``, ``certify.extract`` or ``certify.verify`` runs, both
+pools are put on the calling thread (:func:`_blas_on_one_thread`, a
+decorator on each).  On a 2-vCPU machine a second BLAS thread nearly
+doubled the CPU time of the dense ladder and bought no wall time, once the
+Schur kernels stopped doing work that it had been hiding (one GEMM per PSD
+block, SYRK for LP rows, step lengths from the scaling already in hand);
+and after an unpinned ``eigh`` of a k x k block, k >= 28 (``extract`` makes
+one per block), a woken OpenBLAS worker went on spinning for 0.1-0.2 s,
+into the next rungs.  That was measured on 2 vCPUs only; wall time on
+rungs larger than the ladders' and on machines with more cores, where big
+PSD products lose their other threads, is unverified.  Each library's
+previous thread count is restored when the last running pinned call ends,
+so the caller sees the same counts before and after.  The count is
+process-wide in OpenBLAS, so BLAS calls made by other threads meanwhile
+also run on one thread.  Where the symbol is missing (another BLAS),
+nothing is changed.
 """
 
 from __future__ import annotations
@@ -330,7 +333,7 @@ def _thread_setters() -> tuple:
 
 
 # Despite its name, the setter changes the count of the whole process on
-# pthreads builds of OpenBLAS, so overlapping solves in several threads
+# pthreads builds of OpenBLAS, so overlapping pinned calls in several threads
 # share one pin instead of each restoring what another one set.
 _pin_lock = threading.Lock()
 _pin_depth = 0
@@ -339,8 +342,9 @@ _pin_saved: list[tuple] = []
 
 @contextmanager
 def _blas_on_one_thread():
-    """Run every OpenBLAS pool on one thread for the body; concurrent solves
-    share one pin, and the last to leave restores the caller's counts."""
+    """Run every OpenBLAS pool on one thread for the body; overlapping and
+    nested pinned calls share one pin, and the last to leave restores the
+    caller's counts."""
     global _pin_depth, _pin_saved
     with _pin_lock:
         if _pin_depth == 0:
@@ -597,6 +601,7 @@ def _cones(program: ConicProgram) -> tuple[list, csr_matrix, dict]:
     return cones, hstack(columns, format="csr"), pos
 
 
+@_blas_on_one_thread()
 def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> SolveReport:
     """Solve a moment relaxation: its PSD blocks and its nonnegative rows.
     On optimal status the moments satisfy every block and row to tolerance
@@ -610,8 +615,7 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Solv
     for p, coeff in program.objective.items():
         if p:
             c[pos[p]] = float(coeff)
-    with _blas_on_one_thread():
-        raw = _ipm_loop([cone for cone, _ in cones], A, -c, tol, max_iter)
+    raw = _ipm_loop([cone for cone, _ in cones], A, -c, tol, max_iter)
 
     blocks = program.num_blocks
     dual_blocks = [(label, Xc) for (_, label), Xc in zip(cones, raw.X[:blocks])]

@@ -13,7 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepos import problems
-from sparsepos.certify import ConeCertificate, extract, extract_sos, verify
+from sparsepos.certify import (
+    ConeCertificate,
+    certificate_from_json,
+    certificate_to_json,
+    extract,
+    extract_sos,
+    verify,
+)
 from sparsepos.cli import parse_problem
 from sparsepos.moments import half_degree, moments_of_dirac, min_eigenvalue
 from sparsepos.poly import BlockLayout, Polynomial, grlex_key, monomial_basis
@@ -380,9 +387,7 @@ class TestKrivineAssembly:
 
     def test_box212_pipeline_leaves_no_reference_cycles(self):
         # Every step frees what it made by reference counting alone, so with
-        # the collector off a collection after each finds nothing.  (JSON is
-        # left out: the pure-Python encoder of json.dumps(indent=2) leaves
-        # cycles of its own.)
+        # the collector off a collection after each finds nothing.
         text = runpy.run_path(os.path.join(ROOT, "perfbench", "gen.py"))["instance_text"]
         inst = parse_problem(text("box212", 1))
         normed = normalize_krivine(inst, [1] * (len(inst.g_constraints) + len(inst.h_constraints)))
@@ -397,6 +402,10 @@ class TestKrivineAssembly:
             cert = extract(report, prog)
             assert gc.collect() == 0
             assert verify(cert, inst).passed
+            assert gc.collect() == 0
+            document = certificate_to_json(cert)
+            assert gc.collect() == 0
+            assert verify(certificate_from_json(document, inst), inst).passed
             assert gc.collect() == 0
         finally:
             if enabled:

@@ -15,7 +15,7 @@ import pytest
 from scipy.linalg import cho_factor
 from scipy.sparse import csr_matrix
 
-from sparsepos import cli, problems, solver
+from sparsepos import certify, cli, problems, solver
 from sparsepos.certify import (
     ConeCertificate,
     SOSCertificate,
@@ -1094,3 +1094,69 @@ class TestScipyBlasPin:
         assert plain.status == pinned.status == OPTIMAL
         scale = 1.0 + abs(pinned.primal_objective)
         assert abs(plain.primal_objective - pinned.primal_objective) <= 1e-9 * scale
+
+
+class TestCertifyBlasPin:
+    """``extract`` and ``verify`` run on one-thread pools too, under the pin
+    that ``solve`` takes, and give the caller back its counts."""
+
+    def test_one_thread_inside_extract_and_verify(self, blas_threads, monkeypatch):
+        instance = problems.twoballs()
+        program = assemble_sparse_schmudgen(instance, 2)
+        report = solve(program)
+        before = blas_threads()
+        seen = {"extract": [], "verify": []}
+        eigh, min_eigenvalue = np.linalg.eigh, certify.min_eigenvalue
+
+        def recording_eigh(a):
+            seen["extract"].append(blas_threads())
+            return eigh(a)
+
+        def recording_min_eigenvalue(a):
+            seen["verify"].append(blas_threads())
+            return min_eigenvalue(a)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(certify, "min_eigenvalue", recording_min_eigenvalue)
+        cert = extract(report, program)
+        assert blas_threads() == before == (2, 2)
+        assert verify(cert, instance).passed
+        assert blas_threads() == before
+        for calls in seen.values():
+            assert len(calls) == program.num_blocks
+            assert all(counts == (1, 1) for counts in calls)
+
+    def test_refusals_restore_caller_counts(self, blas_threads):
+        instance = problems.twoballs()
+        program = assemble_sparse_schmudgen(instance, 2)
+        report = solve(program)
+        before = blas_threads()
+        with pytest.raises(certify.ExtractionError):
+            extract(replace(report, status=NUMERICAL_FAILURE), program)
+        assert blas_threads() == before
+        cert = extract(report, program)
+        with pytest.raises(ValueError, match="lambda"):
+            verify(replace(cert, lam=float("nan")), instance)
+        assert blas_threads() == before
+
+    @pytest.mark.usefixtures("blas_threads")  # unpinned calls then run on two threads
+    def test_without_the_symbol_the_certificate_is_bit_identical(self, monkeypatch):
+        # ball313 r=3 has 35 x 35 blocks, past the size (k = 28) from which
+        # an unpinned eigh wakes a second OpenBLAS thread.
+        text = runpy.run_path(os.path.join(ROOT, "perfbench", "gen.py"))["instance_text"]
+        instance = cli.parse_problem(text("ball313", 1))
+        program = assemble_sparse_schmudgen(instance, 3)
+        assert max(matrix.size for _, matrix in program.psd_blocks) == 35
+        report = solve(program)  # one solve: a two-thread solve ends a little elsewhere
+
+        def run():
+            cert = extract(report, program)
+            return cert, verify(cert, instance)
+
+        pinned, pinned_report = run()
+        monkeypatch.setattr(solver, "_thread_setters", lambda: ())
+        plain, plain_report = run()
+        assert pinned_report.passed
+        assert plain_report == pinned_report
+        assert [t.gram.tobytes() for t in plain.terms] == [t.gram.tobytes() for t in pinned.terms]
+        assert certificate_to_json(plain) == certificate_to_json(pinned)

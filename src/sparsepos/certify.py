@@ -5,26 +5,27 @@ A certificate asserts f - lambda = sum_terms v^T G v * w plus
 sum c_ab * g^a (1-g)^b + sum c_ab * h^a (1-h)^b: SOS terms, each a monomial
 basis v over one variable block, a PSD Gram matrix G and a weight w (a
 product of constraints), and cone terms with nonnegative scalars.  One
-:class:`SOSCertificate` holds both parts, and every function here reads
-both, the JSON form too, which the recipe of the certificate's mode reads
-back; krivine ones (:class:`ConeCertificate`) have cone terms only.  A sparse
-certificate keeps each term's basis and weight on (X,Y) or on (Y,Z), so
-no monomial couples X with Z.
+:class:`SOSCertificate` holds both parts; krivine ones
+(:class:`ConeCertificate`) have cone terms only.  One rule, :func:`_checked`,
+says what a certificate must be before anything expands it: :func:`verify`
+and :func:`expand` check by it, and :func:`certificate_from_json` after
+reading, so verify refuses what the loader refuses.  A sparse certificate
+keeps each term's basis and weight on (X,Y) or on (Y,Z), so no monomial
+couples X with Z.
 
 Verification expands the right-hand side exactly and measures the
 coefficient residual against f - lambda.  Every float is an exact dyadic
 rational, so nothing is rounded: an SOS term expands in Gram form,
 sum_ij G_ij * m_{a_i + a_j} * w, from the same Gram matrix that the PSD test
 reads (as in Peyrl and Parrilo, "Computing sum of squares decompositions
-with rational coefficients"), and the cone terms c * g^a (1-g)^b of a
-family expand as one nested sum over the trie of their powers
-(:func:`relax.cone_sum`), the recursion that builds the LP rows.  The LP
-has top-shell rows only, but a cone term may name any power pair.  Each
-factor is rebuilt from the instance, never from the program, by the call
-that built it for assembly: the cone part's constraints by
-:func:`relax.normalize_krivine` on the certificate's divisors, and from
-them too each SOS weight by :meth:`relax.Side.weight`.  Both parts feed one :meth:`Polynomial.sum`,
-exact ints over a running common denominator.
+with rational coefficients"), and the cone terms of a row side expand as
+one nested sum over the trie of their powers (:func:`relax.cone_sum`), the
+recursion that builds the LP rows.  Each factor is rebuilt from the
+instance, never from the program, by the call that built it for assembly:
+the constraints by :func:`relax.normalize_krivine` on the certificate's
+divisors, a row side's by :meth:`relax.Side.constraint_list`, and each SOS
+weight by :meth:`relax.Side.weight`.  Both parts feed one
+:meth:`Polynomial.sum`, exact ints over a running common denominator.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import numpy as np
 from .moments import half_degree, min_eigenvalue
 from .poly import MAX_DEGREE, BlockLayout, Exponent, LayoutError, Polynomial
 from .problem import ProblemInstance
-from .relax import RECIPES, ConicProgram, cone_sum, normalize_krivine, recipe_side
+from .relax import RECIPES, ConicProgram, cone_sum, normalize_krivine
 from .solver import OPTIMAL, SolveReport, _blas_on_one_thread
 
 
@@ -56,33 +57,16 @@ class SOSTerm:
     basis: tuple[Exponent, ...]
     gram: np.ndarray
 
-    def __post_init__(self) -> None:
-        # The Gram matrix is k x k and the basis fits the weight's layout.
-        k, layout = len(self.basis), self.weight.layout
-        if np.shape(self.gram) != (k, k):
-            raise ValueError(
-                f"{self.family} term has a Gram matrix of shape {np.shape(self.gram)} "
-                f"for {k} basis monomials"
-            )
-        for a in self.basis:
-            if not layout.is_exponent(a):
-                raise ValueError(
-                    f"{self.family} term has basis exponent {a!r}; expected a tuple "
-                    f"of {layout.nvars} nonnegative ints"
-                )
-
 
 @dataclass(frozen=True)
 class SOSCertificate:
     """SOS ``terms`` plus cone coefficients per power pair of each family,
     over the constraints divided by ``scaling`` (one divisor per constraint,
-    g family first).  The cone part is there when ``scaling`` is.
-
-    A divisor must be positive, which verification checks; that it also
-    dominates its constraint on the feasible set, so that 1 - g/s >= 0
-    there, is asserted by whoever chose it (see :func:`relax.normalize_krivine`)
-    and is not checked.
-    """
+    g family first), which is there exactly when the recipe of ``mode`` has
+    row sides.  :func:`_checked` checks that, and that each divisor is
+    positive; that it also dominates its constraint on the feasible set, so
+    that 1 - g/s >= 0 there, is asserted by whoever chose it (see
+    :func:`relax.normalize_krivine`) and is not checked."""
 
     lam: float
     terms: tuple[SOSTerm, ...]
@@ -92,10 +76,6 @@ class SOSCertificate:
     xy_coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = field(default_factory=dict)
     yz_coeffs: dict[tuple[tuple[int, ...], tuple[int, ...]], float] = field(default_factory=dict)
     scaling: tuple[Fraction, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.scaling is None and (self.xy_coeffs or self.yz_coeffs):
-            raise ValueError("cone coefficients need a scaling record")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -175,55 +155,120 @@ def extract(report: SolveReport, program: ConicProgram) -> SOSCertificate:
 extract_sos = extract_cone = extract
 
 
-def _pieces(cert, instance: ProblemInstance):
-    """The certificate's right-hand side as :meth:`Polynomial.sum` pieces:
-    its SOS terms, then its cone terms."""
-    layout = instance.layout
-    # The constraints as assembly scaled them, for both parts; refuses a
-    # scaling of the wrong length or with an entry that is not positive.
-    source = instance if cert.scaling is None else normalize_krivine(instance, cert.scaling)
+def _cone_coeffs(cert) -> dict:
+    """The certificate's cone coefficients by row-side family."""
+    return {"xy": cert.xy_coeffs, "yz": cert.yz_coeffs}
+
+
+def _checked(cert, instance: ProblemInstance) -> ProblemInstance:
+    """The one certificate rule, which :func:`verify`, :func:`expand` and
+    :func:`certificate_from_json` check by: the instance with its
+    constraints divided by the certificate's ``scaling`` (the instance
+    itself without one) once the certificate passes.  ``ValueError``
+    refuses, in this order and naming the fact:
+
+    - a mode that no recipe has; cone coefficients of a family that no row
+      side of the recipe has;
+    - a ``scaling`` present without row sides, missing (or not a sequence:
+      a string would read as its characters) with them, or refused by
+      :func:`relax.normalize_krivine` (``BoundError``);
+    - a layout other than the instance's; an ``order`` that is not a
+      nonnegative int; a lambda, Gram entry or cone coeff that is not finite;
+    - an SOS term whose Gram matrix is not k x k for its k basis exponents,
+      or whose exponents are not one nonnegative int per variable; of a
+      family that no PSD side has, or whose weight is not the product of the
+      (scaled) constraints its subset names, on the instance's layout;
+    - a cone key, zero coefficients included, that is not two tuples of one
+      nonnegative int per constraint of its side (the cone walk would zip a
+      longer one down to another key, and never end on a negative power);
+    - a Gram form or cone product above ``MAX_DEGREE`` (``LayoutError``);
+    - with PSD sides, an order other than the largest deg(basis) +
+      ceil(deg w / 2), which every recipe builds to; in every case, an
+      order below half the largest cone product degree (not bounded above:
+      a degree-4 constraint gives the same rows at orders 2 and 3).
+    """
+    recipe, mode, layout, cones = _recipe(cert.mode), cert.mode, instance.layout, _cone_coeffs(cert)
+    for family, coeffs in cones.items():
+        if coeffs and family not in {side.family for side in recipe.rows}:
+            raise ValueError(f"no {family!r} cone family in {mode!r} relaxations")
+    if not (isinstance(cert.scaling, (tuple, list)) if recipe.rows else cert.scaling is None):
+        need = "a scaling list" if recipe.rows else "no scaling"
+        raise ValueError(f"a {mode!r} certificate needs {need}, not {cert.scaling!r}")
+    source = normalize_krivine(instance, cert.scaling) if recipe.rows else instance
+    if cert.layout != layout:
+        raise ValueError(f"certificate layout {_layout_json(cert.layout)!r} is not the instance's")
+    if type(cert.order) is not int or cert.order < 0:
+        raise ValueError(f"certificate order {cert.order!r}; expected a nonnegative int")
+    _finite(cert.lam, "lambda")
+    built = top = 0
+    for term in cert.terms:  # the largest |entry| is nan or inf when any entry is
+        _finite(float(np.max(np.abs(term.gram), initial=0.0)), "gram entry")
+        if np.shape(term.gram) != (len(term.basis),) * 2:
+            raise ValueError(f"{term.family} term has a Gram matrix of shape "
+                             f"{np.shape(term.gram)} for {len(term.basis)} basis monomials")
+        if not all(map(layout.is_exponent, term.basis)):
+            raise ValueError(f"{term.family} term has basis {term.basis}; expected tuples "
+                             f"of {layout.nvars} nonnegative ints")
+        if term.weight != recipe.side(term.family).weight(source, term.subset):
+            raise ValueError(f"{term.family} term over subset {term.subset} has a weight "
+                             f"that is not the product of those constraints")
+        # v^T G v doubles the basis degree; a packed sum above the cap would carry.
+        if (degree := 2 * max(map(sum, term.basis), default=0)) > MAX_DEGREE:
+            raise LayoutError(f"Gram form of degree {degree} is above {MAX_DEGREE}")
+        built = max(built, degree // 2 + half_degree(term.weight))
+    for side in recipe.rows:
+        degs = [g.degree for g in side.constraint_list(source)]
+        for key, value in cones[side.family].items():
+            _finite(value, "coeff")
+            if not (isinstance(key, tuple) and len(key) == 2 and all(
+                    isinstance(powers, tuple) and len(powers) == len(degs)
+                    and all(type(a) is int and a >= 0 for a in powers) for powers in key)):
+                raise ValueError(f"cone term subset {key!r}; expected two lists of "
+                                 f"{len(degs)} nonnegative ints")
+            if (degree := sum((a + b) * d for a, b, d in zip(*key, degs))) > MAX_DEGREE:
+                raise LayoutError(f"cone product {key} has degree {degree} above {MAX_DEGREE}")
+            top = max(top, degree)
+    if recipe.sides and cert.order != built:
+        raise ValueError(f"certificate order {cert.order} is not {built}, "
+                         f"the order its terms are built to")
+    if cert.order < (top + 1) // 2:  # every product's degree is at most 2 * order
+        raise ValueError(f"certificate order {cert.order} is below {(top + 1) // 2}: "
+                         f"it has a cone product of degree {top}")
+    return source
+
+
+def _pieces(cert, source: ProblemInstance):
+    """The right-hand side of a certificate that passed :func:`_checked`,
+    as :meth:`Polynomial.sum` pieces over ``source``, the instance it
+    returned: the SOS terms, then the cone terms of each row side."""
+    layout = source.layout
     for term in cert.terms:
-        # Each term checked its Gram shape and basis against its weight's
-        # layout when it was built.
-        if term.weight.layout != layout:
-            raise LayoutError(f"{term.family} term lives on another layout")
-        weight = term.weight
-        if weight != recipe_side(cert.mode, term.family).weight(source, term.subset):
-            raise ValueError(
-                f"{term.family} term over subset {term.subset} has a weight that is "
-                f"not the product of those constraints"
-            )
-        # v^T G v * w = (sum_ij G_ij * m_{a_i + a_j}) * w, over all k^2
-        # entries of G; no packed sum may carry.
-        basis, shift = [layout.pack(a) for a in term.basis], layout.degree_shift
+        # v^T G v * w = (sum_ij G_ij * m_{a_i + a_j}) * w, over all k^2 entries of G.
+        basis = [layout.pack(a) for a in term.basis]
         pieces = []
         for a, row in zip(basis, np.asarray(term.gram, dtype=float).tolist()):
             for b, g in zip(basis, row):
                 if g:
-                    if (degree := (a >> shift) + (b >> shift)) > MAX_DEGREE:
-                        raise LayoutError(f"Gram form of degree {degree} is above {MAX_DEGREE}")
                     num, den = g.as_integer_ratio()
                     pieces.append((1, ((a + b, num),), den))
-        product = Polynomial.sum(layout, pieces) * weight
+        product = Polynomial.sum(layout, pieces) * term.weight
         yield 1, product.nums.items(), product.den
-    if cert.scaling is None:
-        return  # no cone part
-    for constraints, coeffs in ((source.g_constraints, cert.xy_coeffs),
-                                (source.h_constraints, cert.yz_coeffs)):
-        nonzero = {_cone_key(pair, len(constraints)): c for pair, c in coeffs.items() if c != 0.0}
-        total = cone_sum(constraints, layout, nonzero)
+    cones = _cone_coeffs(cert)
+    for side in _recipe(cert.mode).rows:
+        nonzero = {key: c for key, c in cones[side.family].items() if c != 0.0}
+        total = cone_sum(side.constraint_list(source), layout, nonzero)
         yield 1, total.nums.items(), total.den
 
 
 def expand(cert, instance: ProblemInstance) -> Polynomial:
     """Exact polynomial expansion of the certificate's right-hand side
     (without lambda): the object that should coefficient-match f - lambda.
-
-    Cone terms and SOS weights are built from the instance's original
-    constraints with the recorded normalization divisors re-applied, so the
-    caller passes the unnormalized instance.
+    It refuses, before expanding, what :func:`_checked` refuses.  Cone terms
+    and SOS weights are built from the instance's original constraints with
+    the recorded normalization divisors re-applied, so the caller passes the
+    unnormalized instance.
     """
-    return Polynomial.sum(instance.layout, _pieces(cert, instance))
+    return Polynomial.sum(instance.layout, _pieces(cert, _checked(cert, instance)))
 
 
 def _coupling_free(cert, layout: BlockLayout) -> bool:
@@ -245,36 +290,20 @@ def verify(cert, instance: ProblemInstance, tol: float = 1e-5) -> VerificationRe
     or cone coefficients that the PSD or nonnegativity test reads; it passes
     when below tol * (1 + max |coefficient of f|).  The coupling flag gates
     the pass unless the recipe of the certificate's mode has a side on the
-    joint block ``xyz`` (dense), whose terms may couple X and Z.
-
-    ``ValueError`` refuses: a mode that no recipe has, as the loader does; a
-    lambda, Gram entry or cone coeff that is not finite (naming it, before
-    any expansion); an SOS term whose weight is not the product of the
-    constraints (scaled, with a cone part) that its mode, family and subset
-    name; a ``scaling`` that :func:`relax.normalize_krivine` refuses
-    (:class:`relax.BoundError`: wrong length, an entry not a positive finite
-    number); and a cone key that is not two sequences of one nonnegative int
-    per constraint of its family.  A positive divisor below its constraint's
-    maximum on the feasible set is the caller's precondition: verification
-    checks the identity, not the bound.
+    joint block ``xyz`` (dense), whose terms may couple X and Z.  What
+    :func:`_checked` refuses, :func:`expand` refuses here before expanding.
     """
-    recipe = _recipe(cert.mode)
-    _finite(cert.lam, "lambda")
-    for term in cert.terms:  # the largest |entry| is nan or inf when any entry is
-        _finite(float(np.max(np.abs(term.gram), initial=0.0)), "gram entry")
-    for value in (*cert.xy_coeffs.values(), *cert.yz_coeffs.values()):
-        _finite(value, "coeff")
-    diff = instance.objective - Polynomial.constant(instance.layout, Fraction(cert.lam))
-    residual = float((diff - expand(cert, instance)).max_norm())
+    expansion = expand(cert, instance)  # refuses a lambda that is not finite, before it is read
+    residual = float((instance.objective - Fraction(cert.lam) - expansion).max_norm())
     coupling = _coupling_free(cert, instance.layout)
 
     psd_ok = not any(
         min_eigenvalue(t.gram) < -tol * (1.0 + float(np.max(np.abs(t.gram), initial=0.0)))
         for t in cert.terms
-    ) and all(v >= -tol for coeffs in (cert.xy_coeffs, cert.yz_coeffs) for v in coeffs.values())
+    ) and all(v >= -tol for coeffs in _cone_coeffs(cert).values() for v in coeffs.values())
 
     bound = tol * (1.0 + float(instance.objective.max_norm()))
-    joint = any(side.block == "xyz" for side in recipe.sides)  # may couple X and Z
+    joint = any(side.block == "xyz" for side in _recipe(cert.mode).sides)  # may couple X and Z
     passed = residual <= bound and psd_ok and (coupling or joint)
     return VerificationReport(residual=residual, coupling_free=coupling, psd_ok=psd_ok,
                               lam=cert.lam, passed=passed)
@@ -297,7 +326,7 @@ def certificate_to_json(cert) -> str:
     numbers are 17-digit decimal strings, which give every float back."""
     cone = [
         {"family": family, "subset": [list(alpha), list(beta)], "coeff": _fmt(value)}
-        for family, coeffs in (("xy", cert.xy_coeffs), ("yz", cert.yz_coeffs))
+        for family, coeffs in _cone_coeffs(cert).items()
         for (alpha, beta), value in sorted(coeffs.items())
     ]
     sos = [
@@ -311,10 +340,9 @@ def certificate_to_json(cert) -> str:
                        "scaling": scaling})
 
 
-def _finite(value, field: str):
+def _finite(value, field: str) -> None:
     if not isfinite(float(value)):
         raise ValueError(f"certificate {field} {value!r} is not finite")
-    return value
 
 
 def _exact(value, field: str) -> Fraction:
@@ -323,6 +351,23 @@ def _exact(value, field: str) -> Fraction:
         return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
         raise ValueError(f"certificate {field} {value!r} is not a finite number") from None
+
+
+def _number(value, field: str) -> float:
+    """A JSON number or decimal string, not a bool, as a float; inf and nan
+    are read, for :func:`_checked` to refuse by name."""
+    try:
+        if type(value) in (int, float, str):
+            return float(value)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"certificate {field} {value!r} is not a number")
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"certificate {field} {value!r}; expected a list")
+    return value
 
 
 def _recipe(mode: str):
@@ -342,104 +387,57 @@ def _field(data, key: str):
         raise ValueError(f"certificate has no {key!r} field") from None
 
 
-def _cone_key(subset, count: int):
-    """The (alpha, beta) powers of a cone term, refusing anything but two
-    sequences of ``count`` nonnegative ints (the cone walk would zip a
-    longer one down to another key, and recurse without end on a negative or
-    fractional power)."""
-    if not (
-        isinstance(subset, (list, tuple))
-        and len(subset) == 2
-        and all(
-            isinstance(powers, (list, tuple))
-            and len(powers) == count
-            and all(type(a) is int and a >= 0 for a in powers)
-            for powers in subset
-        )
-    ):
-        raise ValueError(
-            f"cone term subset {subset!r}; expected two lists of {count} nonnegative ints"
-        )
-    return tuple(subset[0]), tuple(subset[1])
-
-
 def certificate_from_json(text: str, instance: ProblemInstance):
-    """Rebuild a certificate against ``instance`` through the recipe of its
-    ``mode`` (:data:`relax.RECIPES`), ignoring the ``kind`` of older files.
-    A term with a ``coeff`` is a cone term of a row side; any other is an
-    SOS term of the PSD side of its (mode, family) (:func:`relax.recipe_side`),
-    its weight rebuilt by :meth:`relax.Side.weight`, as assembly built it.
-    ``scaling`` is read first, and required, exactly when the recipe has
-    rows; the weights and cone degrees come from the constraints it scales.
-    As from :func:`extract`, the result is a :class:`ConeCertificate` when
-    the recipe has rows and no PSD side, else an :class:`SOSCertificate`.
+    """Rebuild a certificate against ``instance``, ignoring the ``kind`` of
+    older files, and check it by :func:`_checked`, the rule :func:`verify`
+    checks by.  A term with a ``coeff`` is a cone term; any other is an SOS
+    term of its family's PSD side in the recipe of ``mode``, its weight
+    rebuilt by :meth:`relax.Side.weight` from the constraints ``scaling``
+    divides.  As from :func:`extract`, the result is a
+    :class:`ConeCertificate` when the recipe has rows only, else an
+    :class:`SOSCertificate`.
 
-    ``ValueError``, naming the field, refuses: a document or term without a
-    field it needs (a document that is not a JSON object has none); a
-    ``terms`` that is not a list; an unknown mode, or a family
-    with no side of its term's sort; a ``scaling`` that is null or not a
-    JSON list; a lambda, Gram entry, coeff or scaling entry that is
-    not a finite number; a ``scaling`` that :func:`relax.normalize_krivine`
-    refuses (wrong length, an entry not positive), as :func:`verify` does; a
-    cone subset that is not two lists of one nonnegative int per constraint
-    of its side, or that its family lists twice (SOS terms may repeat: each
-    counts in the sum); an SOS subset that is not a list of int indices into
-    its side's constraints; a term that :class:`SOSTerm` refuses; a
-    ``layout`` other than the instance's (n, m, p, names); an ``order`` that
-    is not a nonnegative int, or, with PSD sides, not the largest
-    deg(basis) + ceil(deg w / 2) over the SOS terms, which every recipe
-    builds to, or below ceil(max sum_j (a_j + b_j) deg g_j / 2) over the
-    cone power pairs (not bounded above: a degree-4 constraint gives the
-    same rows at orders 2 and 3).
+    Before the rule, ``ValueError`` refuses by name what the file's form
+    cannot hold: a missing field, a ``layout`` other than the instance's,
+    another JSON value where a list, a number (not a bool) or an int index
+    belongs, a ragged ``gram``, a cone family other than ``xy`` and ``yz``,
+    and a cone subset that its family lists twice (SOS terms may repeat).
     """
     data = json.loads(text)
-    layout = instance.layout
-    if (stated := _field(data, "layout")) != _layout_json(layout):
+    if (stated := _field(data, "layout")) != _layout_json(instance.layout):
         raise ValueError(f"certificate layout {stated!r} is not the instance's")
-    order = _field(data, "order")
-    if type(order) is not int or order < 0:
-        raise ValueError(f"certificate order {order!r}; expected a nonnegative int")
-    lam = float(_finite(_field(data, "lambda"), "lambda"))
-    mode = _field(data, "mode")
-    recipe = _recipe(mode)
-    source, scaling = instance, None
-    if recipe.rows:
-        # Not any iterable: the characters of a string would read as divisors.
-        if not isinstance(divisors := _field(data, "scaling"), list):
-            raise ValueError(f"a {mode!r} certificate needs a scaling list, not {divisors!r}")
-        source = normalize_krivine(instance, [_exact(s, "scaling") for s in divisors])
-        scaling = source.krivine_scaling
-    degs = {side.family: [p.degree for p in side.constraint_list(source)] for side in recipe.rows}
-    coeffs: dict = {family: {} for family in degs}
-    terms, top = [], 0
-    if not isinstance(stated := _field(data, "terms"), list):
-        raise ValueError(f"certificate terms {stated!r}; expected a list")
-    for t in stated:
-        family = _field(t, "family")
+    recipe = _recipe(mode := _field(data, "mode"))
+    if isinstance(scaling := _field(data, "scaling"), list):  # anything else goes to the rule
+        scaling = tuple(_exact(s, "scaling") for s in scaling)
+    source = normalize_krivine(instance, scaling) if isinstance(scaling, tuple) else instance
+    terms, coeffs = [], {"xy": {}, "yz": {}}
+    for t in _list(_field(data, "terms"), "terms"):
+        family, subset = _field(t, "family"), _field(t, "subset")
         if "coeff" in t:
-            if family not in degs:
+            if family not in coeffs:
                 raise ValueError(f"no {family!r} cone family in {mode!r} relaxations")
-            key = _cone_key(_field(t, "subset"), len(degs[family]))
-            if key in coeffs[family]:  # the file would state another identity
+            if not all(isinstance(p, list) and not any(isinstance(a, (list, dict)) for a in p)
+                       for p in _list(subset, "cone term subset")):
+                raise ValueError(f"cone term subset {subset!r}; expected lists of powers")
+            if (key := tuple(map(tuple, subset))) in coeffs[family]:
                 raise ValueError(f"cone term {family} {key} is listed twice")
-            coeffs[family][key] = float(_finite(t["coeff"], "coeff"))
-            top = max(top, sum((a + b) * d for a, b, d in zip(*key, degs[family])))
+            coeffs[family][key] = _number(t["coeff"], "coeff")
             continue
-        side = recipe_side(mode, family)
-        subset = _field(t, "subset")
+        side = recipe.side(family)
         if not isinstance(subset, list) or any(type(j) is not int for j in subset):
             raise ValueError(f"term subset {subset!r}; expected a list of constraint indices")
-        # SOSTerm refuses whatever is not a list of ints here.
-        basis = tuple(tuple(e) if isinstance(e, list) else e for e in _field(t, "basis"))
-        gram = np.array([[float(_finite(v, "gram entry")) for v in row] for row in _field(t, "gram")])
+        # The rule refuses whatever is not a list of ints here.
+        basis = _list(_field(t, "basis"), "basis")
+        basis = tuple(tuple(e) if isinstance(e, list) else e for e in basis)
+        gram = [[_number(v, "gram entry") for v in _list(row, "gram row")]
+                for row in _list(_field(t, "gram"), "gram")]
+        if len(set(map(len, gram))) > 1:
+            raise ValueError(f"certificate gram has rows of lengths {[len(row) for row in gram]}")
         weight = side.weight(source, subset)  # refuses an index out of range
-        terms.append(SOSTerm(family, tuple(subset), side.block, weight, basis, gram))
-    built = (max(map(sum, t.basis), default=0) + half_degree(t.weight) for t in terms)
-    if recipe.sides and order != (r := max(built, default=0)):
-        raise ValueError(f"certificate order {order} is not {r}, the order its terms are built to")
-    if order < (top + 1) // 2:  # every product's degree is at most 2 * order
-        raise ValueError(f"certificate order {order} is below {(top + 1) // 2}: "
-                         f"it has a cone product of degree {top}")
+        terms.append(SOSTerm(family, tuple(subset), side.block, weight, basis, np.array(gram)))
     certificate = ConeCertificate if recipe.rows and not recipe.sides else SOSCertificate
-    return certificate(lam=lam, terms=tuple(terms), mode=mode, order=order, layout=layout,
-                       scaling=scaling, **{f"{family}_coeffs": c for family, c in coeffs.items()})
+    cert = certificate(lam=_number(_field(data, "lambda"), "lambda"), terms=tuple(terms),
+                       mode=mode, order=_field(data, "order"), layout=instance.layout,
+                       scaling=scaling, xy_coeffs=coeffs["xy"], yz_coeffs=coeffs["yz"])
+    _checked(cert, instance)
+    return cert

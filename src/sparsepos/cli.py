@@ -403,13 +403,11 @@ def main(argv: list[str] | None = None) -> int:
         r_min=args.order,
         r_max=args.max_order if args.max_order is not None else args.order,
         tol=args.tol,
+        oracle_step=args.oracle_step,
     )
     try:
         if args.oracle_box is not None:
             config.oracle_box = _parse_box(args.oracle_box)
-            config.oracle_step = args.oracle_step if args.oracle_step is not None else 0.01
-        elif args.oracle_step is not None:
-            raise ConfigError("--oracle-step requires --oracle-box")
         if args.krivine_bounds is not None:
             config.krivine_bounds = [Fraction(b) for b in args.krivine_bounds.split(",")]
         result = run_hierarchy(instance, config)

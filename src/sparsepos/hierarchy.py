@@ -7,8 +7,9 @@ side.  Rows that fail to assemble (order too low, capacity guards) or to
 solve are recorded and the remaining orders still run.  A variant that does
 not apply to the instance (product with a g that touches Y) raises
 ``relax.ModeError`` at the first order, before any row; an unusable oracle
-grid, or krivine bounds for a variant without cone rows, is refused before
-any solve; an instance is normalized first for a variant with cone rows.
+grid (a box alone gets step 0.01, a step alone is refused), or krivine
+bounds for a variant without cone rows, is refused before any solve; an
+instance is normalized first for a variant with cone rows.
 Bounds should be nondecreasing in the order; violations beyond tolerance
 are flagged on the row.
 """
@@ -89,8 +90,11 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
     rows = relax.RECIPES[config.variant].rows
     if config.krivine_bounds is not None and not rows:
         raise ConfigError(f"krivine bounds apply to cone rows; {config.variant} has none")
-    if config.oracle_box is not None and config.oracle_step is not None:
-        check_grid(instance, config.oracle_box, config.oracle_step)
+    if config.oracle_step is not None and config.oracle_box is None:
+        raise ConfigError("--oracle-step requires --oracle-box")
+    step = 0.01 if config.oracle_step is None else config.oracle_step
+    if config.oracle_box is not None:
+        check_grid(instance, config.oracle_box, step)
     if rows and instance.krivine_scaling is None:
         instance = relax.normalize_krivine(instance, config.krivine_bounds)
 
@@ -146,8 +150,8 @@ def run_hierarchy(instance: ProblemInstance, config: RunConfig) -> HierarchyResu
             result.certificate = extract(row.report, row.program)
             break
 
-    if config.oracle_box is not None and config.oracle_step is not None:
-        result.oracle = grid_min(instance, config.oracle_box, config.oracle_step)
+    if config.oracle_box is not None:
+        result.oracle = grid_min(instance, config.oracle_box, step)
 
     if had_config_error:
         result.exit_code = EXIT_CONFIG

@@ -27,9 +27,9 @@ this and raises :class:`ModeError` otherwise.
 
 :func:`assemble` builds every program from its row, :func:`min_order` reads
 the smallest admissible order off the same row, and a certificate term gets
-its block and weight from the PSD side of its (mode, family), see
-:func:`recipe_side`.  A program with rows and no PSD block, krivine's cone
-LP, is a :class:`LinearProgram`.
+its block and weight from the PSD side of its family in the row of its
+mode, see :meth:`Recipe.side`.  A program with rows and no PSD block,
+krivine's cone LP, is a :class:`LinearProgram`.
 
 Sparse assemblies never reference a moment index with simultaneously
 positive X and Z degree, because every block and row lives on (X,Y) or
@@ -193,6 +193,16 @@ class Recipe:
     sides: tuple[Side, ...]
     rows: tuple[Side, ...] = ()
 
+    def side(self, family: str) -> Side:
+        """The PSD side that builds the ``family`` blocks; a recipe with no
+        PSD side (krivine) has no SOS terms to build."""
+        if not self.sides:
+            raise ValueError(f"no sum-of-squares relaxation has mode {self.mode!r}")
+        for side in self.sides:
+            if side.family == family:
+                return side
+        raise ValueError(f"no {family!r} family in {self.mode!r} relaxations")
+
 
 RECIPES: dict[str, Recipe] = {
     "schmudgen-sparse": Recipe("schmudgen", (
@@ -222,18 +232,6 @@ RECIPES: dict[str, Recipe] = {
 }
 
 VARIANTS = tuple(RECIPES)
-
-
-def recipe_side(mode: str, family: str) -> Side:
-    """The PSD side that builds the ``family`` blocks of a ``mode`` program;
-    a mode with no PSD side (krivine) has no SOS terms to build."""
-    for recipe in RECIPES.values():
-        if recipe.mode == mode and recipe.sides:
-            for side in recipe.sides:
-                if side.family == family:
-                    return side
-            raise ValueError(f"no {family!r} family in {mode!r} relaxations")
-    raise ValueError(f"no sum-of-squares relaxation has mode {mode!r}")
 
 
 def min_order(instance: ProblemInstance, variant: str = "schmudgen-sparse") -> int:

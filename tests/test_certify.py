@@ -162,7 +162,7 @@ class TestExpand:
         # The Gram entry itself is expanded, not a rounded square root of it.
         term = SOSTerm("xy", (), "x", Polynomial.constant(UNIVARIATE, 1), ((0,),),
                        np.array([[1e-7]]))
-        cert = SOSCertificate(0.0, (term,), "schmudgen", 1, UNIVARIATE)
+        cert = SOSCertificate(0.0, (term,), "schmudgen", 0, UNIVARIATE)
         inst = ProblemInstance(UNIVARIATE, X1, (1 - X1**2,), ())
         assert expand(cert, inst) == Polynomial.constant(UNIVARIATE, Fraction(1e-7))
 
@@ -176,7 +176,7 @@ class TestExpand:
         ],
     )
     def test_malformed_term_rejected(self, basis, gram):
-        # The term refuses to be built, so no such term reaches expand.
+        # The rule refuses the term before expand reads it.
         layout = BlockLayout(1, 1, 1)
         with pytest.raises(ValueError, match="basis"):
             term = SOSTerm("xy", (), "xy", Polynomial.constant(layout, 1), basis, gram)
@@ -230,7 +230,7 @@ class TestExpand:
         gram = np.random.default_rng(3).standard_normal((3, 3))
         assert not np.allclose(gram, gram.T)
         term = SOSTerm("xy", (0,), "xy", 1 - x**2 - y**2, basis, gram)
-        cert = SOSCertificate(0.0, (term,), "schmudgen", 1, layout)
+        cert = SOSCertificate(0.0, (term,), "schmudgen", 2, layout)
         self._assert_matches_float_reference(cert, inst, 31)
 
 
@@ -284,7 +284,7 @@ class TestVerify:
             basis=((0, 0, 0), (1, 0, 1)),
             gram=np.eye(2),
         )
-        cert = SOSCertificate(0.0, (term,), "dense", 1, layout)
+        cert = SOSCertificate(0.0, (term,), "dense", 2, layout)
         inst = problems.twoballs()
         vr = verify(cert, inst)
         assert not vr.coupling_free
@@ -348,6 +348,7 @@ class TestVerify:
                 cert = replace(cert, terms=cert.terms[:-1] + (replace(cert.terms[-1], gram=gram),))
         with pytest.raises(ValueError, match=f"certificate {field} {value} is not finite"):
             verify(cert, inst)
+        _refusal(cert, inst)
 
     def test_pointwise_soundness(self):
         # A certificate never exceeds f on the feasible set: each term is a
@@ -366,6 +367,19 @@ class TestVerify:
             fv = float(inst.objective.evaluate(pt))
             ev = float(expansion.evaluate(pt)) + cert.lam
             assert ev <= fv + 1e-6 * (1 + abs(fv))
+
+
+def _refusal(cert, instance):
+    """The one error that verify, expand and the loader of the certificate's
+    own JSON raise for ``cert``: one rule refuses it, by one message."""
+    text = certificate_to_json(cert)
+    errors = []
+    for check in (verify, expand, lambda _, inst: certificate_from_json(text, inst)):
+        with pytest.raises(ValueError) as refused:
+            check(cert, instance)
+        errors.append(refused.value)
+    assert len({(type(e), str(e)) for e in errors}) == 1, errors
+    return errors[0]
 
 
 def _sign_flipped_cone(divisor):
@@ -446,6 +460,7 @@ class TestCone:
         cert.xy_coeffs[pair] = 0.5
         with pytest.raises(ValueError, match=re.escape(repr(pair))):
             verify(cert, inst)
+        _refusal(cert, inst)
 
     def test_power_above_degree_cap_refused(self):
         # (1 - x^2)^5000 has degree 10000: refused before any product.
@@ -453,6 +468,7 @@ class TestCone:
         cert = replace(cert, xy_coeffs={((5000,), (0,)): 1.0})
         with pytest.raises(LayoutError, match="degree 10000"):
             verify(cert, inst)
+        _refusal(cert, inst)
 
     def test_unknown_mode_refused(self):
         # A cone-only certificate has no SOS term whose side would name the
@@ -460,6 +476,7 @@ class TestCone:
         inst, cert = _sign_flipped_cone(1)
         with pytest.raises(ValueError, match="no relaxation has mode 'zonal'"):
             verify(replace(cert, mode="zonal"), inst)
+        _refusal(replace(cert, mode="zonal"), inst)
 
     def test_negative_row_dual_refused(self):
         inst = problems.interval_affine()
@@ -471,8 +488,10 @@ class TestCone:
             extract(report, prog)
 
     def test_cone_coefficients_need_a_scaling(self):
-        with pytest.raises(ValueError, match="cone coefficients need a scaling record"):
-            SOSCertificate(0.0, (), "krivine", 1, UNIVARIATE, xy_coeffs={((1,), (0,)): 1.0})
+        inst, _ = _sign_flipped_cone(1)
+        cert = SOSCertificate(0.0, (), "krivine", 1, UNIVARIATE, xy_coeffs={((1,), (0,)): 1.0})
+        with pytest.raises(ValueError, match="'krivine' certificate needs a scaling list, not None"):
+            verify(cert, inst)
 
 
 @pytest.fixture(scope="module")
@@ -606,6 +625,41 @@ class TestSerialization:
             term["basis"][-1] = value
         with pytest.raises(ValueError, match=field):
             certificate_from_json(json.dumps(data), problems.twoballs())
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("gram", 5, "certificate gram 5; expected a list"),
+        ("gram", [5], "certificate gram row 5; expected a list"),
+        ("gram", [[1.0], [1.0, 2.0]], "certificate gram has rows of lengths [1, 2]"),
+        ("gram entry", "abc", "certificate gram entry 'abc' is not a number"),
+        ("basis", 5, "certificate basis 5; expected a list"),
+        ("lambda", None, "certificate lambda None is not a number"),
+        ("lambda", [1], "certificate lambda [1] is not a number"),
+        ("lambda", "abc", "certificate lambda 'abc' is not a number"),
+        ("lambda", True, "certificate lambda True is not a number"),
+        ("coeff", [1], "certificate coeff [1] is not a number"),
+        ("coeff", "x", "certificate coeff 'x' is not a number"),
+    ], ids=["gram-number", "gram-row-number", "ragged-gram", "gram-entry-string",
+            "basis-number", "lambda-null", "lambda-list", "lambda-string", "lambda-bool",
+            "coeff-list", "coeff-string"])
+    def test_malformed_value_refused_by_name(self, twoballs_r1_json, field, value, message):
+        # These escaped as TypeError, or as a ValueError that named no field,
+        # and a true lambda loaded as 1.
+        if field == "coeff":
+            inst = problems.interval_affine()
+            prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
+            data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
+            data["terms"][-1]["coeff"] = value
+        else:
+            inst, data = problems.twoballs(), json.loads(twoballs_r1_json)
+            term = data["terms"][-1]
+            if field == "lambda":
+                data["lambda"] = value
+            elif field == "gram entry":
+                term["gram"][-1][-1] = value
+            else:
+                term[field] = value
+        with pytest.raises(ValueError, match=re.escape(message)):
+            certificate_from_json(json.dumps(data), inst)
 
     @pytest.mark.parametrize("field", ["coeff", "scaling"])
     def test_non_finite_cone_values_rejected(self, field):
@@ -865,6 +919,38 @@ class TestBothParts:
             term["coeff"] = repr(float(term["coeff"]) + 0.1)
         check = verify(certificate_from_json(json.dumps(data), inst), inst)
         assert not check.passed and check.residual >= 0.05
+
+
+@pytest.fixture(scope="module")
+def rule_sources():
+    """A twoballs schmudgen-sparse certificate at r = 2, and a constant5
+    krivine one (divisor 1, r = 2), for the one-rule cases to edit."""
+    twoballs, constant5 = problems.twoballs(), problems.constant5()
+    prog, report = _solved(twoballs, 2)
+    lp = assemble_krivine(normalize_krivine(constant5, [1]), 2)
+    return {"twoballs": (twoballs, extract(report, prog)),
+            "constant5": (constant5, extract(solve_lp(lp), lp))}
+
+
+class TestOneRule:
+    """verify, expand and the loader refuse a certificate by one rule.  Each
+    certificate here passed verify while the loader refused its JSON, when
+    each had a rule of its own."""
+
+    @pytest.mark.parametrize("source,edit,message", [
+        ("twoballs", lambda c: replace(c, order=5),
+         "certificate order 5 is not 2, the order its terms are built to"),
+        ("twoballs", lambda c: replace(c, xy_coeffs={((1,), (0,)): 0.0}, scaling=(1, 1)),
+         "no 'xy' cone family in 'schmudgen' relaxations"),
+        ("constant5", lambda c: replace(c, xy_coeffs={**c.xy_coeffs, ((1, 2, 3), (0,)): 0.0}),
+         "cone term subset ((1, 2, 3), (0,)); expected two lists of 1 nonnegative ints"),
+        ("constant5", lambda c: replace(c, yz_coeffs={((1,), (0,)): 0.0}),
+         "cone term subset ((1,), (0,)); expected two lists of 0 nonnegative ints"),
+    ], ids=["order-above-built", "cone-part-without-a-row-side", "zero-coeff-long-key",
+            "zero-coeff-on-no-constraint"])
+    def test_verify_refuses_what_the_loader_refuses(self, rule_sources, source, edit, message):
+        instance, cert = rule_sources[source]
+        assert str(_refusal(edit(cert), instance)) == message
 
 
 class TestTwoFamilyCone:

@@ -10,6 +10,7 @@ import pytest
 from sparsepos import problems
 from sparsepos.certify import VerificationReport, certificate_from_json, verify
 from sparsepos.cli import ProblemFileError, main, parse_problem
+from sparsepos.hierarchy import run_hierarchy
 from sparsepos.poly import Polynomial
 from sparsepos.relax import assemble
 
@@ -129,15 +130,28 @@ class TestMain:
         assert "-1.52034519" in out
 
     @pytest.mark.parametrize("name", sorted(problems.TEXTS))
-    def test_every_builtin_runs_as_a_file(self, name, tmp_path, capsys):
-        path = tmp_path / f"{name}.sp"
+    def test_every_builtin_runs_as_a_file(self, name, tmp_path, capsys, monkeypatch):
+        path, cert_path = tmp_path / f"{name}.sp", tmp_path / f"{name}.json"
         path.write_text(problems.TEXTS[name])
+        results = []
+
+        def recorded(instance, config):
+            results.append(run_hierarchy(instance, config))
+            return results[-1]
+
+        monkeypatch.setattr("sparsepos.cli.run_hierarchy", recorded)
         # Under schmudgen-sparse the affine interval ends unbounded (exit 3).
         krivine = ["--variant", "krivine", "--krivine-bounds", "1"]
-        code = main([str(path), *(krivine if name == "interval-affine" else [])])
+        code = main([str(path), "--certificate", str(cert_path),
+                     *(krivine if name == "interval-affine" else [])])
         out = capsys.readouterr().out
         assert code == 0
         assert re.search(r"^ +\d+ +\S+ +optimal ", out, re.M), out
+        # The file the CLI wrote reads back to a certificate that verifies.
+        (result,), instance = results, problems.get(name)
+        loaded = certificate_from_json(cert_path.read_text(), instance)
+        assert verify(loaded, instance).passed
+        assert (loaded.lam, loaded.scaling) == (result.certificate.lam, result.certificate.scaling)
 
     def test_csv_format(self, problem_file, capsys):
         code = main([problem_file, "--format", "csv", "--order", "1"])

@@ -131,3 +131,19 @@ class TestRunHierarchy:
     def test_krivine_bounds_refused_for_other_variants(self):
         with pytest.raises(ConfigError, match="krivine"):
             run_hierarchy(problems.twoballs(), RunConfig(krivine_bounds=[1, 1]))
+
+    def test_oracle_box_alone_gets_the_default_step(self):
+        config = RunConfig(variant="putinar-sparse", r_min=1, oracle_box=[(-1.0, 1.0)])
+        result = run_hierarchy(problems.constant5(), config)
+        assert result.oracle is not None
+        assert result.oracle.step == 0.01 and result.oracle.feasible_count == 201
+        assert result.oracle.minimum == 5.0
+
+    def test_oracle_step_alone_refused_before_any_solve(self, monkeypatch):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before the refusal")
+
+        monkeypatch.setattr("sparsepos.hierarchy.solve", no_solve)
+        config = RunConfig(variant="putinar-sparse", r_min=1, oracle_step=0.01)
+        with pytest.raises(ConfigError, match="--oracle-step requires --oracle-box"):
+            run_hierarchy(problems.constant5(), config)

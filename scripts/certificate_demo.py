@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
-"""Extract, verify and serialize a positivity certificate for one instance.
+"""Write a positivity certificate for one built-in instance and print it.
 
-Solves the chosen relaxation, re-expands the dual Gram blocks in exact
-rational arithmetic, and reports the coefficient residual of the identity
-f - lambda = sum of certified nonnegative terms.  A variant with cone rows
-(krivine) first normalizes the constraints into [0, 1] with automatic upper
-bounds; the certificate is verified against the unnormalized instance.  Exits 2
-when the variant cannot be assembled at the order (or no bound is found), 3
-when the solve is not optimal or the certificate does not verify; ``--out`` is
-written only for a certificate that verifies.  The written file is read back
-with ``certificate_from_json``; unless that copy verifies and has the same
-lambda and the same normalization divisors, the file is removed and the exit
-code is 3.
+Runs the command line on the instance's problem text, at one order (the
+variant's minimum unless ``--order`` is given):
+
+    sparsepos PROBLEM --variant V --order R --certificate OUT
+
+``OUT`` is ``--out``, or a temporary file.  The command prints its bound
+table and is the one writer of the file: it writes only a certificate that
+verifies and whose JSON reads back, through ``certificate_from_json``, as a
+certificate that verifies with the same lambda and normalization divisors.
+A variant with cone rows (krivine) normalizes the constraints into [0, 1]
+with automatic upper bounds first.  Unless the command exits 0, its exit
+code is returned: 2 when the variant cannot be assembled at the order, does
+not apply to the instance or finds no bound, 3 when the solve is not optimal
+or the certificate does not verify or does not read back.  Otherwise the
+file is loaded against the instance and its terms, its coefficient residual
+and its expansion of f - lambda are printed.
 
 Usage: python scripts/certificate_demo.py [instance] [--variant V] [--order R] [--out F]
 """
@@ -19,6 +24,7 @@ Usage: python scripts/certificate_demo.py [instance] [--variant V] [--order R] [
 import argparse
 import os
 import sys
+import tempfile
 
 # Run from a bare checkout: import the package from ROOT/src, not an installed copy.
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -28,49 +34,33 @@ import sparsepos
 if not os.path.abspath(sparsepos.__file__).startswith(SRC + os.sep):
     raise SystemExit(f"sparsepos imported from {sparsepos.__file__}, not from {SRC}")
 
-from sparsepos import problems
-from sparsepos.certify import certificate_from_json, certificate_to_json, expand, extract, verify
-from sparsepos.relax import (
-    RECIPES,
-    BoundError,
-    CapacityError,
-    ModeError,
-    NormalizationError,
-    OrderError,
-    assemble,
-    min_order,
-    normalize_krivine,
-)
-from sparsepos.solver import solve
+from sparsepos import cli, problems
+from sparsepos.certify import certificate_from_json, expand, verify
+from sparsepos.relax import VARIANTS
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("instance", nargs="?", default="twoballs",
-                        choices=sorted(problems.REGISTRY))
-    parser.add_argument("--variant", default="schmudgen-sparse", choices=list(RECIPES))
+    parser.add_argument("instance", nargs="?", default="twoballs", choices=sorted(problems.TEXTS))
+    parser.add_argument("--variant", default="schmudgen-sparse", choices=VARIANTS)
     parser.add_argument("--order", type=int, default=None)
     parser.add_argument("--out", default=None, help="write the certificate JSON here")
     args = parser.parse_args(argv)
 
-    instance = problems.get(args.instance)
-    r = args.order if args.order is not None else min_order(instance, args.variant)
+    with tempfile.TemporaryDirectory() as tmp:
+        problem, out = os.path.join(tmp, "problem.sp"), args.out or os.path.join(tmp, "cert.json")
+        with open(problem, "w", encoding="utf-8") as handle:
+            handle.write(problems.TEXTS[args.instance])
+        order = [] if args.order is None else ["--order", str(args.order)]
+        code = cli.main([problem, "--variant", args.variant, *order, "--certificate", out])
+        if code:
+            return code
+        instance = problems.get(args.instance)
+        with open(out, encoding="utf-8") as handle:
+            cert = certificate_from_json(handle.read(), instance)
 
-    try:
-        normed = normalize_krivine(instance) if RECIPES[args.variant].rows else instance
-        program = assemble(normed, args.variant, r)
-    except (OrderError, CapacityError, ModeError, NormalizationError, BoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    report = solve(program)
-    print(f"solve: status={report.status} bound={report.primal_objective:.9g} "
-          f"lambda={report.dual_objective:.9g} iterations={report.iterations}")
-    if report.status != "optimal":
-        return 3
-
-    cert = extract(report, program)
     cone_terms = len(cert.xy_coeffs) + len(cert.yz_coeffs)
-    print(f"certificate: mode={cert.mode} order={cert.order} "
+    print(f"certificate: mode={cert.mode} order={cert.order} lambda={cert.lam:.9g} "
           f"terms={len(cert.terms) + cone_terms}")
     for term in cert.terms:
         weight = str(term.weight) if term.weight.degree else "1"
@@ -79,26 +69,10 @@ def main(argv=None) -> int:
     result = verify(cert, instance)
     print(f"verify: residual={result.residual:.3e} psd={result.psd_ok} "
           f"coupling_free={result.coupling_free} passed={result.passed}")
-
     identity = expand(cert, instance)
     print(f"identity check: f - lambda has {len(instance.objective.terms)} terms, "
           f"expansion reproduces them within the residual above "
           f"({len(identity.terms)} expanded terms)")
-    if not result.passed:
-        print("error: the certificate does not verify; nothing written", file=sys.stderr)
-        return 3
-
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(certificate_to_json(cert) + "\n")
-        with open(args.out, encoding="utf-8") as handle:
-            back = certificate_from_json(handle.read(), instance)
-        if not (verify(back, instance).passed and (back.lam, back.scaling) == (cert.lam, cert.scaling)):
-            os.remove(args.out)
-            print(f"error: {args.out} does not read back as the certificate written; "
-                  f"removed", file=sys.stderr)
-            return 3
-        print(f"wrote {args.out}")
     return 0
 
 

@@ -346,11 +346,14 @@ def _finite(value, field: str) -> None:
 
 
 def _exact(value, field: str) -> Fraction:
-    """``value`` (a number or a decimal or ``p/q`` string) as an exact Fraction."""
+    """``value`` (a number, not a bool, or a decimal or ``p/q`` string) as an
+    exact Fraction."""
     try:
-        return Fraction(value)
+        if type(value) is not bool:
+            return Fraction(value)
     except (TypeError, ValueError, OverflowError, ZeroDivisionError):
-        raise ValueError(f"certificate {field} {value!r} is not a finite number") from None
+        pass
+    raise ValueError(f"certificate {field} {value!r} is not a finite number")
 
 
 def _number(value, field: str) -> float:

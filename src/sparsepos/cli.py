@@ -15,8 +15,10 @@ variables they touch and validated.
 
 Exit codes: 0 all orders solved to optimality, 2 usage/config/parse errors
 or a file that cannot be read or written, 3 a solver failure on some order,
-or a ``--certificate`` that does not verify against the parsed problem (no
-file is written then).
+or a ``--certificate`` that does not verify against the parsed problem or
+whose JSON does not read back, through ``certificate_from_json``, as a
+certificate that verifies with the same lambda and ``scaling`` (no file is
+written then).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .certify import certificate_to_json, verify
+from .certify import certificate_from_json, certificate_to_json, verify
 from .hierarchy import (
     EXIT_CONFIG,
     EXIT_SOLVER,
@@ -37,7 +39,7 @@ from .hierarchy import (
     VARIANTS,
     run_hierarchy,
 )
-from .poly import BlockLayout, CouplingError, LayoutError, Polynomial
+from .poly import MAX_DEGREE, BlockLayout, CouplingError, LayoutError, Polynomial
 from .problem import BlockSupportError, ProblemInstance
 
 
@@ -89,6 +91,19 @@ def _tokenize(text: str) -> list[_Token]:
             col += len(snippet)
         pos = match.end()
     return tokens
+
+
+# Python's default limit on the digits of an int read from a string,
+# applied on every Python version so that every version reads the same files.
+_MAX_DIGITS = 4300
+
+
+def _number(tok: _Token) -> Fraction:
+    if (digits := len(tok.text.replace(".", ""))) > _MAX_DIGITS:
+        raise ProblemFileError(
+            f"number of {digits} digits is above {_MAX_DIGITS}", tok.line, tok.col
+        )
+    return Fraction(tok.text)
 
 
 class _ExprParser:
@@ -156,13 +171,18 @@ class _ExprParser:
                 raise ProblemFileError(
                     "exponent must be a nonnegative integer", exp_tok.line, exp_tok.col
                 )
-            return base ** int(exp_tok.text)
+            # The degree cap bounds a constant's power too.
+            if (exp := _number(exp_tok)) > MAX_DEGREE:
+                raise ProblemFileError(
+                    f"exponent is above {MAX_DEGREE}", exp_tok.line, exp_tok.col
+                )
+            return base ** int(exp)
         return base
 
     def _atom(self) -> Polynomial:
         tok = self._next()
         if tok.kind == "number":
-            return Polynomial.constant(self.layout, Fraction(tok.text))
+            return Polynomial.constant(self.layout, _number(tok))
         if tok.kind == "name":
             if tok.text not in self.layout.names:
                 raise ProblemFileError(f"unknown variable {tok.text!r}", tok.line, tok.col)
@@ -263,7 +283,7 @@ def parse_problem(text: str) -> ProblemInstance:
             if ge_at is None or ge_at == 0:
                 raise ProblemFileError("constraint needs '>= 0'", head.line, head.col)
             rhs = rest[ge_at + 1 :]
-            if len(rhs) != 1 or rhs[0].kind != "number" or Fraction(rhs[0].text) != 0:
+            if len(rhs) != 1 or rhs[0].kind != "number" or _number(rhs[0]) != 0:
                 tok = rhs[0] if rhs else rest[ge_at]
                 raise ProblemFileError("right-hand side must be 0", tok.line, tok.col)
             poly = _ExprParser(rest[:ge_at], layout).parse()
@@ -387,21 +407,16 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         with open(args.problem, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    try:
-        instance = parse_problem(text)
-    except (ProblemFileError, CouplingError, BlockSupportError, LayoutError) as exc:
+            instance = parse_problem(handle.read())
+    except (OSError, UnicodeDecodeError, ProblemFileError, CouplingError, BlockSupportError,
+            LayoutError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     config = RunConfig(
         variant=args.variant,
         r_min=args.order,
-        r_max=args.max_order if args.max_order is not None else args.order,
+        r_max=args.max_order,
         tol=args.tol,
         oracle_step=args.oracle_step,
     )
@@ -418,7 +433,19 @@ def main(argv: list[str] | None = None) -> int:
     print(render_csv(result) if args.format == "csv" else render_text(result))
 
     if args.certificate and result.certificate is not None:
-        check = verify(result.certificate, instance)
+        # A file is written only when its text loads back as this certificate,
+        # and the loaded copy is the one verified.
+        cert = result.certificate
+        text = certificate_to_json(cert)
+        try:
+            back = certificate_from_json(text, instance)
+            if (back.lam, back.scaling) != (cert.lam, cert.scaling):
+                raise ValueError("it loads with another lambda or scaling")
+        except ValueError as exc:
+            print(f"error: certificate not written, its JSON does not read back: {exc}",
+                  file=sys.stderr)
+            return EXIT_SOLVER
+        check = verify(back, instance)
         if not check.passed:
             print(f"error: certificate not written, it does not verify: residual "
                   f"{check.residual:.3e}, psd_ok={check.psd_ok}, "
@@ -426,7 +453,7 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_SOLVER
         try:
             with open(args.certificate, "w", encoding="utf-8") as handle:
-                handle.write(certificate_to_json(result.certificate) + "\n")
+                handle.write(text + "\n")
         except OSError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_CONFIG

@@ -47,9 +47,6 @@ st h1: 1 - y^2 - z1^2 - z2^2 >= 0;
 """,
 }
 
-TWOBALLS_TEXT = TEXTS["twoballs"]
-
-
 def get(name: str) -> ProblemInstance:
     if name not in TEXTS:
         raise KeyError(f"unknown built-in instance {name!r}; have {sorted(TEXTS)}")
@@ -89,15 +86,6 @@ def fivevar() -> ProblemInstance:
     """Frozen random quadratic objective over two unit balls, n=2, m=1, p=2."""
     return get("fivevar")
 
-
-REGISTRY = {
-    "twoballs": twoballs,
-    "product": product_twoballs,
-    "interval": interval,
-    "interval-affine": interval_affine,
-    "constant5": constant5,
-    "fivevar": fivevar,
-}
 
 #: Default oracle boxes and steps for the built-in instances.
 ORACLE_SETTINGS = {

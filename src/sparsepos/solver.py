@@ -521,6 +521,13 @@ def _ipm_loop(cones: list, A: csr_matrix, b: np.ndarray, tol: float, max_iter: i
     return _RawResult(status, views(X), y, iterations, rel_p, rel_d, pobj)
 
 
+def _float(coeff, part: str) -> float:
+    try:
+        return float(coeff)
+    except OverflowError:
+        raise ValueError(f"{part} has a coefficient beyond float range") from None
+
+
 # Moment classes by (has an X digit, has a Z digit), in placement order:
 # X-side, Y-only, Z-side, X-Z mixed.
 _PLACE = {(True, False): 0, (False, False): 1, (False, True): 2, (True, True): 3}
@@ -566,7 +573,7 @@ def _cones(program: ConicProgram) -> tuple[list, csr_matrix, dict]:
         for i, j, coeff, p in sym.terms:
             v = floats.get(id(coeff))
             if v is None:
-                v = floats[id(coeff)] = float(coeff)
+                v = floats[id(coeff)] = _float(coeff, f"block {label.name()}")
             if p == 0:
                 C[i, j] += v
                 if i != j:
@@ -584,13 +591,13 @@ def _cones(program: ConicProgram) -> tuple[list, csr_matrix, dict]:
     families: dict[str, list[int]] = {}
     for i, ((family, _, _), _) in enumerate(program.rows):
         families.setdefault(family, []).append(i)
-    for rows in families.values():
+    for family, rows in families.items():
         C, moment, slot, value = np.zeros(len(rows)), array("q"), array("q"), array("d")
         for col, i in enumerate(rows):
             for p, coeff in program.rows[i][1].items():
                 v = floats.get(id(coeff))
                 if v is None:
-                    v = floats[id(coeff)] = float(coeff)
+                    v = floats[id(coeff)] = _float(coeff, f"row family {family}")
                 if p == 0:
                     C[col] += v
                 else:
@@ -606,15 +613,19 @@ def solve(program: ConicProgram, tol: float = 1e-8, max_iter: int = 200) -> Solv
     """Solve a moment relaxation: its PSD blocks and its nonnegative rows.
     On optimal status the moments satisfy every block and row to tolerance
     with the unit moment pinned at 1; the row duals follow program row
-    order, after the blocks' Gram matrices."""
+    order, after the blocks' Gram matrices.
+
+    ``ValueError`` refuses a program with an exact coefficient beyond float
+    range, naming the objective, the block or the row family that holds it.
+    """
     if not 1e-12 <= tol <= 1e-2:
         raise ValueError(f"tolerance must lie in [1e-12, 1e-2], got {tol}")
     cones, A, pos = _cones(program)
-    f0 = float(program.objective.get(0, 0))
+    f0 = _float(program.objective.get(0, 0), "the objective")
     c = np.zeros(len(pos))
     for p, coeff in program.objective.items():
         if p:
-            c[pos[p]] = float(coeff)
+            c[pos[p]] = _float(coeff, "the objective")
     raw = _ipm_loop([cone for cone, _ in cones], A, -c, tol, max_iter)
 
     blocks = program.num_blocks

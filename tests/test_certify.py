@@ -638,17 +638,21 @@ class TestSerialization:
         ("lambda", True, "certificate lambda True is not a number"),
         ("coeff", [1], "certificate coeff [1] is not a number"),
         ("coeff", "x", "certificate coeff 'x' is not a number"),
+        ("scaling", [True], "certificate scaling True is not a finite number"),
     ], ids=["gram-number", "gram-row-number", "ragged-gram", "gram-entry-string",
             "basis-number", "lambda-null", "lambda-list", "lambda-string", "lambda-bool",
-            "coeff-list", "coeff-string"])
+            "coeff-list", "coeff-string", "scaling-bool"])
     def test_malformed_value_refused_by_name(self, twoballs_r1_json, field, value, message):
         # These escaped as TypeError, or as a ValueError that named no field,
-        # and a true lambda loaded as 1.
-        if field == "coeff":
+        # and a true lambda or divisor loaded as 1.
+        if field in ("coeff", "scaling"):
             inst = problems.interval_affine()
             prog = assemble_krivine(normalize_krivine(inst, [1]), 1)
             data = json.loads(certificate_to_json(extract_cone(solve_lp(prog), prog)))
-            data["terms"][-1]["coeff"] = value
+            if field == "coeff":
+                data["terms"][-1]["coeff"] = value
+            else:
+                data["scaling"] = value
         else:
             inst, data = problems.twoballs(), json.loads(twoballs_r1_json)
             term = data["terms"][-1]

@@ -12,12 +12,12 @@ from sparsepos.certify import VerificationReport, certificate_from_json, verify
 from sparsepos.cli import ProblemFileError, main, parse_problem
 from sparsepos.hierarchy import run_hierarchy
 from sparsepos.poly import Polynomial
-from sparsepos.relax import assemble
+from sparsepos.relax import VARIANTS, assemble
 
 
 class TestParseProblem:
     def test_twoballs_round_trip(self):
-        inst = parse_problem(problems.TWOBALLS_TEXT)
+        inst = parse_problem(problems.TEXTS["twoballs"])
         ref = problems.twoballs()
         assert inst.layout.names == ("x", "y", "z")
         assert inst.objective == ref.objective
@@ -79,10 +79,16 @@ class TestParseProblem:
         ("vars x : X; minimize 1/x;", "division is only allowed by a nonzero constant", 1, 23),
         ("vars x : X; minimize x^1.5;", "exponent must be a nonnegative integer", 1, 24),
         ("vars x : X; minimize (x x);", "expected ')'", 1, 25),
+        ("vars x : X; minimize 2^999999999999;", "exponent is above 255", 1, 24),
+        ("vars x : X; minimize 1" + "0" * 4300 + "*x;", "number of 4301 digits is above 4300",
+         1, 22),
+        ("vars x : X;\nminimize x;\nst g: 1 - x >= " + "0" * 4301 + ";",
+         "number of 4301 digits is above 4300", 3, 16),
     ], ids=["empty-file", "empty-vars", "unexpected-statement", "bad-declaration",
             "bad-block", "no-declarations", "two-minimize", "bad-st", "missing-ge",
             "nonzero-rhs", "end-of-expression", "trailing-token", "division",
-            "fractional-exponent", "missing-paren"])
+            "fractional-exponent", "missing-paren", "exponent-above-degree-cap",
+            "literal-above-digit-limit", "rhs-above-digit-limit"])
     def test_refusal_names_its_position(self, text, message, line, col):
         with pytest.raises(ProblemFileError) as info:
             parse_problem(text)
@@ -101,7 +107,7 @@ class TestParseProblem:
 @pytest.fixture
 def problem_file(tmp_path):
     path = tmp_path / "twoballs.sp"
-    path.write_text(problems.TWOBALLS_TEXT)
+    path.write_text(problems.TEXTS["twoballs"])
     return str(path)
 
 
@@ -119,6 +125,12 @@ def _no_solve(*args, **kwargs):
 
 FAILING = VerificationReport(residual=0.5, coupling_free=True, psd_ok=False, lam=0.0,
                              passed=False)
+
+
+def _rounded_divisors(text, instance):
+    # Read back as the 17-digit divisors of the earlier format were.
+    cert = certificate_from_json(text, instance)
+    return replace(cert, scaling=tuple(Fraction(float(s)) for s in cert.scaling))
 
 
 class TestMain:
@@ -198,6 +210,12 @@ class TestMain:
     def test_missing_file_exits_2(self, tmp_path):
         assert main([str(tmp_path / "nope.sp")]) == 2
 
+    def test_file_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "latin1.sp"
+        path.write_bytes(b"vars x : X; minimize x\xff; st g: 1 - x^2 >= 0;")
+        assert main([str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: 'utf-8' codec can't decode")
+
     def test_oracle_row(self, problem_file, capsys):
         code = main([problem_file, "--order", "1",
                      "--oracle-box=-1:1,-1:1,-1:1", "--oracle-step", "0.05"])
@@ -267,6 +285,43 @@ class TestMain:
         assert "residual 5.000e-01" in err
         assert "psd_ok=False" in err and "coupling_free=True" in err
 
+    def test_certificate_that_does_not_read_back_not_written(self, tmp_path, capsys,
+                                                             monkeypatch):
+        monkeypatch.setattr("sparsepos.cli.certificate_from_json", _rounded_divisors)
+        path, cert_path = tmp_path / "constant5.sp", tmp_path / "cert.json"
+        path.write_text(problems.TEXTS["constant5"])
+        assert main([str(path), "--variant", "krivine", "--certificate", str(cert_path)]) == 3
+        assert not cert_path.exists()
+        err = capsys.readouterr().err
+        assert err.count("error: ") == 1 and "does not read back" in err
+
+    def test_loader_refusal_counts_as_not_reading_back(self, problem_file, tmp_path, capsys,
+                                                       monkeypatch):
+        def refuse(text, instance):
+            raise ValueError("certificate lambda True is not a number")
+
+        monkeypatch.setattr("sparsepos.cli.certificate_from_json", refuse)
+        cert_path = tmp_path / "cert.json"
+        assert main([problem_file, "--order", "1", "--certificate", str(cert_path)]) == 3
+        assert not cert_path.exists()
+        assert capsys.readouterr().err == (
+            "error: certificate not written, its JSON does not read back: "
+            "certificate lambda True is not a number\n")
+
+    @pytest.mark.parametrize("body,options,part", [
+        ("minimize 1{zeros}*x; st g: 1 - x^2 >= 0;", [], "the objective"),
+        ("minimize x; st g: 1{zeros} - x^2 >= 0;", [], "block g1@xy"),
+        ("minimize x; st g: 1{zeros} - x^2 >= 0;",
+         ["--variant", "krivine", "--krivine-bounds", "1"], "row family xy"),
+    ], ids=["objective", "block", "row"])
+    def test_coefficient_beyond_float_range_exits_2(self, tmp_path, capsys, body, options,
+                                                    part):
+        # A 401-digit literal: float() of it raised OverflowError in solve.
+        path = tmp_path / "huge.sp"
+        path.write_text("vars x : X; " + body.format(zeros="0" * 400))
+        assert main([str(path), *options]) == 2
+        assert capsys.readouterr().err == f"error: {part} has a coefficient beyond float range\n"
+
     def test_product_variant(self, tmp_path, capsys):
         path = tmp_path / "prod.sp"
         path.write_text(
@@ -308,9 +363,10 @@ class TestCertificateDemo:
         assert verify(cert, problems.get("product")).passed
 
     def test_order_below_minimum_exits_2(self, capsys):
+        # Reported on the table's error row, as the command reports it.
         demo = _load_script("certificate_demo")
         assert demo.main(["twoballs", "--variant", "dense", "--order", "1"]) == 2
-        assert "error" in capsys.readouterr().err
+        assert "error: order 1 below the minimum" in capsys.readouterr().out
 
     def test_product_variant_on_mixed_g_exits_2(self, capsys):
         demo = _load_script("certificate_demo")
@@ -322,21 +378,16 @@ class TestCertificateDemo:
         out_path = tmp_path / "cert.json"
         assert demo.main(["constant5", "--variant", "krivine", "--out", str(out_path)]) == 0
         out = capsys.readouterr().out
-        assert "status=optimal" in out and "mode=krivine" in out and "terms=3" in out
+        assert re.search(r"^ +1 +\S+ +optimal ", out, re.M), out
+        assert "mode=krivine" in out and "terms=3" in out
         cert = certificate_from_json(out_path.read_text(), problems.get("constant5"))
         assert len(cert.xy_coeffs) + len(cert.yz_coeffs) == 3
         assert verify(cert, problems.get("constant5")).passed
 
     def test_file_that_reads_back_otherwise_removed(self, tmp_path, capsys, monkeypatch):
-        # Read back as the 17-digit divisors of the earlier format were.
+        # The command's writer refuses it, so no file is written at all.
         demo = _load_script("certificate_demo")
-        load = demo.certificate_from_json
-
-        def rounded(text, instance):
-            cert = load(text, instance)
-            return replace(cert, scaling=tuple(Fraction(float(s)) for s in cert.scaling))
-
-        monkeypatch.setattr(demo, "certificate_from_json", rounded)
+        monkeypatch.setattr("sparsepos.cli.certificate_from_json", _rounded_divisors)
         out_path = tmp_path / "cert.json"
         assert demo.main(["constant5", "--variant", "krivine", "--out", str(out_path)]) == 3
         assert not out_path.exists()
@@ -349,11 +400,31 @@ class TestCertificateDemo:
 
     def test_unverified_certificate_not_written(self, tmp_path, capsys, monkeypatch):
         demo = _load_script("certificate_demo")
-        monkeypatch.setattr(demo, "verify", lambda cert, instance: FAILING)
+        monkeypatch.setattr("sparsepos.cli.verify", lambda cert, instance: FAILING)
         out_path = tmp_path / "cert.json"
         assert demo.main(["interval", "--out", str(out_path)]) == 3
         assert not out_path.exists()
         assert "does not verify" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name,options,code", [
+        *(("constant5", ["--variant", v], 0) for v in VARIANTS),
+        ("twoballs", ["--variant", "dense", "--order", "1"], 2),
+        ("twoballs", ["--variant", "product"], 2),
+        ("interval-affine", ["--variant", "krivine"], 2),
+    ], ids=[*(f"constant5-{v}" for v in VARIANTS), "twoballs-dense-order-1",
+            "twoballs-product", "interval-affine-krivine"])
+    def test_exit_code_is_the_commands(self, tmp_path, name, options, code):
+        demo = _load_script("certificate_demo")
+        problem = tmp_path / f"{name}.sp"
+        problem.write_text(problems.TEXTS[name])
+        by_cli, by_demo = tmp_path / "cli.json", tmp_path / "demo.json"
+        assert main([str(problem), *options, "--certificate", str(by_cli)]) == code
+        assert demo.main([name, *options, "--out", str(by_demo)]) == code
+        instance = problems.get(name)
+        for path in (by_cli, by_demo):
+            assert path.exists() == (code == 0)
+            if code == 0:
+                assert verify(certificate_from_json(path.read_text(), instance), instance).passed
 
 
 class TestRunSuite:

@@ -110,7 +110,7 @@ class TestMinOrder:
     def test_dense_covers_joint_product(self):
         assert min_order(problems.twoballs(), "dense") == 2
 
-    @pytest.mark.parametrize("name", sorted(problems.REGISTRY))
+    @pytest.mark.parametrize("name", sorted(problems.TEXTS))
     def test_krivine_rows_need_the_schmudgen_order(self, name):
         # Both reach the degree of the full subset products of each family.
         inst = problems.get(name)
